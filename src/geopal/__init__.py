@@ -17,11 +17,9 @@ from .sslmodel import (
     is_persistent,
     persistence_immunity_check,
     random_ssl_model,
-    satisfies_ssl,
     situations,
-    update_ssl,
 )
-from .product import ProductModel, h_open, random_product_model, satisfies_product, update_product
+from .product import ProductModel, h_open, random_product_model
 
 __all__ = [
     "Formula",
@@ -45,12 +43,8 @@ __all__ = [
     "is_persistent",
     "persistence_immunity_check",
     "random_ssl_model",
-    "satisfies_ssl",
     "situations",
-    "update_ssl",
     "ProductModel",
     "h_open",
     "random_product_model",
-    "satisfies_product",
-    "update_product",
 ]

@@ -15,7 +15,8 @@ Point labels may be JSON numbers or strings and are preserved as written.
 Topologies are verified on load (an ssl "sets" family is unconstrained).
 
 Exit codes: 0 success, 1 a checked property failed (axiom counterexample,
-persistence witness, induction mismatch), 2 malformed input.
+persistence witness, induction mismatch), 2 bad input or any other error.
+A crash never exits 1, since 1 reads as "counterexample found".
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .dynamics import (
     LimitTrace,
@@ -32,47 +32,19 @@ from .dynamics import (
     muddy_scenario,
 )
 from .formula import FormulaError, parse, render
-from .games import GameNode, GameTree, bi_via_announcements
+from .games import GameTree, bi_via_announcements
 from .intervals import divergence_report
-from .product import ProductModel, satisfies_product, update_product
+from .product import ProductModel, fmt_world
 from .rewrite import SEMANTICS, AxiomId, check_axiom, reduce
-from .sslmodel import SSLModel, Situation, satisfies_ssl, update_ssl
-from .topology import Topology, TopologyError, verify_topology
-from .topomodel import TopoModel, satisfies, update
+from .sslmodel import SSLModel, is_persistent, persistence_immunity_check
+from .topology import fmt_set, json_field
+from .topomodel import TopoModel
 
-
-class CliError(Exception):
-    """Bad input: reported on stderr, exit code 2."""
+_MODEL_KINDS = {"topo": TopoModel, "ssl": SSLModel, "product": ProductModel, "game": GameTree}
 
 
 # ---------------------------------------------------------------------------
 # Model files
-
-
-def _parse_label(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return text
-
-
-def _require(mapping, key, where):
-    if key not in mapping:
-        raise CliError(f"missing field {key!r} in {where}")
-    return mapping[key]
-
-
-def _load_topology(body, where) -> Topology:
-    points = _require(body, "points", where)
-    opens = _require(body, "opens", where)
-    try:
-        space = Topology.from_sets(points, opens)
-    except TopologyError as error:
-        raise CliError(f"{where}: {error}") from None
-    problems = verify_topology(space)
-    if problems:
-        raise CliError(f"{where}: not a topology: {problems[0]}")
-    return space
 
 
 def load_model(path: str):
@@ -80,128 +52,28 @@ def load_model(path: str):
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as error:
-        raise CliError(f"cannot read {path}: {error}") from None
+        raise ValueError(f"cannot read {path}: {error}") from None
     except json.JSONDecodeError as error:
-        raise CliError(f"{path}: invalid JSON: {error}") from None
-    if not isinstance(data, dict):
-        raise CliError(f"{path}: expected a JSON object")
-    kind = _require(data, "kind", path)
-    if kind == "topo":
-        space = _load_topology(data, path)
-        try:
-            valuation = {
-                atom: space.mask(area)
-                for atom, area in data.get("valuation", {}).items()
-            }
-            return TopoModel(space, valuation)
-        except TopologyError as error:
-            raise CliError(f"{path}: {error}") from None
-    if kind == "ssl":
-        try:
-            return SSLModel.from_sets(
-                data.get("points", []),
-                _require(data, "sets", path),
-                data.get("valuation", {}),
-            )
-        except ValueError as error:
-            raise CliError(f"{path}: {error}") from None
-    if kind == "product":
-        factors = tuple(
-            _load_topology(factor, f"{path} factor {i}")
-            for i, factor in enumerate(_require(data, "factors", path))
-        )
-        worlds_field = _require(data, "worlds", path)
-        valuation = {
-            atom: frozenset(tuple(world) for world in area)
-            for atom, area in data.get("valuation", {}).items()
-        }
-        try:
-            if worlds_field == "all":
-                return ProductModel.full(factors, valuation)
-            worlds = frozenset(tuple(world) for world in worlds_field)
-            return ProductModel(factors, worlds, valuation)
-        except ValueError as error:
-            raise CliError(f"{path}: {error}") from None
-    if kind == "game":
-        return GameTree(_load_game_node(_require(data, "root", path), path))
-    raise CliError(f"{path}: unknown model kind {kind!r}")
-
-
-def _load_game_node(body, where) -> GameNode:
-    if not isinstance(body, dict):
-        raise CliError(f"{where}: game nodes must be objects")
+        raise ValueError(f"{path}: invalid JSON: {error}") from None
     try:
-        if "payoff" in body:
-            return GameNode.leaf(*(_parse_payoff(x, where) for x in body["payoff"]))
-        player = _require(body, "player", where)
-        children = [_load_game_node(child, where) for child in _require(body, "children", where)]
-        return GameNode.decision(player, children)
-    except (ValueError, TypeError) as error:
-        raise CliError(f"{where}: {error}") from None
+        kind = json_field(data, "kind")
+        if not isinstance(kind, str) or kind not in _MODEL_KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        return _MODEL_KINDS[kind].from_json(data)
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
 
 
-def _parse_payoff(value, where) -> Fraction:
-    try:
-        return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise CliError(f"{where}: bad payoff {value!r}") from None
-
-
-def _dump_payoff(value: Fraction):
-    return int(value) if value.denominator == 1 else str(value)
-
-
-def model_to_json(model) -> dict:
-    if isinstance(model, TopoModel):
-        return {
-            "kind": "topo",
-            "points": list(model.space.points),
-            "opens": [sorted(model.space.labels(o), key=repr) for o in model.space.opens],
-            "valuation": {
-                atom: sorted(model.space.labels(mask), key=repr)
-                for atom, mask in sorted(model.valuation.items())
-            },
-        }
-    if isinstance(model, SSLModel):
-        order = {label: i for i, label in enumerate(model.points)}
-        return {
-            "kind": "ssl",
-            "points": list(model.points),
-            "sets": [sorted(member, key=order.get) for member in model.sigma],
-            "valuation": {
-                atom: sorted(area, key=order.get)
-                for atom, area in sorted(model.valuation.items())
-            },
-        }
-    if isinstance(model, ProductModel):
-        return {
-            "kind": "product",
-            "factors": [
-                {
-                    "points": list(factor.points),
-                    "opens": [sorted(factor.labels(o), key=repr) for o in factor.opens],
-                }
-                for factor in model.factors
-            ],
-            "worlds": sorted(map(list, model.worlds)),
-            "valuation": {
-                atom: sorted(map(list, area))
-                for atom, area in sorted(model.valuation.items())
-            },
-        }
+def _load_model_with_loci(path: str, command: str):
+    model = load_model(path)
     if isinstance(model, GameTree):
-        def node_json(node: GameNode):
-            if node.is_leaf:
-                return {"payoff": [_dump_payoff(x) for x in node.payoffs]}
-            return {"player": node.player, "children": [node_json(c) for c in node.children]}
-
-        return {"kind": "game", "root": node_json(model.root)}
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+        raise ValueError(f"{command} expects a topo, ssl or product model; use bi for games")
+    return model
 
 
 def dump_model(model, path: str):
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_to_json(model), handle, indent=1)
+        json.dump(model.to_json(), handle, indent=1)
         handle.write("\n")
 
 
@@ -209,50 +81,11 @@ def dump_model(model, path: str):
 # Shared rendering
 
 
-def _fmt_world(world) -> str:
-    return "(" + ",".join(map(str, world)) + ")"
-
-
-def model_summary(model) -> list[str]:
-    if isinstance(model, TopoModel):
-        return [
-            f"kind: topo",
-            f"points: {' '.join(map(str, model.space.points)) or '(none)'}",
-            f"opens: {len(model.space.opens)}",
-        ]
-    if isinstance(model, SSLModel):
-        sets = " ".join("{" + ",".join(map(str, sorted(m, key=repr))) + "}" for m in model.sigma)
-        return [
-            f"kind: ssl",
-            f"points: {' '.join(map(str, model.points)) or '(none)'}",
-            f"sets: {sets or '(none)'}",
-        ]
-    if isinstance(model, ProductModel):
-        return [
-            f"kind: product",
-            f"worlds: {' '.join(_fmt_world(w) for w in sorted(model.worlds)) or '(none)'}",
-        ]
-    raise TypeError(f"cannot summarize {type(model).__name__}")
-
-
 def _parse_formula(text: str):
     try:
         return parse(text)
     except FormulaError as error:
-        raise CliError(f"bad formula: {error}") from None
-
-
-def _parse_locus(model, text: str):
-    if isinstance(model, TopoModel):
-        return _parse_label(text)
-    if isinstance(model, ProductModel):
-        return tuple(_parse_label(part) for part in text.split(","))
-    if isinstance(model, SSLModel):
-        if "@" not in text:
-            raise CliError("ssl loci are written point@member,member (e.g. s@s,t)")
-        point, _, members = text.partition("@")
-        return Situation(_parse_label(point), frozenset(_parse_label(m) for m in members.split(",")))
-    raise CliError("model kind has no loci")
+        raise ValueError(f"bad formula: {error}") from None
 
 
 def _print_trace(trace: LimitTrace, out):
@@ -266,39 +99,17 @@ def _print_trace(trace: LimitTrace, out):
 
 
 def _cmd_check(args, out) -> int:
-    model = load_model(args.model)
-    if isinstance(model, GameTree):
-        raise CliError("check expects a topo, ssl or product model")
+    model = _load_model_with_loci(args.model, "check")
     f = _parse_formula(args.formula)
-    locus = _parse_locus(model, args.at)
-    try:
-        if isinstance(model, TopoModel):
-            value = satisfies(model, locus, f)
-        elif isinstance(model, SSLModel):
-            value = satisfies_ssl(model, locus, f)
-        else:
-            value = satisfies_product(model, locus, f)
-    except (ValueError, TopologyError, FormulaError) as error:
-        raise CliError(str(error)) from None
+    value = model.satisfies(model.parse_locus(args.at), f)
     print("true" if value else "false", file=out)
     return 0
 
 
 def _cmd_update(args, out) -> int:
-    model = load_model(args.model)
-    if isinstance(model, GameTree):
-        raise CliError("update expects a topo, ssl or product model")
-    f = _parse_formula(args.formula)
-    try:
-        if isinstance(model, TopoModel):
-            updated = update(model, f)
-        elif isinstance(model, SSLModel):
-            updated = update_ssl(model, f)
-        else:
-            updated = update_product(model, f)
-    except FormulaError as error:
-        raise CliError(str(error)) from None
-    for line in model_summary(updated):
+    model = _load_model_with_loci(args.model, "update")
+    updated = model.update(_parse_formula(args.formula))
+    for line in updated.summary():
         print(line, file=out)
     if args.emit:
         dump_model(updated, args.emit)
@@ -307,23 +118,13 @@ def _cmd_update(args, out) -> int:
 
 
 def _cmd_reduce(args, out) -> int:
-    f = _parse_formula(args.formula)
-    try:
-        print(render(reduce(f, args.semantics)), file=out)
-    except FormulaError as error:
-        raise CliError(str(error)) from None
+    print(render(reduce(_parse_formula(args.formula), args.semantics)), file=out)
     return 0
 
 
 def _cmd_limit(args, out) -> int:
-    model = load_model(args.model)
-    if isinstance(model, GameTree):
-        raise CliError("limit expects a topo, ssl or product model; use bi for games")
-    f = _parse_formula(args.formula)
-    try:
-        trace = limit_model(model, f)
-    except FormulaError as error:
-        raise CliError(str(error)) from None
+    model = _load_model_with_loci(args.model, "limit")
+    trace = limit_model(model, _parse_formula(args.formula))
     _print_trace(trace, out)
     if args.emit:
         dump_model(trace.limit, args.emit)
@@ -334,27 +135,20 @@ def _cmd_limit(args, out) -> int:
 def _cmd_ck(args, out) -> int:
     model = load_model(args.model)
     if not isinstance(model, ProductModel):
-        raise CliError("ck expects a product model")
-    f = _parse_formula(args.formula)
-    try:
-        result = common_knowledge_extension(model, f)
-    except FormulaError as error:
-        raise CliError(str(error)) from None
+        raise ValueError("ck expects a product model")
+    result = common_knowledge_extension(model, _parse_formula(args.formula))
     print(
         f"common knowledge extension: {len(result.worlds)} of {len(model.worlds)} worlds"
         f" ({result.iterations} refinement rounds)",
         file=out,
     )
-    print("worlds: " + (" ".join(_fmt_world(w) for w in sorted(result.worlds)) or "(none)"), file=out)
+    print("worlds: " + (" ".join(map(fmt_world, sorted(result.worlds))) or "(none)"), file=out)
     return 0
 
 
 def _cmd_muddy(args, out) -> int:
     muddy = [part for part in args.muddy.split(",") if part]
-    try:
-        scenario = muddy_scenario(args.children, muddy)
-    except ValueError as error:
-        raise CliError(str(error)) from None
+    scenario = muddy_scenario(args.children, muddy)
     print("worlds: " + " -> ".join(map(str, scenario.sizes)), file=out)
     for round_index, states in enumerate(scenario.knowledge):
         described = []
@@ -380,9 +174,9 @@ def _cmd_muddy(args, out) -> int:
 def _cmd_bi(args, out) -> int:
     tree = load_model(args.game)
     if not isinstance(tree, GameTree):
-        raise CliError("bi expects a game file")
+        raise ValueError("bi expects a game file")
     result = bi_via_announcements(tree)
-    value = "(" + ", ".join(str(_dump_payoff(x)) for x in result.induction.value) + ")"
+    value = "(" + ", ".join(map(str, result.induction.value)) + ")"
     print(f"backward induction value: {value}", file=out)
     print("backward induction path: " + " -> ".join(map(str, result.induction.path)), file=out)
     if not result.generic:
@@ -396,21 +190,15 @@ def _cmd_bi(args, out) -> int:
 
 
 def _cmd_persistent(args, out) -> int:
-    from .sslmodel import is_persistent, persistence_immunity_check
-
     model = load_model(args.model)
     if not isinstance(model, SSLModel):
-        raise CliError("persistent expects an ssl model")
+        raise ValueError("persistent expects an ssl model")
     f = _parse_formula(args.formula)
-    try:
-        witness = is_persistent(model, f)
-    except FormulaError as error:
-        raise CliError(str(error)) from None
+    witness = is_persistent(model, f)
     if witness is not None:
-        larger = "{" + ",".join(map(str, sorted(witness.larger, key=repr))) + "}"
-        smaller = "{" + ",".join(map(str, sorted(witness.smaller, key=repr))) + "}"
         print(
-            f"persistence witness: point {witness.point}, holds on {larger}, fails on {smaller}",
+            f"persistence witness: point {witness.point}, holds on {fmt_set(witness.larger)},"
+            f" fails on {fmt_set(witness.smaller)}",
             file=out,
         )
         return 1
@@ -431,11 +219,7 @@ def _cmd_persistent(args, out) -> int:
 
 
 def _cmd_axioms(args, out) -> int:
-    try:
-        axiom = AxiomId(args.semantics, args.axiom)
-    except ValueError as error:
-        raise CliError(str(error)) from None
-    report = check_axiom(axiom, sample_size=args.models, seed=args.seed)
+    report = check_axiom(AxiomId(args.semantics, args.axiom), sample_size=args.models, seed=args.seed)
     print(report.render(), file=out)
     return 0 if report.valid_on_sample else 1
 
@@ -522,7 +306,7 @@ def run(argv: list[str], out=None, err=None) -> int:
         return 0 if exit_.code in (0, None) else 2
     try:
         return args.handler(args, out)
-    except CliError as error:
+    except Exception as error:  # any failure is reported as exit 2, never 1
         print(f"error: {error}", file=err)
         return 2
 

@@ -20,69 +20,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .formula import And, Atom, Formula, KnowI, Not, Or
-from .product import (
-    ProductEvaluator,
-    ProductModel,
-    World,
-    knowledge_interior,
-    update_product,
-)
-from .sslmodel import SSLModel, Situation, SslEvaluator, apply_update, situations
+from .product import ProductEvaluator, ProductModel, World, knowledge_interior
+from .sslmodel import SSLModel
 from .topology import Topology
-from .topomodel import TopoModel, extension, update
+from .topomodel import TopoModel
 
-
-# ---------------------------------------------------------------------------
-# Generic model plumbing
-
+# Every model kind offers size, is_empty, loci(), truth(f), update(f),
+# locus(raw) and track(locus, holds); see the README's model protocol.
 Model = TopoModel | SSLModel | ProductModel
-
-
-def model_size(model: Model) -> int:
-    """Strictly decreases under any update that changes the model."""
-    if isinstance(model, TopoModel):
-        return len(model.space.points)
-    if isinstance(model, SSLModel):
-        return len(model.points) + sum(len(u) for u in model.sigma)
-    if isinstance(model, ProductModel):
-        return len(model.worlds)
-    raise TypeError(f"unsupported model {type(model).__name__}")
-
-
-def update_any(model: Model, f: Formula) -> Model:
-    if isinstance(model, TopoModel):
-        return update(model, f)
-    if isinstance(model, SSLModel):
-        updated, _ = apply_update(model, SslEvaluator(model).table(f))
-        return updated
-    if isinstance(model, ProductModel):
-        return update_product(model, f)
-    raise TypeError(f"unsupported model {type(model).__name__}")
-
-
-def is_empty_model(model: Model) -> bool:
-    if isinstance(model, TopoModel):
-        return not model.space.points
-    if isinstance(model, SSLModel):
-        return not model.points
-    return not model.worlds
-
-
-def valid_in(model: Model, f: Formula) -> bool:
-    """True when f holds at every locus (point, situation or world)."""
-    if isinstance(model, TopoModel):
-        return extension(model, f) == model.space.full_mask
-    if isinstance(model, SSLModel):
-        return SslEvaluator(model).table(f) == frozenset(situations(model))
-    return ProductEvaluator(model).table(f) == model.worlds
-
-
-def _true_at(model: Model, locus, f: Formula) -> bool:
-    if isinstance(model, TopoModel):
-        return bool(extension(model, f) >> model.space.index(locus) & 1)
-    if isinstance(model, SSLModel):
-        return locus in SslEvaluator(model).table(f)
-    return locus in ProductEvaluator(model).table(f)
 
 
 # ---------------------------------------------------------------------------
@@ -109,26 +54,39 @@ class LimitTrace:
     final_locus: object = None
 
 
-def limit_model(model: Model, f: Formula, snapshot_cap: int = 64) -> LimitTrace:
-    """Announce f repeatedly until the model stops changing."""
-    sizes = [model_size(model)]
+def _stage_loop(model, step, snapshot_cap: int):
+    """Apply step until it returns the model unchanged, or None to halt.
+
+    Returns the last model, the size of every stage, snapshots of the first
+    stages up to the cap, and whether step halted the run.
+    """
+    sizes = [model.size]
     stages = [model]
     while True:
-        updated = update_any(model, f)
-        if updated == model:
-            break
+        updated = step(model)
+        if updated is None or updated == model:
+            return model, tuple(sizes), tuple(stages), updated is None
         model = updated
-        sizes.append(model_size(model))
+        sizes.append(model.size)
         if len(stages) <= snapshot_cap:
             stages.append(model)
-    empty = is_empty_model(model)
+
+
+def _valid(model: Model, f: Formula) -> bool:
+    """True when f holds at every locus."""
+    return model.truth(f) == frozenset(model.loci())
+
+
+def limit_model(model: Model, f: Formula, snapshot_cap: int = 64) -> LimitTrace:
+    """Announce f repeatedly until the model stops changing."""
+    model, sizes, stages, _ = _stage_loop(model, lambda stage: stage.update(f), snapshot_cap)
     return LimitTrace(
-        sizes=tuple(sizes),
-        stages=tuple(stages),
+        sizes=sizes,
+        stages=stages,
         stage_count=len(sizes) - 1,
-        outcome="empty" if empty else "stabilized-nonempty",
+        outcome="empty" if model.is_empty else "stabilized-nonempty",
         limit=model,
-        announcement_valid_in_limit=None if empty else valid_in(model, f),
+        announcement_valid_in_limit=None if model.is_empty else _valid(model, f),
     )
 
 
@@ -139,43 +97,25 @@ def announce_while_true(model: Model, locus, f: Formula, snapshot_cap: int = 64)
     for subset-space models the tracked situation shrinks with its
     neighbourhood.  Stops when f fails at the locus or the model is stable.
     """
-    if isinstance(model, SSLModel):
-        locus = Situation(locus[0], frozenset(locus[1]))
-        if locus not in situations(model):
-            raise ValueError(f"{locus} is not a situation of the model")
-    elif isinstance(model, ProductModel):
-        locus = tuple(locus)
-        if locus not in model.worlds:
-            raise ValueError(f"world {locus!r} is not surviving")
-    else:
-        model.space.index(locus)
-    sizes = [model_size(model)]
-    stages = [model]
-    while True:
-        if not _true_at(model, locus, f):
-            outcome = "halted-at-locus"
-            break
-        if isinstance(model, SSLModel):
-            evaluator = SslEvaluator(model)
-            updated, nbhd_map = apply_update(model, evaluator.table(f))
-            next_locus = Situation(locus.point, nbhd_map[locus.nbhd])
-        else:
-            updated = update_any(model, f)
-            next_locus = locus
-        if updated == model:
-            outcome = "stabilized-nonempty"
-            break
-        model, locus = updated, next_locus
-        sizes.append(model_size(model))
-        if len(stages) <= snapshot_cap:
-            stages.append(model)
+    locus = model.locus(locus)
+
+    def step(stage):
+        nonlocal locus
+        holds = stage.truth(f)
+        if locus not in holds:
+            return None
+        # An update that leaves the model unchanged leaves the locus unchanged.
+        locus = stage.track(locus, holds)
+        return stage.update(f)
+
+    model, sizes, stages, halted = _stage_loop(model, step, snapshot_cap)
     return LimitTrace(
-        sizes=tuple(sizes),
-        stages=tuple(stages),
+        sizes=sizes,
+        stages=stages,
         stage_count=len(sizes) - 1,
-        outcome=outcome,
+        outcome="halted-at-locus" if halted else "stabilized-nonempty",
         limit=model,
-        announcement_valid_in_limit=valid_in(model, f) if outcome != "halted-at-locus" else None,
+        announcement_valid_in_limit=None if halted else _valid(model, f),
         final_locus=locus,
     )
 
@@ -315,7 +255,7 @@ def muddy_scenario(n: int, muddy: Iterable[str]) -> MuddyScenario:
         raise ValueError("at least one child must be muddy, or the announcement is false")
     model, actual = muddy_model(n, muddy)
     father = father_formula(n)
-    after_father = update_product(model, father)
+    after_father = model.update(father)
     pointed = announce_while_true(after_father, actual, ignorance_formula(n))
     rounds = (model.worlds,) + tuple(stage.worlds for stage in pointed.stages)
     knowledge = tuple(_knowledge_states(stage, actual, n) for stage in pointed.stages)

@@ -22,8 +22,8 @@ from functools import cached_property
 from random import Random
 from typing import Iterable
 
-from .dynamics import LimitTrace
-from .topology import MAX_POINTS, Topology
+from .dynamics import LimitTrace, _stage_loop
+from .topology import MAX_POINTS, Topology, json_field, json_list
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,22 @@ class GameTree:
     """Finite game tree with nodes indexed in preorder."""
 
     root: GameNode
+
+    @classmethod
+    def from_json(cls, data: dict) -> "GameTree":
+        """Tree from {"root": node}: leaves {"payoff": [...]} with int or "p/q"
+        entries, decision nodes {"player": i, "children": [...]}."""
+        tree = cls(_node_from_json(json_field(data, "root")))
+        tree.player_count  # raises on ragged payoff vectors or a player without a payoff
+        return tree
+
+    def to_json(self) -> dict:
+        def node_json(node: GameNode):
+            if node.is_leaf:
+                return {"payoff": [int(x) if x.denominator == 1 else str(x) for x in node.payoffs]}
+            return {"player": node.player, "children": [node_json(c) for c in node.children]}
+
+        return {"kind": "game", "root": node_json(self.root)}
 
     @cached_property
     def nodes(self) -> tuple[GameNode, ...]:
@@ -144,6 +160,23 @@ class GameTree:
             path.append(self.parent[path[-1]])
         path.reverse()
         return path
+
+
+def _node_from_json(body) -> GameNode:
+    if isinstance(body, dict) and "payoff" in body:
+        return GameNode.leaf(*map(_payoff, json_list(body["payoff"], "payoff")))
+    player = json_field(body, "player")
+    if type(player) is not int:
+        raise ValueError(f"player must be an integer, got {player!r}")
+    children = json_list(json_field(body, "children"), "children")
+    return GameNode.decision(player, map(_node_from_json, children))
+
+
+def _payoff(value) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ValueError(f"bad payoff {value!r}") from None
 
 
 MAX_TREE_OPENS = 1 << 20
@@ -273,6 +306,10 @@ class GameModel:
     def fresh(cls, tree: GameTree) -> "GameModel":
         return cls(tree, frozenset(range(len(tree.nodes))))
 
+    @property
+    def size(self) -> int:
+        return len(self.surviving)
+
 
 def rational_extension(model: GameModel) -> frozenset[int]:
     """Nodes reached without any strictly dominated move along the way."""
@@ -328,23 +365,15 @@ class BiAnnouncementResult:
 def bi_via_announcements(tree: GameTree, snapshot_cap: int = 64) -> BiAnnouncementResult:
     """Iterate the rationality announcement to its limit and compare with
     the backward induction fold."""
-    model = GameModel.fresh(tree)
-    sizes = [len(model.surviving)]
-    stages = [model]
-    while True:
-        shrunk = rational_extension(model)
-        if shrunk == model.surviving:
-            break
-        model = GameModel(tree, shrunk)
-        sizes.append(len(shrunk))
-        if len(stages) <= snapshot_cap:
-            stages.append(model)
+    model, sizes, stages, _ = _stage_loop(
+        GameModel.fresh(tree), lambda stage: GameModel(tree, rational_extension(stage)), snapshot_cap
+    )
     induction = backward_induction(tree)
     surviving_leaves = model.surviving & tree.leaf_ids
     matches = surviving_leaves == frozenset((induction.path[-1],))
     trace = LimitTrace(
-        sizes=tuple(sizes),
-        stages=tuple(stages),
+        sizes=sizes,
+        stages=stages,
         stage_count=len(sizes) - 1,
         outcome="stabilized-nonempty",
         limit=model,

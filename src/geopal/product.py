@@ -33,7 +33,17 @@ from .formula import (
     Top,
     UnsupportedOperator,
 )
-from .topology import Topology, bits, random_topology
+from .topology import (
+    Topology,
+    bits,
+    fmt_set,
+    json_field,
+    json_labels,
+    json_list,
+    json_valuation,
+    parse_label,
+    random_topology,
+)
 
 World = tuple
 
@@ -78,6 +88,78 @@ class ProductModel:
     @property
     def is_empty(self) -> bool:
         return not self.worlds
+
+    @property
+    def size(self) -> int:
+        return len(self.worlds)
+
+    def loci(self) -> list[World]:
+        return sorted(self.worlds)
+
+    def truth(self, f: Formula) -> frozenset:
+        """The worlds where f holds."""
+        return ProductEvaluator(self).table(f)
+
+    def update(self, f: Formula) -> "ProductModel":
+        """Announcement update: drop worlds where f fails; factors are untouched."""
+        return _restrict(self, self.truth(f))
+
+    def satisfies(self, world, f: Formula) -> bool:
+        return self.locus(world) in self.truth(f)
+
+    def locus(self, world) -> World:
+        """The world as a tuple, checked to be surviving."""
+        world = tuple(world)
+        if world not in self.worlds:
+            raise ValueError(f"world {world!r} is not surviving in this model")
+        return world
+
+    def track(self, world: World, holds: frozenset) -> World:
+        """Where a locus is after the update to `holds`: worlds are unchanged."""
+        return world
+
+    def parse_locus(self, text: str) -> World:
+        return tuple(parse_label(part) for part in text.split(","))
+
+    @classmethod
+    def from_json(cls, data: dict) -> "ProductModel":
+        def worlds(value, what: str) -> frozenset:
+            return frozenset(tuple(json_labels(w, "a world")) for w in json_list(value, what))
+
+        factors = []
+        for i, body in enumerate(json_list(json_field(data, "factors"), "factors")):
+            try:
+                factors.append(Topology.from_json(body))
+            except ValueError as error:
+                raise ValueError(f"factor {i}: {error}") from None
+        valuation = {
+            atom: worlds(area, f"valuation of {atom!r}") for atom, area in json_valuation(data).items()
+        }
+        listed = json_field(data, "worlds")
+        if listed == "all":
+            return cls.full(factors, valuation)
+        return cls(tuple(factors), worlds(listed, "worlds"), valuation)
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "product",
+            "factors": [factor.to_json() for factor in self.factors],
+            "worlds": sorted(map(list, self.worlds)),
+            "valuation": {atom: sorted(map(list, area)) for atom, area in sorted(self.valuation.items())},
+        }
+
+    def describe(self) -> str:
+        factors = "; ".join(
+            f"points={list(f.points)} opens=[{' '.join(fmt_set(f.labels(o)) for o in f.opens)}]"
+            for f in self.factors
+        )
+        val = " ".join(
+            f"v({a})={{{','.join(map(str, sorted(s)))}}}" for a, s in sorted(self.valuation.items())
+        )
+        return f"product [{factors}] worlds={len(self.worlds)} {val}"
+
+    def summary(self) -> list[str]:
+        return ["kind: product", f"worlds: {' '.join(map(fmt_world, sorted(self.worlds))) or '(none)'}"]
 
     def variants(self, world: World, agent: int, open_mask: int):
         """Worlds obtained by moving coordinate `agent` through an open (1-based)."""
@@ -172,16 +254,8 @@ def _restrict(model: ProductModel, surviving: frozenset) -> ProductModel:
     )
 
 
-def update_product(model: ProductModel, f: Formula) -> ProductModel:
-    """Announcement update: drop worlds where f fails; factors are untouched."""
-    return _restrict(model, ProductEvaluator(model).table(f))
-
-
-def satisfies_product(model: ProductModel, world: World, f: Formula) -> bool:
-    world = tuple(world)
-    if world not in model.worlds:
-        raise ValueError(f"world {world!r} is not surviving in this model")
-    return world in ProductEvaluator(model).table(f)
+def fmt_world(world: World) -> str:
+    return "(" + ",".join(map(str, world)) + ")"
 
 
 def h_open(model: ProductModel, area: Iterable[World], axis: int) -> bool:

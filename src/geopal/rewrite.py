@@ -48,9 +48,9 @@ from .formula import (
     Top,
     UnsupportedOperator,
 )
-from .product import ProductEvaluator, ProductModel, random_product_model, satisfies_product
-from .sslmodel import SSLModel, SslEvaluator, random_ssl_model, satisfies_ssl, situations
-from .topomodel import TopoModel, extension, random_topomodel, satisfies
+from .product import random_product_model
+from .sslmodel import random_ssl_model
+from .topomodel import random_topomodel
 
 SEMANTICS = ("topo", "ssl", "product")
 
@@ -333,7 +333,7 @@ class ValidityReport:
         """Counterexample with the smallest model, if any were found."""
         if not self.counterexamples:
             return None
-        return min(self.counterexamples, key=lambda c: _model_size(c.model))
+        return min(self.counterexamples, key=lambda c: c.model.size)
 
     def render(self) -> str:
         lines = [
@@ -344,81 +344,22 @@ class ValidityReport:
             return "\n".join(lines)
         lines.append(f"counterexamples: {len(self.counterexamples)} (smallest shown, re-verified)")
         smallest = self.minimal()
-        lines.append("  model: " + describe_model(smallest.model))
+        lines.append("  model: " + smallest.model.describe())
         lines.append(f"  announced f = {smallest.phi}")
         if smallest.psi is not None:
             lines.append(f"  body g = {smallest.psi}")
         if smallest.chi is not None:
             lines.append(f"  second body h = {smallest.chi}")
-        lines.append(f"  locus: {_describe_locus(smallest.locus)}")
+        lines.append(f"  locus: {smallest.locus}")
         lines.append(f"  left side  {smallest.lhs}  =  {str(smallest.lhs_value).lower()}")
         lines.append(f"  right side {smallest.rhs}  =  {str(smallest.rhs_value).lower()}")
         return "\n".join(lines)
 
 
-def _model_size(model) -> int:
-    if isinstance(model, TopoModel):
-        return len(model.space.points)
-    if isinstance(model, SSLModel):
-        return len(model.points) + sum(len(u) for u in model.sigma)
-    if isinstance(model, ProductModel):
-        return len(model.worlds)
-    raise TypeError(f"unsupported model {type(model).__name__}")
-
-
-def _fmt_set(labels) -> str:
-    return "{" + ",".join(map(str, sorted(labels, key=repr))) + "}"
-
-
-def describe_model(model) -> str:
-    if isinstance(model, TopoModel):
-        opens = " ".join(_fmt_set(model.space.labels(o)) for o in model.space.opens)
-        val = " ".join(f"v({a})={_fmt_set(model.space.labels(m))}" for a, m in sorted(model.valuation.items()))
-        return f"topo points={list(model.space.points)} opens=[{opens}] {val}"
-    if isinstance(model, SSLModel):
-        sigma = " ".join(_fmt_set(u) for u in model.sigma)
-        val = " ".join(f"v({a})={_fmt_set(s)}" for a, s in sorted(model.valuation.items()))
-        return f"ssl points={list(model.points)} sigma=[{sigma}] {val}"
-    if isinstance(model, ProductModel):
-        factors = "; ".join(
-            f"points={list(f.points)} opens=[{' '.join(_fmt_set(f.labels(o)) for o in f.opens)}]"
-            for f in model.factors
-        )
-        val = " ".join(
-            f"v({a})={{{','.join(map(str, sorted(s)))}}}" for a, s in sorted(model.valuation.items())
-        )
-        return f"product [{factors}] worlds={len(model.worlds)} {val}"
-    raise TypeError(f"unsupported model {type(model).__name__}")
-
-
-def _describe_locus(locus) -> str:
-    from .sslmodel import Situation
-
-    if isinstance(locus, Situation):
-        return f"({locus.point}, {_fmt_set(locus.nbhd)})"
-    return str(locus)
-
-
 def _truth_map(model, formula) -> dict:
     """Truth value of the formula at every locus of the model."""
-    if isinstance(model, TopoModel):
-        mask = extension(model, formula)
-        return {label: bool(mask >> i & 1) for i, label in enumerate(model.space.points)}
-    if isinstance(model, SSLModel):
-        table = SslEvaluator(model).table(formula)
-        return {sit: sit in table for sit in situations(model)}
-    if isinstance(model, ProductModel):
-        table = ProductEvaluator(model).table(formula)
-        return {world: world in table for world in sorted(model.worlds)}
-    raise TypeError(f"unsupported model {type(model).__name__}")
-
-
-def _pointwise(model, locus, formula) -> bool:
-    if isinstance(model, TopoModel):
-        return satisfies(model, locus, formula)
-    if isinstance(model, SSLModel):
-        return satisfies_ssl(model, locus, formula)
-    return satisfies_product(model, locus, formula)
+    holds = model.truth(formula)
+    return {locus: locus in holds for locus in model.loci()}
 
 
 _SAMPLERS: dict[str, Callable[[int], object]] = {
@@ -436,13 +377,14 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
     instantiation) pair.  Models are visited in seed order, so reports are
     reproducible.
     """
+    if sample_size < 1:
+        raise ValueError(f"sample size must be at least 1, got {sample_size}")
     pools = schema_pool(axiom.semantics)
     sampler = _SAMPLERS[axiom.semantics]
     counterexamples = []
     for offset in range(sample_size):
         model = sampler(seed + offset)
-        agents = model.agent_count if isinstance(model, ProductModel) else 1
-        for phi, psi, chi, agent in _instantiations(axiom, pools, agents):
+        for phi, psi, chi, agent in _instantiations(axiom, pools, model):
             lhs, rhs = axiom_instance(axiom, phi, psi, chi, agent)
             lhs_map = _truth_map(model, lhs)
             rhs_map = _truth_map(model, rhs)
@@ -451,9 +393,9 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
                 if lhs_value == rhs_value:
                     continue
                 # Re-verify through the single-locus path before recording.
-                if _pointwise(model, locus, lhs) != lhs_value:
+                if model.satisfies(locus, lhs) != lhs_value:
                     continue
-                if _pointwise(model, locus, rhs) != rhs_value:
+                if model.satisfies(locus, rhs) != rhs_value:
                     continue
                 counterexamples.append(
                     Counterexample(model, locus, phi, psi, chi, lhs, rhs, lhs_value, rhs_value)
@@ -462,7 +404,7 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
     return ValidityReport(axiom, sample_size, seed, tuple(counterexamples))
 
 
-def _instantiations(axiom: AxiomId, pools, agents: int):
+def _instantiations(axiom: AxiomId, pools, model):
     if axiom.index == 1:
         for phi in pools["phi"]:
             for psi in pools["atoms"]:
@@ -475,7 +417,7 @@ def _instantiations(axiom: AxiomId, pools, agents: int):
     elif axiom.semantics == "product" and axiom.index == 4:
         for phi in pools["phi"]:
             for psi in pools["psi"]:
-                for agent in range(1, agents + 1):
+                for agent in range(1, model.agent_count + 1):
                     yield phi, psi, None, agent
     else:
         for phi in pools["phi"]:

@@ -35,11 +35,15 @@ from .formula import (
     Top,
     UnsupportedOperator,
 )
+from .topology import fmt_set, json_field, json_labels, json_list, json_valuation, parse_label
 
 
 class Situation(NamedTuple):
     point: Hashable
     nbhd: frozenset
+
+    def __str__(self) -> str:
+        return f"({self.point}, {fmt_set(self.nbhd)})"
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,78 @@ class SSLModel:
     @property
     def is_empty(self) -> bool:
         return not self.points
+
+    @property
+    def size(self) -> int:
+        """Points plus set sizes: strictly decreases under any update that changes the model."""
+        return len(self.points) + sum(len(u) for u in self.sigma)
+
+    def loci(self) -> list["Situation"]:
+        return situations(self)
+
+    def truth(self, f: Formula) -> frozenset:
+        """The situations where f holds."""
+        return SslEvaluator(self).table(f)
+
+    def update(self, f: Formula) -> "SSLModel":
+        updated, _ = apply_update(self, self.truth(f))
+        return updated
+
+    def satisfies(self, situation, f: Formula) -> bool:
+        return self.locus(situation) in self.truth(f)
+
+    def locus(self, situation) -> "Situation":
+        """The (point, set) pair as a situation, checked to be one of this model's."""
+        point, nbhd = situation
+        nbhd = frozenset(nbhd)
+        if nbhd not in self.sigma or point not in nbhd:
+            raise ValueError(f"({point!r}, {set(nbhd)!r}) is not a neighbourhood situation of this model")
+        return Situation(point, nbhd)
+
+    def track(self, situation: "Situation", holds: frozenset) -> "Situation":
+        """Where a situation is after the update to `holds`: its set shrinks."""
+        point, nbhd = situation
+        return Situation(point, frozenset(t for t in nbhd if Situation(t, nbhd) in holds))
+
+    def parse_locus(self, text: str) -> "Situation":
+        if "@" not in text:
+            raise ValueError("ssl loci are written point@member,member (e.g. s@s,t)")
+        point, _, members = text.partition("@")
+        return Situation(parse_label(point), frozenset(parse_label(m) for m in members.split(",")))
+
+    @classmethod
+    def from_json(cls, data: dict) -> "SSLModel":
+        return cls.from_sets(
+            json_labels(data.get("points", []), "points"),
+            [json_labels(member, "a set") for member in json_list(json_field(data, "sets"), "sets")],
+            {
+                atom: json_labels(area, f"valuation of {atom!r}")
+                for atom, area in json_valuation(data).items()
+            },
+        )
+
+    def to_json(self) -> dict:
+        order = {label: i for i, label in enumerate(self.points)}
+        return {
+            "kind": "ssl",
+            "points": list(self.points),
+            "sets": [sorted(member, key=order.get) for member in self.sigma],
+            "valuation": {
+                atom: sorted(area, key=order.get) for atom, area in sorted(self.valuation.items())
+            },
+        }
+
+    def describe(self) -> str:
+        sigma = " ".join(fmt_set(u) for u in self.sigma)
+        val = " ".join(f"v({a})={fmt_set(s)}" for a, s in sorted(self.valuation.items()))
+        return f"ssl points={list(self.points)} sigma=[{sigma}] {val}"
+
+    def summary(self) -> list[str]:
+        return [
+            "kind: ssl",
+            f"points: {' '.join(map(str, self.points)) or '(none)'}",
+            f"sets: {' '.join(fmt_set(m) for m in self.sigma) or '(none)'}",
+        ]
 
 
 def situations(model: SSLModel) -> list[Situation]:
@@ -214,21 +290,6 @@ def apply_update(model: SSLModel, satisfying: frozenset) -> tuple[SSLModel, dict
     new_points = tuple(p for p in model.points if p in surviving)
     new_valuation = {atom: area & surviving for atom, area in model.valuation.items()}
     return SSLModel(new_points, tuple(new_sigma), new_valuation), nbhd_map
-
-
-def update_ssl(model: SSLModel, f: Formula) -> SSLModel:
-    """Announcement update of the whole model."""
-    evaluator = SslEvaluator(model)
-    updated, _ = apply_update(model, evaluator.table(f))
-    return updated
-
-
-def satisfies_ssl(model: SSLModel, situation: Situation, f: Formula) -> bool:
-    point, nbhd = situation
-    nbhd = frozenset(nbhd)
-    if nbhd not in set(model.sigma) or point not in nbhd:
-        raise ValueError(f"({point!r}, {set(nbhd)!r}) is not a neighbourhood situation of this model")
-    return Situation(point, nbhd) in SslEvaluator(model).table(f)
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,20 @@ class Topology:
             raise TopologyError("area not within the carrier")
         return self.full_mask & ~self.interior(self.full_mask & ~area)
 
+    @classmethod
+    def from_json(cls, data) -> "Topology":
+        """Space from a {"points": [...], "opens": [[...], ...]} object, verified."""
+        points = json_labels(json_field(data, "points"), "points")
+        opens = [json_labels(open_, "an open") for open_ in json_list(json_field(data, "opens"), "opens")]
+        space = cls.from_sets(points, opens)
+        problems = verify_topology(space)
+        if problems:
+            raise TopologyError(f"not a topology: {problems[0]}")
+        return space
+
+    def to_json(self) -> dict:
+        return {"points": list(self.points), "opens": [sorted(self.labels(o), key=repr) for o in self.opens]}
+
     def restrict(self, carrier: int) -> "Topology":
         """Induced topology on a sub-carrier (labels preserved, indices packed)."""
         if carrier & ~self.full_mask:
@@ -141,9 +155,51 @@ def compress_mask(mask: int, carrier: int) -> int:
     return result
 
 
-def subspace(space: Topology, carrier: int) -> Topology:
-    """Induced topology {O n C : O open} on the sub-carrier C."""
-    return space.restrict(carrier)
+# ---------------------------------------------------------------------------
+# Model files and point labels, shared by every model kind.  Model files are
+# outside input: each field is checked before it is used.
+
+
+def json_field(data, key: str):
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with field {key!r}, got {data!r}")
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    return data[key]
+
+
+def json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def json_labels(value, what: str) -> list:
+    """A list of point labels: JSON numbers or strings."""
+    for label in json_list(value, what):
+        if isinstance(label, (list, dict)):
+            raise ValueError(f"{what}: a point label must be a number or a string, got {label!r}")
+    return value
+
+
+def json_valuation(data) -> dict:
+    """The optional "valuation" object; callers check each atom's area."""
+    valuation = data.get("valuation", {})
+    if not isinstance(valuation, dict):
+        raise ValueError(f"valuation must be an object, got {valuation!r}")
+    return valuation
+
+
+def parse_label(text: str):
+    """A point label written on the command line: an integer if it reads as one."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+def fmt_set(labels) -> str:
+    return "{" + ",".join(map(str, sorted(labels, key=repr))) + "}"
 
 
 def generate_from_subbasis(points: Iterable[Hashable], subbasis: Iterable[Iterable[Hashable]]) -> Topology:

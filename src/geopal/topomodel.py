@@ -27,7 +27,17 @@ from .formula import (
     Top,
     UnsupportedOperator,
 )
-from .topology import Topology, TopologyError, compress_mask, random_topology
+from .topology import (
+    Topology,
+    TopologyError,
+    bits,
+    compress_mask,
+    fmt_set,
+    json_labels,
+    json_valuation,
+    parse_label,
+    random_topology,
+)
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,63 @@ class TopoModel:
     @property
     def is_empty(self) -> bool:
         return not self.space.points
+
+    @property
+    def size(self) -> int:
+        return len(self.space.points)
+
+    def loci(self) -> tuple:
+        return self.space.points
+
+    def truth(self, f: Formula) -> frozenset:
+        """The points where f holds."""
+        return self.space.labels(extension(self, f))
+
+    def update(self, f: Formula) -> "TopoModel":
+        return update(self, f)
+
+    def satisfies(self, point: Hashable, f: Formula) -> bool:
+        """Truth at one point through the quantifier-form oracle."""
+        return satisfies(self, point, f)
+
+    def locus(self, point: Hashable) -> Hashable:
+        """The point, checked to be one of this model's."""
+        self.space.index(point)
+        return point
+
+    def track(self, point: Hashable, holds: frozenset) -> Hashable:
+        """Where a locus is after the update to `holds`: points keep their label."""
+        return point
+
+    def parse_locus(self, text: str) -> Hashable:
+        return parse_label(text)
+
+    @classmethod
+    def from_json(cls, data: dict) -> "TopoModel":
+        space = Topology.from_json(data)
+        valuation = {
+            atom: space.mask(json_labels(area, f"valuation of {atom!r}"))
+            for atom, area in json_valuation(data).items()
+        }
+        return cls(space, valuation)
+
+    def to_json(self) -> dict:
+        valuation = {
+            atom: sorted(self.space.labels(mask), key=repr) for atom, mask in sorted(self.valuation.items())
+        }
+        return {"kind": "topo", **self.space.to_json(), "valuation": valuation}
+
+    def describe(self) -> str:
+        opens = " ".join(fmt_set(self.space.labels(o)) for o in self.space.opens)
+        val = " ".join(f"v({a})={fmt_set(self.space.labels(m))}" for a, m in sorted(self.valuation.items()))
+        return f"topo points={list(self.space.points)} opens=[{opens}] {val}"
+
+    def summary(self) -> list[str]:
+        return [
+            "kind: topo",
+            f"points: {' '.join(map(str, self.space.points)) or '(none)'}",
+            f"opens: {len(self.space.opens)}",
+        ]
 
 
 def extension(model: TopoModel, f: Formula) -> int:
@@ -123,12 +190,12 @@ def satisfies(model: TopoModel, point: Hashable, f: Formula) -> bool:
             return not satisfies(model, point, a) or satisfies(model, point, b)
         case Interior(b):
             return any(
-                open_ >> s & 1 and all(satisfies(model, space.points[t], b) for t in _bits(open_))
+                open_ >> s & 1 and all(satisfies(model, space.points[t], b) for t in bits(open_))
                 for open_ in space.opens
             )
         case Closure(b):
             return all(
-                not open_ >> s & 1 or any(satisfies(model, space.points[t], b) for t in _bits(open_))
+                not open_ >> s & 1 or any(satisfies(model, space.points[t], b) for t in bits(open_))
                 for open_ in space.opens
             )
         case Announce(a, b):
@@ -136,15 +203,6 @@ def satisfies(model: TopoModel, point: Hashable, f: Formula) -> bool:
                 return True
             return satisfies(update(model, a), point, b)
     raise UnsupportedOperator(f"operator {type(f).__name__} has no topological interpretation")
-
-
-def _bits(mask: int):
-    index = 0
-    while mask:
-        if mask & 1:
-            yield index
-        mask >>= 1
-        index += 1
 
 
 def update(model: TopoModel, f: Formula, _announced: int | None = None) -> TopoModel:

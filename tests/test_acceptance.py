@@ -15,7 +15,6 @@ from geopal.dynamics import (
     kripke_oracle,
     limit_model,
     muddy_scenario,
-    update_any,
 )
 from geopal.formula import parse, random_formula
 from geopal.games import backward_induction, bi_via_announcements, random_game_tree
@@ -26,7 +25,6 @@ from geopal.sslmodel import (
     is_persistent,
     persistence_immunity_check,
     random_ssl_model,
-    satisfies_ssl,
 )
 from geopal.sslmodel import SSLModel
 from geopal.topology import compress_mask, random_topology, verify_topology
@@ -92,8 +90,8 @@ def test_criterion_3_subset_space_reduction_soundness():
     ]
     if effort.counterexamples:
         smallest = effort.minimal()
-        assert satisfies_ssl(smallest.model, smallest.locus, smallest.lhs) == smallest.lhs_value
-        assert satisfies_ssl(smallest.model, smallest.locus, smallest.rhs) == smallest.rhs_value
+        assert smallest.model.satisfies(smallest.locus, smallest.lhs) == smallest.lhs_value
+        assert smallest.model.satisfies(smallest.locus, smallest.rhs) == smallest.rhs_value
         assert smallest.lhs_value != smallest.rhs_value
         lines.append("re-verification: both sides recomputed through the single-locus evaluator; the disagreement stands.")
         lines.append("a hand-built witness is pinned in tests/test_rewrite.py::test_effort_schema_pinned_counter_model.")
@@ -157,12 +155,12 @@ def test_criterion_6_atomic_limits():
         while produced < 100:
             model = sampler(seed)
             seed += 1
-            if update_any(model, atom) == model:
+            if model.update(atom) == model:
                 continue  # p already holds at every locus: zero-stage limit
             produced += 1
             trace = limit_model(model, atom)
             assert trace.stage_count == 1, (kind, seed)
-            assert trace.limit == update_any(model, atom), (kind, seed)
+            assert trace.limit == model.update(atom), (kind, seed)
     _verdict(6, True, "announcing an atom reaches its limit in exactly one stage on 100 random models of each kind")
 
 

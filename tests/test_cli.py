@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from geopal.cli import CliError, dump_model, load_model, model_to_json, run
+from geopal.cli import dump_model, load_model, run
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -140,10 +140,45 @@ def test_ssl_sets_need_not_form_a_topology():
 def test_model_to_json_is_loadable_inverse(tmp_path):
     for fixture in ("sier.topo.json", "pair.ssl.json", "duo.product.json", "mixed.product.json"):
         model = load_model(str(DATA / fixture))
+        assert type(model).from_json(model.to_json()) == model
         dump_model(model, str(tmp_path / "copy.json"))
         assert load_model(str(tmp_path / "copy.json")) == model
 
 
-def test_invalid_axiom_index_exits_2():
-    code, _ = invoke(["axioms", "--semantics", "topo", "--axiom", "5", "--models", "5", "--seed", "1"])
+@pytest.mark.parametrize(
+    "axiom, models", [("5", "5"), ("1", "0"), ("1", "-5")], ids=["axiom-5", "models-0", "models-minus-5"]
+)
+def test_invalid_axiom_index_exits_2(axiom, models):
+    code, _ = invoke(["axioms", "--semantics", "topo", "--axiom", axiom, "--models", models, "--seed", "1"])
     assert code == 2
+
+
+def test_unexpected_error_exits_2_not_1():
+    # I is not a subset-space operator; the failure is bad input, not a failed property.
+    code, text = invoke(
+        ["persistent", "--model", str(DATA / "pair.ssl.json"), "--formula", "p", "--announcements", "I p"]
+    )
+    assert code == 2
+    assert text.splitlines()[-1].startswith("error: ")
+
+
+FACTOR = {"points": [0], "opens": [[], [0]]}
+MALFORMED = [
+    ("topo-valuation", "update", {"kind": "topo", **FACTOR, "valuation": {"p": 5}}),
+    ("ssl-valuation", "update", {"kind": "ssl", "points": [0], "sets": [[0]], "valuation": {"p": 5}}),
+    ("product-valuation", "update", {"kind": "product", "factors": [FACTOR], "worlds": "all", "valuation": {"p": 5}}),
+    ("ssl-sets", "update", {"kind": "ssl", "points": [0], "sets": 5}),
+    ("list-label", "update", {"kind": "topo", "points": [[0]], "opens": [[]]}),
+    ("ragged-payoffs", "bi", {"kind": "game", "root": {"player": 1, "children": [{"payoff": [1, 0]}, {"payoff": [2]}]}}),
+    ("player-without-payoff", "bi", {"kind": "game", "root": {"player": 3, "children": [{"payoff": [1, 0]}, {"payoff": [0, 1]}]}}),
+]
+
+
+@pytest.mark.parametrize("command, body", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+def test_malformed_model_file_exits_2(tmp_path, command, body):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    argv = ["bi", "--game", str(path)] if command == "bi" else [command, "--model", str(path), "--formula", "p"]
+    code, text = invoke(argv)
+    assert code == 2
+    assert text.startswith(f"error: {path}: ") and text.count("\n") == 1, text

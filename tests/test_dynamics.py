@@ -13,14 +13,11 @@ from geopal.dynamics import (
     ignorance_formula,
     kripke_oracle,
     limit_model,
-    model_size,
     muddy_model,
     muddy_scenario,
-    update_any,
-    valid_in,
 )
 from geopal.formula import parse, random_formula
-from geopal.product import ProductModel, random_product_model, update_product
+from geopal.product import ProductModel, random_product_model
 from geopal.sslmodel import random_ssl_model
 from geopal.topomodel import random_topomodel
 
@@ -32,7 +29,7 @@ def _proper_atom_models(kind_sampler, count):
     while produced < count:
         model = kind_sampler(seed)
         seed += 1
-        if update_any(model, parse("p")) != model:
+        if model.update(parse("p")) != model:
             produced += 1
             yield model
 
@@ -49,7 +46,7 @@ def test_atomic_limit_reached_in_one_stage(kind):
     for model in _proper_atom_models(SAMPLERS[kind], 30):
         trace = limit_model(model, parse("p"))
         assert trace.stage_count == 1
-        assert trace.limit == update_any(model, parse("p"))
+        assert trace.limit == model.update(parse("p"))
 
 
 def test_truth_limit_is_zero_stages():
@@ -72,15 +69,15 @@ def test_sizes_strictly_decrease_and_dichotomy_holds():
             assert list(trace.sizes) == sorted(trace.sizes, reverse=True)
             assert len(set(trace.sizes)) == len(trace.sizes)
             if trace.outcome == "empty":
-                assert model_size(trace.limit) == 0
+                assert trace.limit.size == 0
             else:
                 assert trace.announcement_valid_in_limit is True
-                assert valid_in(trace.limit, f)
+                assert trace.limit.truth(f) == frozenset(trace.limit.loci())
 
 
 def test_pointed_run_stops_when_formula_fails_at_locus():
     model, actual = muddy_model(3, ["a", "b"])
-    after_father = update_product(model, father_formula(3))
+    after_father = model.update(father_formula(3))
     trace = announce_while_true(after_father, actual, ignorance_formula(3))
     assert trace.sizes == (7, 4)
     assert trace.outcome == "halted-at-locus"
@@ -116,7 +113,7 @@ def test_common_knowledge_of_contradiction_is_empty():
 
 def test_common_knowledge_after_father():
     model, _ = muddy_model(3, ["a", "b"])
-    after = update_product(model, father_formula(3))
+    after = model.update(father_formula(3))
     result = common_knowledge_extension(after, father_formula(3))
     assert result.worlds == after.worlds
     assert len(result.worlds) == 7
@@ -200,3 +197,9 @@ def test_ssl_pointed_run_tracks_the_shrinking_neighbourhood():
     trace = announce_while_true(model, ("s", {"s", "t"}), parse("p"))
     assert trace.final_locus == Situation("s", frozenset({"s"}))
     assert trace.stage_count == 1
+
+
+@pytest.mark.parametrize("kind, locus", [("topo", 99), ("ssl", (99, {99})), ("product", (99, 99))])
+def test_pointed_run_rejects_a_foreign_locus(kind, locus):
+    with pytest.raises(ValueError):
+        announce_while_true(SAMPLERS[kind](0), locus, parse("p"))

@@ -10,8 +10,6 @@ from geopal.product import (
     ProductModel,
     h_open,
     random_product_model,
-    satisfies_product,
-    update_product,
 )
 from geopal.topology import Topology
 
@@ -25,21 +23,21 @@ def test_knowledge_follows_coordinates():
     model = indiscrete_pair()
     # p depends only on the first coordinate: agent 2 (who varies the second)
     # knows it, agent 1 does not.
-    assert satisfies_product(model, (1, 0), parse("K2 p")) is True
-    assert satisfies_product(model, (1, 0), parse("K1 p")) is False
-    assert all(satisfies_product(model, w, parse("K1 true")) for w in model.worlds)
+    assert model.satisfies((1, 0), parse("K2 p")) is True
+    assert model.satisfies((1, 0), parse("K1 p")) is False
+    assert all(model.satisfies(w, parse("K1 true")) for w in model.worlds)
 
 
 def test_update_enables_knowledge():
-    model = update_product(indiscrete_pair(), parse("p"))
+    model = indiscrete_pair().update(parse("p"))
     assert model.worlds == frozenset({(1, 0), (1, 1)})
-    assert satisfies_product(model, (1, 0), parse("K1 p")) is True
+    assert model.satisfies((1, 0), parse("K1 p")) is True
 
 
 def test_update_true_and_false():
     model = indiscrete_pair()
-    assert update_product(model, parse("true")) == model
-    assert update_product(model, parse("false")).worlds == frozenset()
+    assert model.update(parse("true")) == model
+    assert model.update(parse("false")).worlds == frozenset()
 
 
 def test_three_children_father_announcement():
@@ -50,7 +48,7 @@ def test_three_children_father_announcement():
         for i, name in enumerate("abc")
     }
     model = ProductModel((factor,) * 3, worlds, valuation)
-    updated = update_product(model, parse("m_a | m_b | m_c"))
+    updated = model.update(parse("m_a | m_b | m_c"))
     assert len(updated.worlds) == 7
     assert (0, 0, 0) not in updated.worlds
 
@@ -58,10 +56,10 @@ def test_three_children_father_announcement():
 def test_update_commutes_for_atoms():
     for seed in range(150):
         model = random_product_model(seed)
-        both = update_product(model, parse("p & q"))
-        staged = update_product(update_product(model, parse("p")), parse("q"))
+        both = model.update(parse("p & q"))
+        staged = model.update(parse("p")).update(parse("q"))
         assert both == staged
-        other_order = update_product(update_product(model, parse("q")), parse("p"))
+        other_order = model.update(parse("q")).update(parse("p"))
         assert both == other_order
 
 
@@ -122,13 +120,13 @@ def test_h_open_rejects_foreign_tuples():
 
 
 def test_world_and_agent_validation():
-    model = update_product(indiscrete_pair(), parse("p"))
+    model = indiscrete_pair().update(parse("p"))
     with pytest.raises(ValueError):
-        satisfies_product(model, (0, 0), parse("p"))  # eliminated world
+        model.satisfies((0, 0), parse("p"))  # eliminated world
     with pytest.raises(UnsupportedOperator):
-        satisfies_product(model, (1, 0), parse("K3 p"))
+        model.satisfies((1, 0), parse("K3 p"))
     with pytest.raises(UnsupportedOperator):
-        satisfies_product(model, (1, 0), parse("I p"))
+        model.satisfies((1, 0), parse("I p"))
 
 
 def test_fresh_model_has_full_product():

@@ -25,7 +25,7 @@ from geopal.rewrite import (
     reduce,
     schema_pool,
 )
-from geopal.sslmodel import SSLModel, random_ssl_model, satisfies_ssl, situations, update_ssl
+from geopal.sslmodel import SSLModel, random_ssl_model, situations
 from geopal.product import random_product_model
 from geopal.topology import compress_mask
 from geopal.topomodel import random_topomodel
@@ -151,8 +151,8 @@ def test_effort_schema_fails_and_is_reverified():
     report = check_axiom(AxiomId("ssl", 5), sample_size=120, seed=90)
     assert not report.valid_on_sample
     smallest = report.minimal()
-    assert satisfies_ssl(smallest.model, smallest.locus, smallest.lhs) == smallest.lhs_value
-    assert satisfies_ssl(smallest.model, smallest.locus, smallest.rhs) == smallest.rhs_value
+    assert smallest.model.satisfies(smallest.locus, smallest.lhs) == smallest.lhs_value
+    assert smallest.model.satisfies(smallest.locus, smallest.rhs) == smallest.rhs_value
     assert smallest.lhs_value != smallest.rhs_value
     assert "counterexamples" in report.render()
 
@@ -168,8 +168,8 @@ def test_effort_schema_pinned_counter_model():
     lhs, rhs = axiom_instance(AxiomId("ssl", 5), phi, psi)
     locus = [sit for sit in situations(model)
              if sit.point == "s" and len(sit.nbhd) == 3][0]
-    assert satisfies_ssl(model, locus, lhs) is True
-    assert satisfies_ssl(model, locus, rhs) is False
+    assert model.satisfies(locus, lhs) is True
+    assert model.satisfies(locus, rhs) is False
 
 
 def test_equivalence_basics():
@@ -231,10 +231,10 @@ def test_reduce_equivalent_ssl_except_effort_gap():
         candidates = [model]
         announced = list({a for a, _ in trace})
         for a in announced:
-            candidates.append(update_ssl(model, a))
+            candidates.append(model.update(a))
         for base in list(candidates[1:]):
             for a in announced:
-                candidates.append(update_ssl(base, a))
+                candidates.append(base.update(a))
         witnessed = False
         for candidate in candidates:
             for a, b in effort_steps:

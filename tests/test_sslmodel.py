@@ -12,9 +12,7 @@ from geopal.sslmodel import (
     is_persistent,
     persistence_immunity_check,
     random_ssl_model,
-    satisfies_ssl,
     situations,
-    update_ssl,
 )
 
 
@@ -39,23 +37,23 @@ def test_situations_enumeration_and_order():
 
 def test_satisfies_knowledge_and_effort():
     model = pair_model()
-    assert satisfies_ssl(model, sit("s", "s", "t"), parse("K p")) is False
-    assert satisfies_ssl(model, sit("s", "s"), parse("K p")) is True
-    assert satisfies_ssl(model, sit("s", "s", "t"), parse("D K p")) is True
-    assert satisfies_ssl(model, sit("s", "s", "t"), parse("E K p")) is False
-    assert satisfies_ssl(model, sit("s", "s", "t"), parse("true")) is True
+    assert model.satisfies(sit("s", "s", "t"), parse("K p")) is False
+    assert model.satisfies(sit("s", "s"), parse("K p")) is True
+    assert model.satisfies(sit("s", "s", "t"), parse("D K p")) is True
+    assert model.satisfies(sit("s", "s", "t"), parse("E K p")) is False
+    assert model.satisfies(sit("s", "s", "t"), parse("true")) is True
 
 
 def test_announcement_agrees_with_knowledge_reduction_here():
     model = pair_model()
     here = sit("s", "s", "t")
-    assert satisfies_ssl(model, here, parse("[!p] K p")) is True
-    assert satisfies_ssl(model, here, parse("p -> K [!p] p")) is True
+    assert model.satisfies(here, parse("[!p] K p")) is True
+    assert model.satisfies(here, parse("p -> K [!p] p")) is True
 
 
 def test_update_shrinks_each_neighbourhood():
     model = pair_model()
-    updated = update_ssl(model, parse("p"))
+    updated = model.update(parse("p"))
     assert updated.points == ("s",)
     assert set(updated.sigma) == {frozenset({"s"})}
     assert updated.valuation["p"] == frozenset({"s"})
@@ -63,12 +61,12 @@ def test_update_shrinks_each_neighbourhood():
 
 def test_update_by_truth_is_identity():
     model = pair_model()
-    assert update_ssl(model, parse("true")) == model
+    assert model.update(parse("true")) == model
 
 
 def test_update_by_unsatisfied_atom_empties():
     model = pair_model()
-    updated = update_ssl(model, parse("q"))
+    updated = model.update(parse("q"))
     assert updated.is_empty
     assert situations(updated) == []
 
@@ -78,7 +76,7 @@ def test_update_monotone():
     for seed in range(200):
         model = random_ssl_model(seed)
         f = random_formula(rng, max_depth=4, modal="KLED", announce_depth=1)
-        updated = update_ssl(model, f)
+        updated = model.update(f)
         assert set(updated.points) <= set(model.points)
         for member in updated.sigma:
             assert any(member <= original for original in model.sigma)
@@ -87,7 +85,7 @@ def test_update_monotone():
 def test_stray_points_drop_on_any_update():
     # A point in no observation set can never occur in a situation.
     model = SSLModel.from_sets(["s", "t", "u"], [["s", "t"]], {"p": ["s", "t", "u"]})
-    updated = update_ssl(model, parse("p"))
+    updated = model.update(parse("p"))
     assert updated.points == ("s", "t")
 
 
@@ -163,15 +161,15 @@ def test_dualities_hold_extensionally():
 
 def test_interior_rejected():
     with pytest.raises(UnsupportedOperator):
-        satisfies_ssl(pair_model(), sit("s", "s"), parse("I p"))
+        pair_model().satisfies(sit("s", "s"), parse("I p"))
 
 
 def test_invalid_situation_rejected():
     model = pair_model()
     with pytest.raises(ValueError):
-        satisfies_ssl(model, sit("t", "s"), parse("p"))
+        model.satisfies(sit("t", "s"), parse("p"))
     with pytest.raises(ValueError):
-        satisfies_ssl(model, sit("t", "t"), parse("p"))
+        model.satisfies(sit("t", "t"), parse("p"))
 
 
 def test_merging_neighbourhoods_collapse():
@@ -179,7 +177,7 @@ def test_merging_neighbourhoods_collapse():
     model = SSLModel.from_sets(
         ["s", "t", "u"], [["s", "t"], ["s", "u"]], {"p": ["s"]}
     )
-    updated = update_ssl(model, parse("p"))
+    updated = model.update(parse("p"))
     assert updated.sigma == (frozenset({"s"}),)
 
 
@@ -187,4 +185,4 @@ def test_announcements_inside_announcements():
     model = pair_model()
     nested = Announce(parse("[!p] p"), parse("K p"))
     for situation in situations(model):
-        satisfies_ssl(model, situation, nested)  # must simply not blow up
+        model.satisfies(situation, nested)  # must simply not blow up
