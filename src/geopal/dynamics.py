@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .formula import And, Atom, Formula, KnowI, Not, Or
-from .product import ProductEvaluator, ProductModel, World, knowledge_interior
+from .product import ProductModel, World, knowledge_interior
 from .sslmodel import SSLModel
 from .topology import Topology
 from .topomodel import TopoModel
@@ -139,7 +139,7 @@ def common_knowledge_extension(model: ProductModel, f: Formula) -> CommonKnowled
     """
     if not isinstance(model, ProductModel):
         raise TypeError("common knowledge extension is defined on product models")
-    base = ProductEvaluator(model).table(f)
+    base = model.truth(f)
     current = base
     iterations = 0
     while True:
@@ -214,14 +214,13 @@ _UNKNOWN = "unknown"
 
 
 def _knowledge_states(model: ProductModel, actual: World, n: int) -> dict[str, str]:
-    evaluator = ProductEvaluator(model)
     states = {}
     for i in range(n):
         name = CHILD_NAMES[i]
         atom = child_atom(name)
-        if actual in evaluator.table(KnowI(i + 1, atom)):
+        if actual in model.truth(KnowI(i + 1, atom)):
             states[name] = _KNOWS_MUDDY
-        elif actual in evaluator.table(KnowI(i + 1, Not(atom))):
+        elif actual in model.truth(KnowI(i + 1, Not(atom))):
             states[name] = _KNOWS_CLEAN
         else:
             states[name] = _UNKNOWN

@@ -15,7 +15,8 @@ worlds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import product as cartesian
 from random import Random
 from typing import Iterable, Mapping
@@ -32,6 +33,7 @@ from .formula import (
     Or,
     Top,
     UnsupportedOperator,
+    walk,
 )
 from .topology import (
     Topology,
@@ -50,6 +52,12 @@ World = tuple
 
 @dataclass(frozen=True)
 class ProductModel:
+    """Factor topologies, surviving worlds and a valuation on worlds.
+
+    Treat instances as immutable: each model memoizes its truth tables and
+    announcement updates (see ProductEvaluator).
+    """
+
     factors: tuple[Topology, ...]
     worlds: frozenset[World]
     valuation: dict[str, frozenset] = field(default_factory=dict)
@@ -96,16 +104,42 @@ class ProductModel:
     def loci(self) -> list[World]:
         return sorted(self.worlds)
 
+    # The memo, built on first use.  Equality and repr see only the fields,
+    # and __getstate__ keeps it out of pickles.
+    @cached_property
+    def _tables(self) -> dict[Formula, frozenset]:
+        return {}
+
+    @cached_property
+    def _updates(self) -> dict[Formula, "ProductEvaluator"]:
+        return {}
+
+    def __getstate__(self) -> dict:
+        """Pickles and copies carry the fields, not the memo."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def truth(self, f: Formula) -> frozenset:
-        """The worlds where f holds."""
-        return ProductEvaluator(self).table(f)
+        """The worlds where f holds (memoized on the model)."""
+        table = self._tables.get(f)
+        return ProductEvaluator(self).table(f) if table is None else table
 
     def update(self, f: Formula) -> "ProductModel":
-        """Announcement update: drop worlds where f fails; factors are untouched."""
-        return _restrict(self, self.truth(f))
+        """Announcement update: drop worlds where f fails; factors are untouched.
+
+        Memoized: the same f gives the same model object.
+        """
+        return (self._updates.get(f) or ProductEvaluator(self).updated(f)).model
 
     def satisfies(self, world, f: Formula) -> bool:
-        return self.locus(world) in self.truth(f)
+        """Truth at one world through the quantifier clauses.
+
+        A differential oracle for `truth`: it reads no table and scans the
+        factor opens for K_i instead of calling `knowledge_interior`.
+        """
+        world = self.locus(world)
+        for node in walk(f):
+            _check_operator(self, node)
+        return _holds(self, world, f)
 
     def locus(self, world) -> World:
         """The world as a tuple, checked to be surviving."""
@@ -170,12 +204,17 @@ class ProductModel:
 
 
 class ProductEvaluator:
-    """Batch evaluator for one model: formula -> set of satisfying worlds."""
+    """Batch evaluator for one model: formula -> set of satisfying worlds.
+
+    Tables and announcement updates live in the model's memo, shared by
+    every evaluator of that model; the memo holds the updated models'
+    evaluators, never the model itself.
+    """
 
     def __init__(self, model: ProductModel):
         self.model = model
-        self._tables: dict[Formula, frozenset] = {}
-        self._updates: dict[Formula, "ProductEvaluator"] = {}
+        self._tables = model._tables
+        self._updates = model._updates
 
     def updated(self, announced: Formula) -> "ProductEvaluator":
         cached = self._updates.get(announced)
@@ -210,18 +249,59 @@ class ProductEvaluator:
             case Implies(a, b):
                 return (worlds - self.table(a)) | self.table(b)
             case KnowI(agent, b):
-                if agent > model.agent_count:
-                    raise UnsupportedOperator(
-                        f"agent {agent} out of range for {model.agent_count} factors"
-                    )
+                _check_operator(model, f)
                 return knowledge_interior(model, self.table(b), agent)
             case Announce(a, b):
                 ta = self.table(a)
                 tb2 = self.updated(a).table(b)
                 return (worlds - ta) | (ta & tb2)
-        raise UnsupportedOperator(
-            f"operator {type(f).__name__} has no product interpretation"
-        )
+        _check_operator(model, f)  # raises: every interpreted node is matched above
+
+
+_OPERATORS = (Atom, Top, Bot, Not, And, Or, Implies, KnowI, Announce)
+
+
+def _check_operator(model: ProductModel, f: Formula):
+    """Raise UnsupportedOperator unless the node is interpreted on the model."""
+    if not isinstance(f, _OPERATORS):
+        raise UnsupportedOperator(f"operator {type(f).__name__} has no product interpretation")
+    if isinstance(f, KnowI) and f.agent > model.agent_count:
+        raise UnsupportedOperator(f"agent {f.agent} out of range for {model.agent_count} factors")
+
+
+def _holds(model: ProductModel, world: World, f: Formula) -> bool:
+    """Quantifier-form truth at one world; f is interpreted on the model."""
+    match f:
+        case Atom(name):
+            return world in model.atom_set(name)
+        case Top():
+            return True
+        case Bot():
+            return False
+        case Not(b):
+            return not _holds(model, world, b)
+        case And(a, b):
+            return _holds(model, world, a) and _holds(model, world, b)
+        case Or(a, b):
+            return _holds(model, world, a) or _holds(model, world, b)
+        case Implies(a, b):
+            return not _holds(model, world, a) or _holds(model, world, b)
+        case KnowI(agent, b):
+            factor = model.factors[agent - 1]
+            position = factor.index(world[agent - 1])
+            return any(
+                open_ >> position & 1
+                and all(
+                    v not in model.worlds or _holds(model, v, b)
+                    for v in model.variants(world, agent, open_)
+                )
+                for open_ in factor.opens
+            )
+        case Announce(a, b):
+            if not _holds(model, world, a):
+                return True
+            survivors = frozenset(w for w in model.worlds if _holds(model, w, a))
+            return _holds(_restrict(model, survivors), world, b)
 
 
 def knowledge_interior(model: ProductModel, area: frozenset, agent: int) -> frozenset:

@@ -26,7 +26,7 @@ two layers (these last are what catch the effort schema).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .formula import (
@@ -397,8 +397,9 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
                     continue
                 if model.satisfies(locus, rhs) != rhs_value:
                     continue
+                # A fresh equal model: the report must not keep this one's memo alive.
                 counterexamples.append(
-                    Counterexample(model, locus, phi, psi, chi, lhs, rhs, lhs_value, rhs_value)
+                    Counterexample(replace(model), locus, phi, psi, chi, lhs, rhs, lhs_value, rhs_value)
                 )
                 break
     return ValidityReport(axiom, sample_size, seed, tuple(counterexamples))

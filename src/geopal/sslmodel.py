@@ -15,7 +15,8 @@ only ever consults the point set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from random import Random
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
@@ -34,6 +35,7 @@ from .formula import (
     Possible,
     Top,
     UnsupportedOperator,
+    walk,
 )
 from .topology import fmt_set, json_field, json_labels, json_list, json_valuation, parse_label
 
@@ -52,6 +54,9 @@ class SSLModel:
 
     sigma members must be nonempty subsets of the carrier; they are stored
     deduplicated in a canonical order (by size, then by point index).
+    Treat instances as immutable: each model memoizes its truth tables and
+    announcement updates (see SslEvaluator), so a mutated model would keep
+    answering for its old contents.
     """
 
     points: tuple[Hashable, ...]
@@ -101,19 +106,61 @@ class SSLModel:
         """Points plus set sizes: strictly decreases under any update that changes the model."""
         return len(self.points) + sum(len(u) for u in self.sigma)
 
+    # Derived state and the memo, built on first use.  Equality and repr see
+    # only the fields, and __getstate__ keeps these out of pickles.
+    @cached_property
+    def _situations(self) -> tuple["Situation", ...]:
+        return tuple(
+            Situation(point, member)
+            for point in self.points
+            for member in self.sigma
+            if point in member
+        )
+
+    @cached_property
+    def _everything(self) -> frozenset:
+        return frozenset(self._situations)
+
+    @cached_property
+    def _refinements(self) -> dict[frozenset, tuple[frozenset, ...]]:
+        return {member: tuple(v for v in self.sigma if v <= member) for member in self.sigma}
+
+    @cached_property
+    def _tables(self) -> dict[Formula, frozenset]:
+        return {}
+
+    @cached_property
+    def _updates(self) -> dict[Formula, tuple["SslEvaluator", dict[frozenset, frozenset]]]:
+        return {}
+
+    def __getstate__(self) -> dict:
+        """Pickles and copies carry the fields, not the memo."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def loci(self) -> list["Situation"]:
-        return situations(self)
+        return list(self._situations)
 
     def truth(self, f: Formula) -> frozenset:
-        """The situations where f holds."""
-        return SslEvaluator(self).table(f)
+        """The situations where f holds (memoized on the model)."""
+        table = self._tables.get(f)
+        return SslEvaluator(self).table(f) if table is None else table
 
     def update(self, f: Formula) -> "SSLModel":
-        updated, _ = apply_update(self, self.truth(f))
-        return updated
+        """The announcement update, memoized: the same f gives the same model object."""
+        evaluator, _ = self._updates.get(f) or SslEvaluator(self).updated(f)
+        return evaluator.model
 
     def satisfies(self, situation, f: Formula) -> bool:
-        return self.locus(situation) in self.truth(f)
+        """Truth at one situation through the quantifier clauses.
+
+        A differential oracle for `truth`: it reads no table and applies
+        announcements situation by situation, not through `apply_update`.
+        """
+        situation = self.locus(situation)
+        for node in walk(f):
+            if not isinstance(node, _OPERATORS):
+                raise _unsupported(node)
+        return _holds(self, situation, f)
 
     def locus(self, situation) -> "Situation":
         """The (point, set) pair as a situation, checked to be one of this model's."""
@@ -171,37 +218,25 @@ class SSLModel:
 
 def situations(model: SSLModel) -> list[Situation]:
     """All neighbourhood situations, ordered by point then by sigma position."""
-    return [
-        Situation(point, member)
-        for point in model.points
-        for member in model.sigma
-        if point in member
-    ]
+    return model.loci()
 
 
 class SslEvaluator:
     """Batch evaluator for one model: formula -> set of satisfying situations.
 
-    Tables are memoized per formula, announcement updates per announced
-    formula, so repeated queries against the same model (as in the axiom
-    harness) stay cheap.
+    Tables (per formula) and announcement updates (per announced formula)
+    live in the model's memo, which every evaluator of that model shares, so
+    repeated queries against the same model (as in the axiom harness) stay
+    cheap.  The memo holds the updated models' evaluators, never the model
+    itself, so it forms no reference cycle.
     """
 
     def __init__(self, model: SSLModel):
         self.model = model
-        self.situations = situations(model)
-        self._all = frozenset(self.situations)
-        self._tables: dict[Formula, frozenset] = {}
-        self._updates: dict[Formula, tuple["SslEvaluator", dict[frozenset, frozenset]]] = {}
-        self._refinements: dict[frozenset, tuple[frozenset, ...]] | None = None
-
-    def _refine(self, nbhd: frozenset) -> tuple[frozenset, ...]:
-        if self._refinements is None:
-            self._refinements = {
-                member: tuple(v for v in self.model.sigma if v <= member)
-                for member in self.model.sigma
-            }
-        return self._refinements[nbhd]
+        self.situations = model._situations
+        self._all = model._everything
+        self._tables = model._tables
+        self._updates = model._updates
 
     def updated(self, announced: Formula) -> tuple["SslEvaluator", dict[frozenset, frozenset]]:
         """Evaluator for the updated model, plus the old-to-new neighbourhood map."""
@@ -251,14 +286,14 @@ class SslEvaluator:
                 return frozenset(
                     sit for sit in self.situations
                     if all(Situation(sit.point, v) in tb
-                           for v in self._refine(sit.nbhd) if sit.point in v)
+                           for v in self.model._refinements[sit.nbhd] if sit.point in v)
                 )
             case EffortDual(b):
                 tb = self.table(b)
                 return frozenset(
                     sit for sit in self.situations
                     if any(Situation(sit.point, v) in tb
-                           for v in self._refine(sit.nbhd) if sit.point in v)
+                           for v in self.model._refinements[sit.nbhd] if sit.point in v)
                 )
             case Announce(a, b):
                 ta = self.table(a)
@@ -268,9 +303,69 @@ class SslEvaluator:
                 return vacuous | frozenset(
                     sit for sit in ta if Situation(sit.point, nbhd_map[sit.nbhd]) in tb2
                 )
-        raise UnsupportedOperator(
-            f"operator {type(f).__name__} has no subset-space interpretation"
-        )
+        raise _unsupported(f)
+
+
+_OPERATORS = (Atom, Top, Bot, Not, And, Or, Implies, Know, Possible, Effort, EffortDual, Announce)
+
+
+def _unsupported(f: Formula) -> UnsupportedOperator:
+    return UnsupportedOperator(f"operator {type(f).__name__} has no subset-space interpretation")
+
+
+def _holds(model: SSLModel, situation: Situation, f: Formula) -> bool:
+    """Quantifier-form truth at one situation; f is within the fragment."""
+    point, nbhd = situation
+    match f:
+        case Atom(name):
+            return point in model.atom_set(name)
+        case Top():
+            return True
+        case Bot():
+            return False
+        case Not(b):
+            return not _holds(model, situation, b)
+        case And(a, b):
+            return _holds(model, situation, a) and _holds(model, situation, b)
+        case Or(a, b):
+            return _holds(model, situation, a) or _holds(model, situation, b)
+        case Implies(a, b):
+            return not _holds(model, situation, a) or _holds(model, situation, b)
+        case Know(b):
+            return all(_holds(model, Situation(t, nbhd), b) for t in nbhd)
+        case Possible(b):
+            return any(_holds(model, Situation(t, nbhd), b) for t in nbhd)
+        case Effort(b):
+            return all(
+                _holds(model, Situation(point, v), b)
+                for v in model.sigma if point in v and v <= nbhd
+            )
+        case EffortDual(b):
+            return any(
+                _holds(model, Situation(point, v), b)
+                for v in model.sigma if point in v and v <= nbhd
+            )
+        case Announce(a, b):
+            if not _holds(model, situation, a):
+                return True
+            shrunk = frozenset(t for t in nbhd if _holds(model, Situation(t, nbhd), a))
+            return _holds(_announced(model, a), Situation(point, shrunk), b)
+    raise _unsupported(f)
+
+
+def _announced(model: SSLModel, a: Formula) -> SSLModel:
+    """The update by a, spelled out situation by situation."""
+    sigma = [
+        shrunk
+        for member in model.sigma
+        if (shrunk := frozenset(t for t in member if _holds(model, Situation(t, member), a)))
+    ]
+    surviving = frozenset().union(*sigma)
+    return SSLModel(
+        tuple(p for p in model.points if p in surviving),
+        tuple(sigma),
+        {atom: area & surviving for atom, area in model.valuation.items()},
+    )
 
 
 def apply_update(model: SSLModel, satisfying: frozenset) -> tuple[SSLModel, dict[frozenset, frozenset]]:
@@ -303,8 +398,7 @@ class PersistenceWitness:
 
 def is_persistent(model: SSLModel, f: Formula) -> PersistenceWitness | None:
     """None when truth of f survives every neighbourhood shrink, else a witness."""
-    evaluator = SslEvaluator(model)
-    table = evaluator.table(f)
+    table = model.truth(f)
     for point in model.points:
         for larger in model.sigma:
             if point not in larger or Situation(point, larger) not in table:
@@ -336,12 +430,11 @@ def persistence_immunity_check(
     """
     if is_persistent(model, f) is not None:
         raise ValueError("formula is not persistent in this model")
-    evaluator = SslEvaluator(model)
-    table = evaluator.table(f)
+    table = model.truth(f)
     checks = 0
     violations = []
     for chi in announcements:
-        announced_table = evaluator.table(Announce(chi, f))
+        announced_table = model.truth(Announce(chi, f))
         for sit in table:
             checks += 1
             if sit not in announced_table:

@@ -1,9 +1,15 @@
-"""Product models: coordinate-wise knowledge, updates, slice openness."""
+"""Product models: coordinate-wise knowledge, updates, slice openness, the
+per-model memo."""
 
+import gc
+import pickle
+import weakref
+from collections import Counter
 from random import Random
 
 import pytest
 
+import geopal.product as product
 from geopal.formula import UnsupportedOperator, parse, random_formula
 from geopal.product import (
     ProductEvaluator,
@@ -123,10 +129,12 @@ def test_world_and_agent_validation():
     model = indiscrete_pair().update(parse("p"))
     with pytest.raises(ValueError):
         model.satisfies((0, 0), parse("p"))  # eliminated world
-    with pytest.raises(UnsupportedOperator):
-        model.satisfies((1, 0), parse("K3 p"))
-    with pytest.raises(UnsupportedOperator):
-        model.satisfies((1, 0), parse("I p"))
+    # Also where evaluation would never reach the node.
+    for text in ("K3 p", "I p", "false & K3 p", "true | I p", "[!false] K3 p", "p -> I p"):
+        with pytest.raises(UnsupportedOperator):
+            model.truth(parse(text))
+        with pytest.raises(UnsupportedOperator):
+            model.satisfies((1, 0), parse(text))
 
 
 def test_fresh_model_has_full_product():
@@ -135,3 +143,81 @@ def test_fresh_model_has_full_product():
     for factor in model.factors:
         expected *= len(factor.points)
     assert len(model.worlds) == expected
+
+
+# -- the per-model memo -----------------------------------------------------
+
+
+def test_truth_computes_each_table_once(monkeypatch):
+    computed = Counter()
+    compute = ProductEvaluator._compute
+
+    def counting(self, f):
+        computed[id(self.model), f] += 1
+        return compute(self, f)
+
+    monkeypatch.setattr(ProductEvaluator, "_compute", counting)
+    model = indiscrete_pair()
+    f = parse("[!p] K1 q & K2 [!p] (K1 q | p)")
+    first = model.truth(f)
+    assert computed and set(computed.values()) == {1}
+    total = sum(computed.values())
+    assert model.truth(f) is first
+    model.truth(parse("[!p] K1 q"))  # a subformula of f: already computed
+    assert sum(computed.values()) == total
+
+
+def test_update_after_truth_restricts_at_most_once(monkeypatch):
+    calls = []
+    restrict = product._restrict
+
+    def counting(model, surviving):
+        calls.append(model)
+        return restrict(model, surviving)
+
+    monkeypatch.setattr(product, "_restrict", counting)
+    model = indiscrete_pair()
+    f = parse("[!p] K1 q")
+    model.truth(f)
+    calls.clear()
+    updated = model.update(f)
+    assert len(calls) <= 1
+    assert model.update(f) is updated
+    assert len(calls) <= 1
+    calls.clear()
+    model.update(parse("p"))  # announced inside f: already built
+    assert calls == []
+
+
+def test_memo_leaves_no_reference_cycle():
+    gc.disable()
+    try:
+        model = indiscrete_pair()
+        model.truth(parse("[!p] K1 q"))
+        model.update(parse("[!p] K1 q"))
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_pickle_carries_the_fields_not_the_memo():
+    model = indiscrete_pair()
+    model.truth(parse("[!p] K1 q"))
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy == model and "_tables" not in vars(copy)
+    assert copy.truth(parse("[!p] K1 q")) == model.truth(parse("[!p] K1 q"))
+
+
+# -- the quantifier-form oracle ---------------------------------------------
+
+
+def test_satisfies_agrees_with_truth_on_random_models():
+    rng = Random(32)
+    for seed in range(200):
+        model = random_product_model(seed)
+        f = random_formula(rng, max_depth=4, agents=model.agent_count, announce_depth=2)
+        holds = model.truth(f)
+        for world in model.loci():
+            assert model.satisfies(world, f) == (world in holds), (seed, str(f), world)

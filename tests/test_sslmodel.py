@@ -1,10 +1,17 @@
-"""Subset-space semantics, updates, persistence."""
+"""Subset-space semantics, updates, persistence, the per-model memo."""
 
+import dataclasses
+import gc
+import pickle
+import weakref
+from collections import Counter
 from random import Random
 
 import pytest
 
-from geopal.formula import Announce, UnsupportedOperator, parse, random_formula
+import geopal.sslmodel as sslmodel
+from geopal.formula import Announce, Effort, UnsupportedOperator, parse, random_formula
+from geopal.rewrite import AxiomId, check_axiom
 from geopal.sslmodel import (
     SSLModel,
     Situation,
@@ -160,8 +167,13 @@ def test_dualities_hold_extensionally():
 
 
 def test_interior_rejected():
-    with pytest.raises(UnsupportedOperator):
-        pair_model().satisfies(sit("s", "s"), parse("I p"))
+    # Also where evaluation would never reach the node.
+    model = pair_model()
+    for text in ("I p", "false & I p", "true | I p", "[!false] I p", "q -> I p"):
+        with pytest.raises(UnsupportedOperator):
+            model.truth(parse(text))
+        with pytest.raises(UnsupportedOperator):
+            model.satisfies(sit("s", "s"), parse(text))
 
 
 def test_invalid_situation_rejected():
@@ -186,3 +198,105 @@ def test_announcements_inside_announcements():
     nested = Announce(parse("[!p] p"), parse("K p"))
     for situation in situations(model):
         model.satisfies(situation, nested)  # must simply not blow up
+
+
+# -- the per-model memo -----------------------------------------------------
+
+
+def test_truth_computes_each_table_once(monkeypatch):
+    computed = Counter()
+    compute = SslEvaluator._compute
+
+    def counting(self, f):
+        computed[id(self.model), f] += 1
+        return compute(self, f)
+
+    monkeypatch.setattr(SslEvaluator, "_compute", counting)
+    model = pair_model()
+    f = parse("[!p] K q & E [!p] (K q | D p)")
+    first = model.truth(f)
+    assert computed and set(computed.values()) == {1}
+    total = sum(computed.values())
+    assert model.truth(f) is first
+    model.truth(parse("[!p] K q"))  # a subformula of f: already computed
+    assert sum(computed.values()) == total
+
+
+def test_update_after_truth_applies_the_update_at_most_once(monkeypatch):
+    calls = []
+    apply_update = sslmodel.apply_update
+
+    def counting(model, satisfying):
+        calls.append(model)
+        return apply_update(model, satisfying)
+
+    monkeypatch.setattr(sslmodel, "apply_update", counting)
+    model = pair_model()
+    f = parse("[!p] K q")
+    model.truth(f)
+    calls.clear()
+    updated = model.update(f)
+    assert len(calls) <= 1
+    assert model.update(f) is updated
+    assert len(calls) <= 1
+    calls.clear()
+    model.update(parse("p"))  # announced inside f: already built
+    assert calls == []
+
+
+def test_memo_leaves_no_reference_cycle():
+    gc.disable()
+    try:
+        model = pair_model()
+        model.truth(parse("[!p] K q"))
+        model.update(parse("[!p] K q"))
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_pickle_carries_the_fields_not_the_memo():
+    model = pair_model()
+    model.truth(parse("[!p] K q"))
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy == model and "_tables" not in vars(copy)
+    assert copy.truth(parse("[!p] K q")) == model.truth(parse("[!p] K q"))
+
+
+# -- the quantifier-form oracle ---------------------------------------------
+
+
+def test_satisfies_agrees_with_truth_on_random_models():
+    rng = Random(31)
+    for seed in range(200):
+        model = random_ssl_model(seed)
+        f = random_formula(rng, max_depth=4, modal="KLED", announce_depth=2)
+        holds = model.truth(f)
+        for situation in model.loci():
+            assert model.satisfies(situation, f) == (situation in holds), (seed, str(f), situation)
+
+
+def test_reverification_does_not_read_the_tables(monkeypatch):
+    # With every effort table flipped, the table path reports disagreements
+    # that are not there; re-verification must keep only true verdicts.
+    axiom = AxiomId("ssl", 5)
+    flips = []
+    table = SslEvaluator.table
+
+    def flipped(self, f):
+        value = table(self, f)
+        if isinstance(f, Effort):
+            flips.append(f)
+            return self._all - value
+        return value
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SslEvaluator, "table", flipped)
+        report = check_axiom(axiom, 300, 0)
+    assert flips
+    for c in report.counterexamples:
+        fresh = dataclasses.replace(c.model)
+        assert c.lhs_value == (c.locus in fresh.truth(c.lhs))
+        assert c.rhs_value == (c.locus in fresh.truth(c.rhs))
