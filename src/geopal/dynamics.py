@@ -196,7 +196,7 @@ def muddy_model(n: int, muddy: Iterable[str]) -> tuple[ProductModel, World]:
     unknown = muddy - set(names)
     if unknown:
         raise ValueError(f"unknown children {sorted(unknown)}, have {list(names)}")
-    indiscrete = Topology.from_sets((0, 1), ((), (0, 1)))
+    indiscrete = Topology((0, 1), (0b11, 0b11))
     factors = (indiscrete,) * n
     model = ProductModel.full(factors)
     worlds = model.worlds

@@ -23,7 +23,7 @@ from random import Random
 from typing import Iterable
 
 from .dynamics import LimitTrace, _stage_loop
-from .topology import MAX_POINTS, Topology, json_field, json_list
+from .topology import Topology, json_field, json_list
 
 
 @dataclass(frozen=True)
@@ -179,59 +179,26 @@ def _payoff(value) -> Fraction:
         raise ValueError(f"bad payoff {value!r}") from None
 
 
-MAX_TREE_OPENS = 1 << 20
-
-
-def _down_set_count(tree: GameTree, nid: int = 0) -> int:
-    kids = tree.children_ids[nid]
-    if not kids:
-        return 2
-    product = 1
-    for cid in kids:
-        product = min(product * _down_set_count(tree, cid), MAX_TREE_OPENS + 1)
-    return product + 1
-
-
 def tree_topology(tree: GameTree, orientation: str = "descendant") -> Topology:
     """Topology on node ids whose opens are the descendant-closed node sets.
 
-    Deeper information refines opens under this orientation; the
-    "ancestor" orientation (complements) is available for experiments.
-    The family is stored explicitly, so bushy trees whose down-set count
-    exceeds MAX_TREE_OPENS are rejected outright.
+    Each node's minimal open is its subtree, so deeper information refines
+    opens under this orientation.  The "ancestor" orientation (opens are the
+    ancestor-closed sets, each node's minimal open its path from the root)
+    is available for experiments.
     """
     count = len(tree.nodes)
-    if count > MAX_POINTS:
-        raise ValueError(f"at most {MAX_POINTS} nodes supported, got {count}")
     if orientation not in ("descendant", "ancestor"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    if _down_set_count(tree) > MAX_TREE_OPENS:
-        raise ValueError(
-            f"tree has more than {MAX_TREE_OPENS} descendant-closed sets; "
-            "too many opens to store explicitly"
-        )
-
-    def down_sets(nid: int) -> list[int]:
-        subtree_mask = 0
-        for member in _subtree_ids(tree, nid):
-            subtree_mask |= 1 << member
-        combos = [0]
-        for cid in tree.children_ids[nid]:
-            child_sets = down_sets(cid)
-            combos = [mask | extra for mask in combos for extra in child_sets]
-        return combos + [subtree_mask]
-
-    opens = down_sets(0)
-    if orientation == "ancestor":
-        full = (1 << count) - 1
-        opens = [full ^ mask for mask in opens]
-    return Topology(tuple(range(count)), tuple(opens))
-
-
-def _subtree_ids(tree: GameTree, nid: int):
-    yield nid
-    for cid in tree.children_ids[nid]:
-        yield from _subtree_ids(tree, cid)
+    minimal = [1 << nid for nid in range(count)]
+    if orientation == "descendant":
+        for nid in reversed(range(count)):  # preorder: children come after their parent
+            for cid in tree.children_ids[nid]:
+                minimal[nid] |= minimal[cid]
+    else:
+        for nid in range(1, count):
+            minimal[nid] |= minimal[tree.parent[nid]]
+    return Topology(tuple(range(count)), tuple(minimal))
 
 
 @dataclass(frozen=True)

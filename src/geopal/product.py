@@ -309,21 +309,18 @@ def knowledge_interior(model: ProductModel, area: frozenset, agent: int) -> froz
 
     A world qualifies when some factor-i open around its i-th coordinate
     keeps every surviving variant along that coordinate inside the area.
+    The condition is monotone in the open, so the minimal open of that
+    coordinate decides it.
     """
     factor = model.factors[agent - 1]
-    result = set()
-    for world in model.worlds:
-        position = factor.index(world[agent - 1])
-        for open_ in factor.opens:
-            if not open_ >> position & 1:
-                continue
-            if all(
-                v not in model.worlds or v in area
-                for v in model.variants(world, agent, open_)
-            ):
-                result.add(world)
-                break
-    return frozenset(result)
+    return frozenset(
+        world
+        for world in model.worlds
+        if all(
+            v not in model.worlds or v in area
+            for v in model.variants(world, agent, factor.minimal[factor.index(world[agent - 1])])
+        )
+    )
 
 
 def _restrict(model: ProductModel, surviving: frozenset) -> ProductModel:
@@ -352,15 +349,11 @@ def h_open(model: ProductModel, area: Iterable[World], axis: int) -> bool:
     if not area <= full:
         raise ValueError("area is not a subset of the full product")
     factor = model.factors[axis - 1]
-    for world in area:
-        position = factor.index(world[axis - 1])
-        if not any(
-            open_ >> position & 1
-            and all(v in area for v in model.variants(world, axis, open_))
-            for open_ in factor.opens
-        ):
-            return False
-    return True
+    return all(
+        v in area
+        for world in area
+        for v in model.variants(world, axis, factor.minimal[factor.index(world[axis - 1])])
+    )
 
 
 def random_product_model(

@@ -1,10 +1,11 @@
-"""Finite topological spaces with opens stored explicitly as bitmasks.
+"""Finite topological spaces stored as minimal neighbourhoods.
 
-A space carries an indexed tuple of point labels (at most 64) and the full
-family of opens, each open a bitmask over the point indices.  Opens are
-kept explicit rather than as a basis: the models are small and every
-consumer (interior scans, axiom verification, subspaces) enumerates the
-family anyway.
+A space carries an indexed tuple of point labels (at most 64) and, for each
+point x, the bitmask of its minimal open U_x: the intersection of every open
+around x.  Every finite space is Alexandrov, so these masks fix the
+topology: a set is open exactly when it contains U_x for each of its points,
+and the interior of A is {x : U_x within A}.  The enumerated family of opens
+is derived on demand, for output and for the quantifier-form oracles.
 """
 
 from __future__ import annotations
@@ -45,47 +46,53 @@ class Violation:
 
 @dataclass(frozen=True)
 class Topology:
-    """Finite topological space: point labels plus the family of opens."""
+    """Finite topological space: point labels plus each point's minimal open."""
 
     points: tuple[Hashable, ...]
-    opens: tuple[int, ...]
+    minimal: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.points) > MAX_POINTS:
             raise TopologyError(f"at most {MAX_POINTS} points supported, got {len(self.points)}")
         if len(set(self.points)) != len(self.points):
             raise TopologyError("duplicate point labels")
-        object.__setattr__(self, "opens", tuple(sorted(set(self.opens))))
+        if len(self.minimal) != len(self.points):
+            raise TopologyError(f"{len(self.points)} points but {len(self.minimal)} minimal opens")
         full = self.full_mask
-        for open_ in self.opens:
-            if open_ & ~full:
-                raise TopologyError(f"open {open_:b} not within the carrier")
+        for i, nbhd in enumerate(self.minimal):
+            if not nbhd >> i & 1:
+                raise TopologyError(f"minimal open {nbhd:b} of point {self.points[i]!r} does not contain it")
+            if nbhd & ~full:
+                raise TopologyError(f"minimal open {nbhd:b} not within the carrier")
+            for j in bits(nbhd):
+                if self.minimal[j] & ~nbhd:
+                    raise TopologyError(f"minimal open of {self.points[j]!r} not within that of {self.points[i]!r}")
 
     @classmethod
     def from_sets(cls, points: Iterable[Hashable], opens: Iterable[Iterable[Hashable]]) -> "Topology":
-        pts = tuple(points)
-        index = {label: i for i, label in enumerate(pts)}
-        masks = []
-        for open_ in opens:
-            mask = 0
-            for label in open_:
-                if label not in index:
-                    raise TopologyError(f"open member {label!r} not in the carrier")
-                mask |= 1 << index[label]
-            masks.append(mask)
-        return cls(pts, tuple(masks))
+        """Space from an enumerated family of opens, checked to be a topology."""
+        opens = list(opens)
+        space = generate_from_subbasis(points, opens)
+        problems = verify_topology(space.points, [space.mask(open_) for open_ in opens])
+        if problems:
+            raise TopologyError(f"not a topology: {problems[0]}")
+        return space
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << len(self.points)) - 1
 
     @cached_property
-    def _index(self) -> dict:
-        return {label: i for i, label in enumerate(self.points)}
+    def opens(self) -> tuple[int, ...]:
+        """Every open, ascending: the unions of minimal opens, and the empty set."""
+        opens = {0}
+        for nbhd in set(self.minimal):
+            opens |= {open_ | nbhd for open_ in opens}
+        return tuple(sorted(opens))
 
     @cached_property
-    def _opens_set(self) -> frozenset[int]:
-        return frozenset(self.opens)
+    def _index(self) -> dict:
+        return {label: i for i, label in enumerate(self.points)}
 
     def index(self, label: Hashable) -> int:
         try:
@@ -102,17 +109,15 @@ class Topology:
     def labels(self, mask: int) -> frozenset:
         return frozenset(self.points[i] for i in bits(mask))
 
-    def is_open(self, mask: int) -> bool:
-        return mask in self._opens_set
-
     def interior(self, area: int) -> int:
-        """Union of all opens contained in the area (the largest such open)."""
+        """Union of the minimal opens inside the area: the largest open inside it."""
         if area & ~self.full_mask:
             raise TopologyError("area not within the carrier")
+        outside = ~area
         result = 0
-        for open_ in self.opens:
-            if open_ & ~area == 0:
-                result |= open_
+        for nbhd in self.minimal:
+            if not nbhd & outside:
+                result |= nbhd
         return result
 
     def closure(self, area: int) -> int:
@@ -126,11 +131,7 @@ class Topology:
         """Space from a {"points": [...], "opens": [[...], ...]} object, verified."""
         points = json_labels(json_field(data, "points"), "points")
         opens = [json_labels(open_, "an open") for open_ in json_list(json_field(data, "opens"), "opens")]
-        space = cls.from_sets(points, opens)
-        problems = verify_topology(space)
-        if problems:
-            raise TopologyError(f"not a topology: {problems[0]}")
-        return space
+        return cls.from_sets(points, opens)
 
     def to_json(self) -> dict:
         return {"points": list(self.points), "opens": [sorted(self.labels(o), key=repr) for o in self.opens]}
@@ -140,8 +141,8 @@ class Topology:
         if carrier & ~self.full_mask:
             raise TopologyError("sub-carrier not within the carrier")
         points = tuple(self.points[i] for i in bits(carrier))
-        opens = {compress_mask(open_ & carrier, carrier) for open_ in self.opens}
-        return Topology(points, tuple(opens))
+        minimal = tuple(compress_mask(self.minimal[i] & carrier, carrier) for i in bits(carrier))
+        return Topology(points, minimal)
 
 
 def compress_mask(mask: int, carrier: int) -> int:
@@ -205,56 +206,53 @@ def fmt_set(labels) -> str:
 def generate_from_subbasis(points: Iterable[Hashable], subbasis: Iterable[Iterable[Hashable]]) -> Topology:
     """Smallest topology containing the subbasis sets.
 
-    Built from the minimal neighbourhood of each point (the intersection of
-    every subbasis set containing it) closed under binary union; on a finite
-    carrier that is exactly closure under the topology axioms.
+    Each point's minimal open is the intersection of every subbasis set
+    containing it (the whole carrier when none does).
     """
     pts = tuple(points)
-    probe = Topology(pts, (0, (1 << len(pts)) - 1))
-    masks = [probe.mask(member) for member in subbasis]
-    return Topology(pts, _close_masks(len(pts), masks))
+    indiscrete = Topology(pts, ((1 << len(pts)) - 1,) * len(pts))
+    masks = [indiscrete.mask(member) for member in subbasis]
+    return Topology(pts, _minimal_opens(len(pts), masks))
 
 
-def _close_masks(n: int, subbasis_masks: list[int]) -> tuple[int, ...]:
+def _minimal_opens(n: int, masks: list[int]) -> tuple[int, ...]:
+    """For each point, the intersection of the carrier and every mask containing it."""
     full = (1 << n) - 1
     minimal = []
     for i in range(n):
         nbhd = full
-        for mask in subbasis_masks:
+        for mask in masks:
             if mask >> i & 1:
                 nbhd &= mask
         minimal.append(nbhd)
-    opens = {0, full}
-    queue = list(set(minimal))
-    while queue:
-        new = queue.pop()
-        if new in opens:
-            continue
-        opens.add(new)
-        queue.extend(new | other for other in opens)
-    return tuple(sorted(opens))
+    return tuple(minimal)
 
 
-def verify_topology(space: Topology) -> list[Violation]:
-    """All axiom violations; empty list when the family is a topology.
+def verify_topology(points: tuple[Hashable, ...], opens: Iterable[int]) -> list[Violation]:
+    """All axiom violations of a family of index masks over the points.
 
-    Closure under binary unions and intersections is checked, which on a
-    finite family is equivalent to closure under arbitrary unions and
-    finite intersections.
+    The list is empty when the family is a topology.  Closure under binary
+    unions and intersections is checked, which on a finite family is
+    equivalent to closure under arbitrary unions and finite intersections.
     """
+
+    def labels(mask: int) -> frozenset:
+        return frozenset(points[i] for i in bits(mask))
+
     violations = []
-    opens = space.opens
-    present = space._opens_set
+    present = set(opens)
+    family = sorted(present)
+    full = (1 << len(points)) - 1
     if 0 not in present:
         violations.append(Violation("empty-set", (frozenset(),)))
-    if space.full_mask not in present:
-        violations.append(Violation("full-set", (space.labels(space.full_mask),)))
-    for i, a in enumerate(opens):
-        for b in opens[i + 1 :]:
+    if full not in present:
+        violations.append(Violation("full-set", (labels(full),)))
+    for i, a in enumerate(family):
+        for b in family[i + 1 :]:
             if a | b not in present:
-                violations.append(Violation("union", (space.labels(a), space.labels(b))))
+                violations.append(Violation("union", (labels(a), labels(b))))
             if a & b not in present:
-                violations.append(Violation("intersection", (space.labels(a), space.labels(b))))
+                violations.append(Violation("intersection", (labels(a), labels(b))))
     return violations
 
 
@@ -264,4 +262,4 @@ def random_topology(seed: int, n: int, k: int) -> Topology:
         raise TopologyError("random topologies are capped at 12 points")
     rng = Random(seed)
     masks = [rng.randrange(1 << n) for _ in range(k)]
-    return Topology(tuple(range(n)), _close_masks(n, masks))
+    return Topology(tuple(range(n)), _minimal_opens(n, masks))

@@ -44,13 +44,13 @@ def test_criterion_1_topology_laws():
     rng = Random(1)
     for seed in range(500):
         space = random_topology(seed, 2 + seed % 7, seed % 5)
-        assert verify_topology(space) == [], seed
+        assert verify_topology(space.points, space.opens) == [], seed
         # every subspace update must land on a topology again (chained twice)
         current = space
         for _ in range(2):
             carrier = rng.randrange(current.full_mask + 1)
             current = current.restrict(carrier)
-            assert verify_topology(current) == [], seed
+            assert verify_topology(current.points, current.opens) == [], seed
     elapsed = time.monotonic() - started
     _verdict(1, elapsed < 10.0, f"500 generated + twice-restricted topologies verified in {elapsed:.2f}s (< 10s)")
 

@@ -1,6 +1,7 @@
 """Backward induction and its announcement-limit reconstruction."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -15,7 +16,7 @@ from geopal.games import (
     rational_extension,
     tree_topology,
 )
-from geopal.topology import verify_topology
+from geopal.topology import bits, verify_topology
 
 
 def example_tree():
@@ -106,21 +107,20 @@ def test_tree_topology_chain():
     chain = GameTree(GameNode.decision(1, [GameNode.decision(2, [GameNode.leaf(0, 0)])]))
     space = tree_topology(chain)
     assert len(space.opens) == 4
-    assert verify_topology(space) == []
+    assert verify_topology(space.points, space.opens) == []
 
 
 def test_tree_topology_always_verifies():
-    # Branching kept at 2 so the explicit open families stay inspectable;
+    # Branching kept at 2 so the enumerated open families stay inspectable;
     # verification is quadratic in the family size.
     for seed in range(120):
         tree = random_game_tree(seed, max_depth=3, max_branching=2)
-        assert verify_topology(tree_topology(tree)) == []
-        assert verify_topology(tree_topology(tree, orientation="ancestor")) == []
+        for orientation in ("descendant", "ancestor"):
+            space = tree_topology(tree, orientation=orientation)
+            assert verify_topology(space.points, space.opens) == []
 
 
-def test_tree_topology_rejects_bushy_trees():
-    from geopal.games import MAX_TREE_OPENS
-
+def test_tree_topology_minimal_opens_are_subtrees():
     wide = GameTree(
         GameNode.decision(1, [
             GameNode.decision(2, [
@@ -131,9 +131,37 @@ def test_tree_topology_rejects_bushy_trees():
         ])
     )
     assert len(wide.nodes) == 40
-    with pytest.raises(ValueError, match="too many opens"):
-        tree_topology(wide)
-    assert MAX_TREE_OPENS >= 1 << 16
+    trees = [wide] + [random_game_tree(seed, max_depth=3, max_branching=2) for seed in range(40)]
+    for tree in trees:
+        count = len(tree.nodes)
+        descendant = tree_topology(tree)
+        ancestor = tree_topology(tree, orientation="ancestor")
+        for x in range(count):
+            subtree = {y for y in range(count) if x in tree.path_to(y)}
+            assert descendant.labels(descendant.minimal[x]) == subtree
+            assert ancestor.labels(ancestor.minimal[x]) == set(tree.path_to(x))
+
+
+def test_tree_topology_interior_is_largest_descendant_closed_subset():
+    rng = Random(12)
+    for seed in range(40):
+        tree = random_game_tree(seed, max_depth=3, max_branching=2)
+        space = tree_topology(tree)
+        for _ in range(6):
+            area = rng.randrange(space.full_mask + 1)
+            largest = 0
+            candidate = area
+            while True:  # every subset of the area, largest first
+                if all(
+                    candidate >> cid & 1
+                    for nid in bits(candidate)
+                    for cid in tree.children_ids[nid]
+                ):
+                    largest |= candidate
+                if candidate == 0:
+                    break
+                candidate = (candidate - 1) & area
+            assert space.interior(area) == largest, seed
 
 
 def test_game_model_validation():

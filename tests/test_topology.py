@@ -45,13 +45,11 @@ def test_subbasis_member_out_of_carrier_rejected():
 
 
 def test_verify_accepts_sierpinski():
-    space = Topology.from_sets([0, 1], [[], [0], [0, 1]])
-    assert verify_topology(space) == []
+    assert verify_topology((0, 1), [0b00, 0b01, 0b11]) == []
 
 
 def test_verify_reports_union_violation():
-    space = Topology.from_sets([0, 1], [[], [0], [1]])
-    problems = verify_topology(space)
+    problems = verify_topology((0, 1), [0b00, 0b01, 0b10])
     axioms = {violation.axiom for violation in problems}
     assert "full-set" in axioms
     union_violations = [v for v in problems if v.axiom == "union"]
@@ -62,8 +60,29 @@ def test_verify_reports_union_violation():
 
 
 def test_verify_reports_missing_empty_set():
-    space = Topology.from_sets([0, 1], [[0], [0, 1]])
-    assert any(violation.axiom == "empty-set" for violation in verify_topology(space))
+    assert any(violation.axiom == "empty-set" for violation in verify_topology((0, 1), [0b01, 0b11]))
+
+
+def test_from_sets_rejects_a_non_topology():
+    with pytest.raises(TopologyError, match=r"not a topology: union axiom violated by \{0\}, \{1\}"):
+        Topology.from_sets([0, 1, 2], [[], [0], [1], [0, 1, 2]])
+    with pytest.raises(TopologyError, match="not a topology: empty-set"):
+        Topology.from_sets([0, 1], [[0], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "points, minimal, message",
+    [
+        ((0, 1), (0b10, 0b11), "does not contain it"),
+        ((0, 1), (0b101, 0b11), "not within the carrier"),
+        ((0, 1, 2), (0b011, 0b110, 0b100), "minimal open of 1 not within that of 0"),
+        ((0, 1), (0b11,), "points but"),
+    ],
+    ids=["point-outside-its-open", "outside-carrier", "not-transitive", "wrong-count"],
+)
+def test_malformed_minimal_opens_rejected(points, minimal, message):
+    with pytest.raises(TopologyError, match=message):
+        Topology(points, minimal)
 
 
 def test_interior_examples():
@@ -105,18 +124,19 @@ def test_subspace_of_empty_carrier():
     sub = sier.restrict(0)
     assert sub.points == ()
     assert sub.opens == (0,)
-    assert verify_topology(sub) == []
+    assert verify_topology(sub.points, sub.opens) == []
 
 
 def test_random_topology_is_deterministic():
     assert random_topology(5, 6, 3) == random_topology(5, 6, 3)
-    assert random_topology(0, 4, 0) == Topology(tuple(range(4)), (0, 0b1111))
+    assert random_topology(0, 4, 0) == Topology(tuple(range(4)), (0b1111,) * 4)
 
 
 def test_random_topology_always_verifies():
     for seed in range(500):
         space = random_topology(seed, 3 + seed % 6, seed % 5)
-        assert verify_topology(space) == []
+        assert verify_topology(space.points, space.opens) == []
+        assert Topology.from_sets(space.points, [space.labels(o) for o in space.opens]) == space
 
 
 def test_kuratowski_laws_on_random_pairs():
@@ -156,7 +176,7 @@ def test_interior_is_largest_contained_open():
         space = random_topology(seed, 5, 3)
         for area in range(space.full_mask + 1):
             interior = space.interior(area)
-            assert space.is_open(interior)
+            assert interior in space.opens
             for open_ in space.opens:
                 if open_ & ~area == 0:
                     assert open_ & ~interior == 0

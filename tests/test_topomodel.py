@@ -74,7 +74,8 @@ def test_updated_space_is_a_topology():
     for seed in range(150):
         model = random_topomodel(seed, n=5, k=3)
         f = random_formula(rng, max_depth=4, modal="IC", announce_depth=1)
-        assert verify_topology(update(model, f).space) == []
+        space = update(model, f).space
+        assert verify_topology(space.points, space.opens) == []
 
 
 def test_evaluators_agree_on_announcement_free_formulas():
