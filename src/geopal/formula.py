@@ -147,18 +147,33 @@ _PREFIX_NODES = {
 _PREFIX_LETTERS = {type_: letter for letter, type_ in _PREFIX_NODES.items()}
 
 
+_LEAVES = frozenset({Atom, Top, Bot})
+_UNARY = frozenset({Not, Interior, Closure, Know, Possible, Effort, EffortDual, KnowI})
+_BINARY = frozenset({And, Or, Implies})
+
+
 def children(f: Formula) -> tuple[Formula, ...]:
-    """Immediate subformulas of a node."""
-    match f:
-        case Atom() | Top() | Bot():
-            return ()
-        case Not(b) | Interior(b) | Closure(b) | Know(b) | Possible(b) | Effort(b) | EffortDual(b):
-            return (b,)
-        case KnowI(_, b):
-            return (b,)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Announce(a, b):
-            return (a, b)
+    """Immediate subformulas of a node, left to right."""
+    kind = type(f)
+    if kind in _UNARY:
+        return (f.body,)
+    if kind in _BINARY:
+        return (f.left, f.right)
+    if kind is Announce:
+        return (f.announced, f.body)
+    if kind in _LEAVES:
+        return ()
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def rebuild(f: Formula, kids) -> Formula:
+    """A node of f's kind (and agent) over new children; rebuild(f, children(f)) == f."""
+    kind = type(f)
+    if kind in _LEAVES:
+        return f
+    if kind is KnowI:
+        return KnowI(f.agent, *kids)
+    return kind(*kids)
 
 
 def walk(f: Formula):
@@ -168,8 +183,23 @@ def walk(f: Formula):
         yield from walk(child)
 
 
-def atoms_of(f: Formula) -> frozenset[str]:
-    return frozenset(node.name for node in walk(f) if isinstance(node, Atom))
+# The node classes each semantics interprets.
+_BOOLEAN = _LEAVES | _BINARY | {Not, Announce}
+FRAGMENTS = {
+    "topo": _BOOLEAN | {Interior, Closure},
+    "ssl": _BOOLEAN | {Know, Possible, Effort, EffortDual},
+    "product": _BOOLEAN | {KnowI},
+}
+
+
+def check_fragment(f: Formula, semantics: str):
+    """Raise UnsupportedOperator at the first node outside the semantics' fragment."""
+    allowed = FRAGMENTS[semantics]
+    for node in walk(f):
+        if type(node) not in allowed:
+            raise UnsupportedOperator(
+                f"operator {type(node).__name__} is outside the {semantics} fragment"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +384,9 @@ def _render(f: Formula, required: int) -> str:
 
 
 def complexity(f: Formula) -> int:
-    match f:
-        case Atom() | Top() | Bot():
-            return 1
-        case Not(b) | Interior(b) | Closure(b) | Know(b) | Possible(b) | Effort(b) | EffortDual(b):
-            return 1 + complexity(b)
-        case KnowI(_, b):
-            return 1 + complexity(b)
-        case And(a, b) | Or(a, b) | Implies(a, b):
-            return 1 + complexity(a) + complexity(b)
-        case Announce(a, b):
-            return (4 + complexity(a)) * complexity(b)
-    raise TypeError(f"not a formula node: {f!r}")
+    if type(f) is Announce:
+        return (4 + complexity(f.announced)) * complexity(f.body)
+    return 1 + sum(map(complexity, children(f)))
 
 
 # ---------------------------------------------------------------------------

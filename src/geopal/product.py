@@ -33,6 +33,7 @@ from .formula import (
     Or,
     Top,
     UnsupportedOperator,
+    check_fragment,
     walk,
 )
 from .topology import (
@@ -137,8 +138,10 @@ class ProductModel:
         factor opens for K_i instead of calling `knowledge_interior`.
         """
         world = self.locus(world)
+        check_fragment(f, "product")
         for node in walk(f):
-            _check_operator(self, node)
+            if type(node) is KnowI:
+                _check_agent(self, node.agent)
         return _holds(self, world, f)
 
     def locus(self, world) -> World:
@@ -249,24 +252,19 @@ class ProductEvaluator:
             case Implies(a, b):
                 return (worlds - self.table(a)) | self.table(b)
             case KnowI(agent, b):
-                _check_operator(model, f)
+                _check_agent(model, agent)
                 return knowledge_interior(model, self.table(b), agent)
             case Announce(a, b):
                 ta = self.table(a)
                 tb2 = self.updated(a).table(b)
                 return (worlds - ta) | (ta & tb2)
-        _check_operator(model, f)  # raises: every interpreted node is matched above
+        check_fragment(f, "product")  # raises: every node of the fragment is matched above
 
 
-_OPERATORS = (Atom, Top, Bot, Not, And, Or, Implies, KnowI, Announce)
-
-
-def _check_operator(model: ProductModel, f: Formula):
-    """Raise UnsupportedOperator unless the node is interpreted on the model."""
-    if not isinstance(f, _OPERATORS):
-        raise UnsupportedOperator(f"operator {type(f).__name__} has no product interpretation")
-    if isinstance(f, KnowI) and f.agent > model.agent_count:
-        raise UnsupportedOperator(f"agent {f.agent} out of range for {model.agent_count} factors")
+def _check_agent(model: ProductModel, agent: int):
+    """Raise UnsupportedOperator unless the model has a factor for the agent."""
+    if agent > model.agent_count:
+        raise UnsupportedOperator(f"agent {agent} out of range for {model.agent_count} factors")
 
 
 def _holds(model: ProductModel, world: World, f: Formula) -> bool:

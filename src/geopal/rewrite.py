@@ -12,9 +12,12 @@ announcements inward with one schema per body shape:
     [f] Ki g       ->  f -> Ki [f] g        (product models)
 
 Nested announcements need no composition law: the announced formula and the
-body are eliminated first.  Every step strictly decreases
-`formula.complexity`, so both strategies (recursive innermost and one-step
-outermost) terminate.
+body are eliminated first.  `_single_step` is the one table of these
+schemas.  `reduce` applies it innermost first, handing it a continuation
+that eliminates each [f] g a step leaves behind; `_outermost_step` applies
+one step at the outermost announcement; `axiom_instance` builds every right
+side from it, so `check_axiom` probes the rules `reduce` applies.  Every
+step strictly decreases `formula.complexity`, so both drivers terminate.
 
 The effort schema is the one member of the set whose soundness is not
 guaranteed by the update semantics; `check_axiom` probes each schema
@@ -30,6 +33,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .formula import (
+    FRAGMENTS,
     And,
     Announce,
     Atom,
@@ -46,19 +50,15 @@ from .formula import (
     Or,
     Possible,
     Top,
-    UnsupportedOperator,
+    check_fragment,
+    children,
+    rebuild,
 )
 from .product import random_product_model
 from .sslmodel import random_ssl_model
 from .topomodel import random_topomodel
 
-SEMANTICS = ("topo", "ssl", "product")
-
-_ALLOWED = {
-    "topo": (Atom, Top, Bot, Not, And, Or, Implies, Interior, Closure, Announce),
-    "ssl": (Atom, Top, Bot, Not, And, Or, Implies, Know, Possible, Effort, EffortDual, Announce),
-    "product": (Atom, Top, Bot, Not, And, Or, Implies, KnowI, Announce),
-}
+SEMANTICS = tuple(FRAGMENTS)
 
 _AXIOM_RANGE = {"topo": 4, "ssl": 5, "product": 4}
 
@@ -68,170 +68,70 @@ def _check_semantics(semantics: str):
         raise ValueError(f"unknown semantics {semantics!r}, expected one of {SEMANTICS}")
 
 
-def validate_operators(f: Formula, semantics: str):
-    _check_semantics(semantics)
-    allowed = _ALLOWED[semantics]
-    from .formula import walk
-
-    for node in walk(f):
-        if not isinstance(node, allowed):
-            raise UnsupportedOperator(
-                f"operator {type(node).__name__} is outside the {semantics} fragment"
-            )
+_DUALS = {Closure: Interior, Possible: Know, EffortDual: Effort}
 
 
 def normalize_duals(f: Formula) -> Formula:
     """Rewrite C, L, D into ~I~, ~K~, ~E~ form, bottom-up."""
-    match f:
-        case Atom() | Top() | Bot():
-            return f
-        case Closure(b):
-            return Not(Interior(Not(normalize_duals(b))))
-        case Possible(b):
-            return Not(Know(Not(normalize_duals(b))))
-        case EffortDual(b):
-            return Not(Effort(Not(normalize_duals(b))))
-        case Not(b):
-            return Not(normalize_duals(b))
-        case Interior(b):
-            return Interior(normalize_duals(b))
-        case Know(b):
-            return Know(normalize_duals(b))
-        case Effort(b):
-            return Effort(normalize_duals(b))
-        case KnowI(agent, b):
-            return KnowI(agent, normalize_duals(b))
-        case And(a, b):
-            return And(normalize_duals(a), normalize_duals(b))
-        case Or(a, b):
-            return Or(normalize_duals(a), normalize_duals(b))
-        case Implies(a, b):
-            return Implies(normalize_duals(a), normalize_duals(b))
-        case Announce(a, b):
-            return Announce(normalize_duals(a), normalize_duals(b))
-    raise TypeError(f"not a formula node: {f!r}")
+    kids = tuple(map(normalize_duals, children(f)))
+    dual = _DUALS.get(type(f))
+    return rebuild(f, kids) if dual is None else Not(dual(Not(kids[0])))
 
 
-def _single_step(announced: Formula, body: Formula) -> Formula:
-    """One schema application to [announced] body; body must not be an announcement."""
-    a = announced
-    match body:
-        case Atom() | Top() | Bot():
-            return Implies(a, body)
-        case Not(x):
-            return Implies(a, Not(Announce(a, x)))
-        case And(x, y):
-            return And(Announce(a, x), Announce(a, y))
-        case Or(x, y):
-            return Or(Announce(a, x), Announce(a, y))
-        case Implies(x, y):
-            return Implies(Announce(a, x), Announce(a, y))
-        case Interior(x):
-            return Implies(a, Interior(Announce(a, x)))
-        case Know(x):
-            return Implies(a, Know(Announce(a, x)))
-        case Effort(x):
-            return Implies(a, Effort(Announce(a, x)))
-        case KnowI(agent, x):
-            return Implies(a, KnowI(agent, Announce(a, x)))
-    raise TypeError(f"no reduction schema for body {type(body).__name__}")
+# Schema shapes: [f] (g o h) -> [f] g o [f] h, and [f] Og -> f -> O [f] g.
+_DISTRIBUTIVE = frozenset({And, Or, Implies})
+_GUARDED = frozenset({Not, Interior, Know, Effort, KnowI})
 
 
-def _push(announced: Formula, body: Formula, trace: list | None) -> Formula:
-    if trace is not None:
-        trace.append((announced, body))
-    a = announced
-    match body:
-        case Atom() | Top() | Bot():
-            return Implies(a, body)
-        case Not(x):
-            return Implies(a, Not(_push(a, x, trace)))
-        case And(x, y):
-            return And(_push(a, x, trace), _push(a, y, trace))
-        case Or(x, y):
-            return Or(_push(a, x, trace), _push(a, y, trace))
-        case Implies(x, y):
-            return Implies(_push(a, x, trace), _push(a, y, trace))
-        case Interior(x):
-            return Implies(a, Interior(_push(a, x, trace)))
-        case Know(x):
-            return Implies(a, Know(_push(a, x, trace)))
-        case Effort(x):
-            return Implies(a, Effort(_push(a, x, trace)))
-        case KnowI(agent, x):
-            return Implies(a, KnowI(agent, _push(a, x, trace)))
-    raise TypeError(f"no reduction schema for body {type(body).__name__}")
+def _single_step(announced: Formula, body: Formula, announce=Announce) -> Formula:
+    """One schema application to [announced] body; body must not be an announcement.
 
-
-def _eliminate(f: Formula, trace: list | None) -> Formula:
-    match f:
-        case Atom() | Top() | Bot():
-            return f
-        case Not(b):
-            return Not(_eliminate(b, trace))
-        case Interior(b):
-            return Interior(_eliminate(b, trace))
-        case Know(b):
-            return Know(_eliminate(b, trace))
-        case Effort(b):
-            return Effort(_eliminate(b, trace))
-        case KnowI(agent, b):
-            return KnowI(agent, _eliminate(b, trace))
-        case And(a, b):
-            return And(_eliminate(a, trace), _eliminate(b, trace))
-        case Or(a, b):
-            return Or(_eliminate(a, trace), _eliminate(b, trace))
-        case Implies(a, b):
-            return Implies(_eliminate(a, trace), _eliminate(b, trace))
-        case Announce(a, b):
-            return _push(_eliminate(a, trace), _eliminate(b, trace), trace)
-    raise TypeError(f"not a formula node: {f!r}")
+    `announce(a, g)` builds each [a] g the schema leaves behind: the node
+    itself for one step, or, from `reduce`, its elimination.
+    """
+    kind = type(body)
+    if kind in _DISTRIBUTIVE:
+        return kind(announce(announced, body.left), announce(announced, body.right))
+    if kind in _GUARDED:
+        return Implies(announced, rebuild(body, (announce(announced, body.body),)))
+    if kind in (Atom, Top, Bot):
+        return Implies(announced, body)
+    raise TypeError(f"no reduction schema for body {kind.__name__}")
 
 
 def _outermost_step(f: Formula) -> Formula | None:
     """Rewrite at the outermost applicable announcement, or None if none left."""
-    if isinstance(f, Announce) and not isinstance(f.body, Announce):
+    if type(f) is Announce and type(f.body) is not Announce:
         return _single_step(f.announced, f.body)
-    match f:
-        case Atom() | Top() | Bot():
-            return None
-        case Not(b) | Interior(b) | Closure(b) | Know(b) | Possible(b) | Effort(b) | EffortDual(b):
-            inner = _outermost_step(b)
-            return None if inner is None else type(f)(inner)
-        case KnowI(agent, b):
-            inner = _outermost_step(b)
-            return None if inner is None else KnowI(agent, inner)
-        case And(a, b) | Or(a, b) | Implies(a, b) | Announce(a, b):
-            left = _outermost_step(a)
-            if left is not None:
-                return type(f)(left, b)
-            right = _outermost_step(b)
-            return None if right is None else type(f)(a, right)
-    raise TypeError(f"not a formula node: {f!r}")
+    kids = children(f)
+    for i, kid in enumerate(kids):
+        step = _outermost_step(kid)
+        if step is not None:
+            return rebuild(f, kids[:i] + (step,) + kids[i + 1 :])
+    return None
 
 
-def reduce(
-    f: Formula,
-    semantics: str,
-    strategy: str = "innermost",
-    trace: list | None = None,
-) -> Formula:
+def reduce(f: Formula, semantics: str, trace: list | None = None) -> Formula:
     """Equivalent announcement-free formula for the given semantics.
 
     `trace`, when provided, collects the (announced, body) pair of every
-    schema application under the innermost strategy.
+    schema application.
     """
-    validate_operators(f, semantics)
-    f = normalize_duals(f)
-    if strategy == "innermost":
-        return _eliminate(f, trace)
-    if strategy == "outermost":
-        while True:
-            step = _outermost_step(f)
-            if step is None:
-                return f
-            f = step
-    raise ValueError(f"unknown strategy {strategy!r}")
+    _check_semantics(semantics)
+    check_fragment(f, semantics)
+
+    def push(announced: Formula, body: Formula) -> Formula:
+        if trace is not None:
+            trace.append((announced, body))
+        return _single_step(announced, body, push)
+
+    def eliminate(g: Formula) -> Formula:
+        # Innermost first: the announced formula and the body, then the push.
+        if type(g) is Announce:
+            return push(eliminate(g.announced), eliminate(g.body))
+        return rebuild(g, tuple(map(eliminate, children(g))))
+
+    return eliminate(normalize_duals(f))
 
 
 # ---------------------------------------------------------------------------
@@ -260,26 +160,24 @@ def axiom_instance(
     chi: Formula | None = None,
     agent: int = 1,
 ) -> tuple[Formula, Formula]:
-    """Both sides of the reduction equivalence, instantiated."""
+    """Both sides of the reduction equivalence, instantiated; the right
+    side is the one step `reduce` applies to the left."""
     index = axiom.index
     if index == 1:
         if not isinstance(psi, (Atom, Top, Bot)):
             raise ValueError("the atomic schema takes an atom on the right")
-        return Announce(phi, psi), Implies(phi, psi)
-    if index == 2:
-        return Announce(phi, Not(psi)), Implies(phi, Not(Announce(phi, psi)))
-    if index == 3:
-        return Announce(phi, And(psi, chi)), And(Announce(phi, psi), Announce(phi, chi))
-    if axiom.semantics == "topo":
-        return Announce(phi, Interior(psi)), Implies(phi, Interior(Announce(phi, psi)))
-    if axiom.semantics == "product":
-        return (
-            Announce(phi, KnowI(agent, psi)),
-            Implies(phi, KnowI(agent, Announce(phi, psi))),
-        )
-    if index == 4:
-        return Announce(phi, Know(psi)), Implies(phi, Know(Announce(phi, psi)))
-    return Announce(phi, Effort(psi)), Implies(phi, Effort(Announce(phi, psi)))
+        body = psi
+    elif index == 2:
+        body = Not(psi)
+    elif index == 3:
+        body = And(psi, chi)
+    elif axiom.semantics == "topo":
+        body = Interior(psi)
+    elif axiom.semantics == "product":
+        body = KnowI(agent, psi)
+    else:
+        body = Know(psi) if index == 4 else Effort(psi)
+    return Announce(phi, body), _single_step(phi, body)
 
 
 def schema_pool(semantics: str) -> dict[str, list[Formula]]:

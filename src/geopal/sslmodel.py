@@ -34,8 +34,7 @@ from .formula import (
     Or,
     Possible,
     Top,
-    UnsupportedOperator,
-    walk,
+    check_fragment,
 )
 from .topology import fmt_set, json_field, json_labels, json_list, json_valuation, parse_label
 
@@ -157,9 +156,7 @@ class SSLModel:
         announcements situation by situation, not through `apply_update`.
         """
         situation = self.locus(situation)
-        for node in walk(f):
-            if not isinstance(node, _OPERATORS):
-                raise _unsupported(node)
+        check_fragment(f, "ssl")
         return _holds(self, situation, f)
 
     def locus(self, situation) -> "Situation":
@@ -303,14 +300,7 @@ class SslEvaluator:
                 return vacuous | frozenset(
                     sit for sit in ta if Situation(sit.point, nbhd_map[sit.nbhd]) in tb2
                 )
-        raise _unsupported(f)
-
-
-_OPERATORS = (Atom, Top, Bot, Not, And, Or, Implies, Know, Possible, Effort, EffortDual, Announce)
-
-
-def _unsupported(f: Formula) -> UnsupportedOperator:
-    return UnsupportedOperator(f"operator {type(f).__name__} has no subset-space interpretation")
+        check_fragment(f, "ssl")  # raises: every node of the fragment is matched above
 
 
 def _holds(model: SSLModel, situation: Situation, f: Formula) -> bool:
@@ -350,7 +340,7 @@ def _holds(model: SSLModel, situation: Situation, f: Formula) -> bool:
                 return True
             shrunk = frozenset(t for t in nbhd if _holds(model, Situation(t, nbhd), a))
             return _holds(_announced(model, a), Situation(point, shrunk), b)
-    raise _unsupported(f)
+    check_fragment(f, "ssl")  # raises: every node of the fragment is matched above
 
 
 def _announced(model: SSLModel, a: Formula) -> SSLModel:

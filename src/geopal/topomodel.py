@@ -25,7 +25,7 @@ from .formula import (
     Not,
     Or,
     Top,
-    UnsupportedOperator,
+    check_fragment,
 )
 from .topology import (
     Topology,
@@ -90,6 +90,7 @@ class TopoModel:
 
     def satisfies(self, point: Hashable, f: Formula) -> bool:
         """Truth at one point through the quantifier-form oracle."""
+        check_fragment(f, "topo")
         return satisfies(self, point, f)
 
     def locus(self, point: Hashable) -> Hashable:
@@ -166,7 +167,7 @@ def extension(model: TopoModel, f: Formula) -> int:
                 if inner >> packed_index & 1:
                     surviving_true |= 1 << space.index(label)
             return (full & ~announced) | surviving_true
-    raise UnsupportedOperator(f"operator {type(f).__name__} has no topological interpretation")
+    check_fragment(f, "topo")  # raises: every node of the fragment is matched above
 
 
 def satisfies(model: TopoModel, point: Hashable, f: Formula) -> bool:
@@ -202,7 +203,7 @@ def satisfies(model: TopoModel, point: Hashable, f: Formula) -> bool:
             if not satisfies(model, point, a):
                 return True
             return satisfies(update(model, a), point, b)
-    raise UnsupportedOperator(f"operator {type(f).__name__} has no topological interpretation")
+    check_fragment(f, "topo")  # raises: every node of the fragment is matched above
 
 
 def update(model: TopoModel, f: Formula, _announced: int | None = None) -> TopoModel:

@@ -79,7 +79,6 @@ def test_criterion_3_subset_space_reduction_soundness():
         report = check_axiom(AxiomId("ssl", index), sample_size=300, seed=0)
         assert report.valid_on_sample, report.render()
     effort = check_axiom(AxiomId("ssl", 5), sample_size=300, seed=0)
-    REPORTS.mkdir(exist_ok=True)
     artifact = REPORTS / "ssl_axiom5_report.txt"
     lines = [
         "Effort/announcement reduction schema: empirical validity report",
@@ -97,13 +96,15 @@ def test_criterion_3_subset_space_reduction_soundness():
         lines.append("a hand-built witness is pinned in tests/test_rewrite.py::test_effort_schema_pinned_counter_model.")
     else:
         lines.append("no counterexample arose in this corpus; see tests/test_rewrite.py for the directed witness.")
-    artifact.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # The checked-in report is compared, never rewritten, so a change in
+    # check_axiom's output fails here instead of silently replacing it.
+    matches = artifact.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
     elapsed = time.monotonic() - started
     _verdict(
         3,
-        elapsed < 60.0,
+        matches and elapsed < 60.0,
         f"schemas 1-4 clean on 300 models; effort-schema report ({len(effort.counterexamples)} counterexamples, re-verified) "
-        f"written to {artifact.relative_to(REPO)}; {elapsed:.2f}s (< 60s)",
+        f"{'matches' if matches else 'DIFFERS FROM'} {artifact.relative_to(REPO)}; {elapsed:.2f}s (< 60s)",
     )
 
 

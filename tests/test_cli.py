@@ -162,6 +162,19 @@ def test_unexpected_error_exits_2_not_1():
     assert text.splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "formula, operator",
+    [("true | K p", "Know"), ("false & K p", "Know"), ("[!false] K p", "Know"), ("p -> K1 p", "KnowI")],
+)
+def test_check_rejects_operator_outside_topo_fragment(formula, operator):
+    out, err = io.StringIO(), io.StringIO()
+    # At point 1 each formula is decided before its K node is reached.
+    argv = ["check", "--model", str(DATA / "sier.topo.json"), "--at", "1", "--formula", formula]
+    assert run(argv, out=out, err=err) == 2
+    assert out.getvalue() == ""
+    assert f"operator {operator} " in err.getvalue()
+
+
 FACTOR = {"points": [0], "opens": [[], [0]]}
 MALFORMED = [
     ("topo-valuation", "update", {"kind": "topo", **FACTOR, "valuation": {"p": 5}}),

@@ -25,6 +25,7 @@ from geopal.formula import (
     complexity,
     parse,
     random_formula,
+    rebuild,
     render,
     walk,
 )
@@ -180,6 +181,16 @@ def test_parser_matches_reference_derivation():
     for _ in range(50):
         text = render(random_formula(rng, max_depth=6, modal="ICKLED", agents=2, announce_depth=2))
         assert parse(text) == _ref_parse(text)
+
+
+def test_rebuild_inverts_children():
+    rng = Random(12)
+    for _ in range(200):
+        f = random_formula(rng, max_depth=6, modal="ICKLED", agents=3, announce_depth=2)
+        for node in walk(f):
+            assert rebuild(node, children(node)) == node
+    with pytest.raises(TypeError):
+        children("p")
 
 
 def test_complexity_base_cases():

@@ -1,13 +1,27 @@
 """Announcement elimination, schema validity, extensional equivalence."""
 
+import dataclasses
 from random import Random
 
 import pytest
 
 from geopal.formula import (
+    FRAGMENTS,
+    And,
     Announce,
     Atom,
+    Bot,
+    Closure,
     Effort,
+    EffortDual,
+    Implies,
+    Interior,
+    Know,
+    KnowI,
+    Not,
+    Or,
+    Possible,
+    Top,
     UnsupportedOperator,
     complexity,
     parse,
@@ -16,12 +30,14 @@ from geopal.formula import (
     walk,
 )
 from geopal.rewrite import (
+    SEMANTICS,
     AxiomId,
     _outermost_step,
     _single_step,
     axiom_instance,
     check_axiom,
     equivalent_on,
+    normalize_duals,
     reduce,
     schema_pool,
 )
@@ -70,6 +86,47 @@ def test_reduce_rejects_foreign_operators():
         reduce(parse("E p"), "product")
 
 
+def _node_of(kind):
+    """One node of the class over the atoms p and q."""
+    p, q = Atom("p"), Atom("q")
+    if kind is Atom:
+        return p
+    if kind is KnowI:
+        return KnowI(1, p)
+    return kind(*(p, q)[: len(dataclasses.fields(kind))])
+
+
+_SAMPLE_MODELS = {
+    "topo": random_topomodel(0, n=3, k=2),
+    "ssl": random_ssl_model(0),
+    "product": random_product_model(0),
+}
+
+
+@pytest.mark.parametrize("semantics", SEMANTICS)
+def test_fragments_are_enforced_everywhere(semantics):
+    # reduce, truth and satisfies reject exactly the node classes outside the
+    # fragment, also inside a branch that evaluation skips.
+    model = _SAMPLE_MODELS[semantics]
+    locus = model.loci()[0]
+    kinds = [Atom, Top, Bot, Not, And, Or, Implies, Interior, Closure,
+             Know, Possible, Effort, EffortDual, KnowI, Announce]
+    for kind in kinds:
+        node = _node_of(kind)
+        for f in (node, Or(Top(), node)):
+            checks = (
+                lambda: reduce(f, semantics),
+                lambda: model.truth(f),
+                lambda: model.satisfies(locus, f),
+            )
+            for check in checks:
+                if kind in FRAGMENTS[semantics]:
+                    check()
+                else:
+                    with pytest.raises(UnsupportedOperator, match=kind.__name__):
+                        check()
+
+
 def test_reduce_handles_duals_via_negation_form():
     reduced = reduce(parse("[!p] C q"), "topo")
     assert not has_announce(reduced)
@@ -89,22 +146,27 @@ def test_reduce_output_announcement_free():
             assert not has_announce(reduced)
 
 
+def _outermost_normal_form(f):
+    f = normalize_duals(f)
+    while (step := _outermost_step(f)) is not None:
+        f = step
+    return f
+
+
 def test_strategies_agree():
-    # The schema set is orthogonal, so both strategies reach the same
-    # normal form, not merely equivalent ones.
+    # The schema set is orthogonal, so innermost elimination and repeated
+    # outermost steps reach the same normal form, not merely equivalent ones.
     rng = Random(42)
     for _ in range(200):
         f = random_formula(rng, max_depth=5, modal="KLED", announce_depth=2)
-        assert reduce(f, "ssl", strategy="innermost") == reduce(f, "ssl", strategy="outermost")
+        assert reduce(f, "ssl") == _outermost_normal_form(f)
     for _ in range(100):
         f = random_formula(rng, max_depth=5, modal="IC", announce_depth=2)
-        assert reduce(f, "topo", strategy="innermost") == reduce(f, "topo", strategy="outermost")
+        assert reduce(f, "topo") == _outermost_normal_form(f)
 
 
 def test_every_outermost_step_shrinks_complexity():
     rng = Random(43)
-    from geopal.rewrite import normalize_duals
-
     for _ in range(120):
         f = normalize_duals(
             random_formula(rng, max_depth=5, modal="KLED", announce_depth=2)

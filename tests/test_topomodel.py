@@ -129,6 +129,10 @@ def test_unsupported_operator_is_named():
     assert "Know" in str(excinfo.value)
     with pytest.raises(UnsupportedOperator):
         satisfies(model, 0, parse("K1 p"))
+    # Also where the quantifier clauses would never reach the node.
+    for text in ("true | K p", "false & K p", "[!false] K p", "p -> K1 p"):
+        with pytest.raises(UnsupportedOperator):
+            model.satisfies(1, parse(text))
 
 
 def test_point_outside_carrier_rejected():
