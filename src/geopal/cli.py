@@ -41,6 +41,7 @@ from .topology import fmt_set, json_field
 from .topomodel import TopoModel
 
 _MODEL_KINDS = {"topo": TopoModel, "ssl": SSLModel, "product": ProductModel, "game": GameTree}
+_WITH_LOCI = (TopoModel, SSLModel, ProductModel)
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +65,11 @@ def load_model(path: str):
         raise ValueError(f"{path}: {error}") from None
 
 
-def _load_model_with_loci(path: str, command: str):
+def _load(path: str, command: str, kinds: tuple):
     model = load_model(path)
-    if isinstance(model, GameTree):
-        raise ValueError(f"{command} expects a topo, ssl or product model; use bi for games")
+    if not isinstance(model, kinds):
+        expected = " or ".join(name for name, kind in _MODEL_KINDS.items() if kind in kinds)
+        raise ValueError(f"{command} expects a model of kind {expected}")
     return model
 
 
@@ -99,15 +101,15 @@ def _print_trace(trace: LimitTrace, out):
 
 
 def _cmd_check(args, out) -> int:
-    model = _load_model_with_loci(args.model, "check")
+    model = _load(args.model, "check", _WITH_LOCI)
     f = _parse_formula(args.formula)
-    value = model.satisfies(model.parse_locus(args.at), f)
+    value = model.locus(model.parse_locus(args.at)) in model.truth(f)
     print("true" if value else "false", file=out)
     return 0
 
 
 def _cmd_update(args, out) -> int:
-    model = _load_model_with_loci(args.model, "update")
+    model = _load(args.model, "update", _WITH_LOCI)
     updated = model.update(_parse_formula(args.formula))
     for line in updated.summary():
         print(line, file=out)
@@ -123,7 +125,7 @@ def _cmd_reduce(args, out) -> int:
 
 
 def _cmd_limit(args, out) -> int:
-    model = _load_model_with_loci(args.model, "limit")
+    model = _load(args.model, "limit", _WITH_LOCI)
     trace = limit_model(model, _parse_formula(args.formula))
     _print_trace(trace, out)
     if args.emit:
@@ -133,9 +135,7 @@ def _cmd_limit(args, out) -> int:
 
 
 def _cmd_ck(args, out) -> int:
-    model = load_model(args.model)
-    if not isinstance(model, ProductModel):
-        raise ValueError("ck expects a product model")
+    model = _load(args.model, "ck", (ProductModel,))
     result = common_knowledge_extension(model, _parse_formula(args.formula))
     print(
         f"common knowledge extension: {len(result.worlds)} of {len(model.worlds)} worlds"
@@ -172,9 +172,7 @@ def _cmd_muddy(args, out) -> int:
 
 
 def _cmd_bi(args, out) -> int:
-    tree = load_model(args.game)
-    if not isinstance(tree, GameTree):
-        raise ValueError("bi expects a game file")
+    tree = _load(args.game, "bi", (GameTree,))
     result = bi_via_announcements(tree)
     value = "(" + ", ".join(map(str, result.induction.value)) + ")"
     print(f"backward induction value: {value}", file=out)
@@ -190,9 +188,7 @@ def _cmd_bi(args, out) -> int:
 
 
 def _cmd_persistent(args, out) -> int:
-    model = load_model(args.model)
-    if not isinstance(model, SSLModel):
-        raise ValueError("persistent expects an ssl model")
+    model = _load(args.model, "persistent", (SSLModel,))
     f = _parse_formula(args.formula)
     witness = is_persistent(model, f)
     if witness is not None:

@@ -17,6 +17,7 @@ machinery.  The two runs must agree round for round.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce as fold
 from typing import Iterable
 
 from .formula import And, Atom, Formula, KnowI, Not, Or
@@ -29,6 +30,9 @@ from .topomodel import TopoModel
 # locus(raw) and track(locus, holds); see the README's model protocol.
 Model = TopoModel | SSLModel | ProductModel
 
+# How many stages a LimitTrace keeps as full model snapshots.
+SNAPSHOT_CAP = 64
+
 
 # ---------------------------------------------------------------------------
 # Announcement limits
@@ -38,27 +42,31 @@ Model = TopoModel | SSLModel | ProductModel
 class LimitTrace:
     """Record of an iterated announcement run.
 
-    `sizes` covers every stage; `stages` keeps full snapshots up to a cap.
-    `stage_count` is the number of updates that changed the model.  For
-    unpointed runs the outcome is "empty" or "stabilized-nonempty"; pointed
-    runs may instead halt with outcome "halted-at-locus" when the
-    announcement stops being true at the tracked locus.
+    `sizes` covers every stage; `stages` keeps full snapshots of the first
+    SNAPSHOT_CAP + 1 stages.  `stage_count` is the number of updates that
+    changed the model.  For unpointed runs the outcome is "empty" or
+    "stabilized-nonempty"; pointed runs may instead halt with outcome
+    "halted-at-locus" when the announcement stops being true at the
+    tracked locus.
     """
 
     sizes: tuple[int, ...]
     stages: tuple
-    stage_count: int
     outcome: str
     limit: object
     announcement_valid_in_limit: bool | None = None
     final_locus: object = None
 
+    @property
+    def stage_count(self) -> int:
+        return len(self.sizes) - 1
 
-def _stage_loop(model, step, snapshot_cap: int):
+
+def _stage_loop(model, step):
     """Apply step until it returns the model unchanged, or None to halt.
 
     Returns the last model, the size of every stage, snapshots of the first
-    stages up to the cap, and whether step halted the run.
+    SNAPSHOT_CAP + 1 stages, and whether step halted the run.
     """
     sizes = [model.size]
     stages = [model]
@@ -68,7 +76,7 @@ def _stage_loop(model, step, snapshot_cap: int):
             return model, tuple(sizes), tuple(stages), updated is None
         model = updated
         sizes.append(model.size)
-        if len(stages) <= snapshot_cap:
+        if len(stages) <= SNAPSHOT_CAP:
             stages.append(model)
 
 
@@ -77,20 +85,19 @@ def _valid(model: Model, f: Formula) -> bool:
     return model.truth(f) == frozenset(model.loci())
 
 
-def limit_model(model: Model, f: Formula, snapshot_cap: int = 64) -> LimitTrace:
+def limit_model(model: Model, f: Formula) -> LimitTrace:
     """Announce f repeatedly until the model stops changing."""
-    model, sizes, stages, _ = _stage_loop(model, lambda stage: stage.update(f), snapshot_cap)
+    model, sizes, stages, _ = _stage_loop(model, lambda stage: stage.update(f))
     return LimitTrace(
         sizes=sizes,
         stages=stages,
-        stage_count=len(sizes) - 1,
         outcome="empty" if model.is_empty else "stabilized-nonempty",
         limit=model,
         announcement_valid_in_limit=None if model.is_empty else _valid(model, f),
     )
 
 
-def announce_while_true(model: Model, locus, f: Formula, snapshot_cap: int = 64) -> LimitTrace:
+def announce_while_true(model: Model, locus, f: Formula) -> LimitTrace:
     """Repeat the announcement only while it is true at the tracked locus.
 
     The locus survives every stage (it satisfies each announcement made);
@@ -108,11 +115,10 @@ def announce_while_true(model: Model, locus, f: Formula, snapshot_cap: int = 64)
         locus = stage.track(locus, holds)
         return stage.update(f)
 
-    model, sizes, stages, halted = _stage_loop(model, step, snapshot_cap)
+    model, sizes, stages, halted = _stage_loop(model, step)
     return LimitTrace(
         sizes=sizes,
         stages=stages,
-        stage_count=len(sizes) - 1,
         outcome="halted-at-locus" if halted else "stabilized-nonempty",
         limit=model,
         announcement_valid_in_limit=None if halted else _valid(model, f),
@@ -164,22 +170,15 @@ def child_atom(child: str) -> Atom:
 
 def father_formula(n: int) -> Formula:
     """At least one child is muddy."""
-    result: Formula = child_atom(CHILD_NAMES[0])
-    for i in range(1, n):
-        result = Or(result, child_atom(CHILD_NAMES[i]))
-    return result
+    return fold(Or, (child_atom(name) for name in CHILD_NAMES[:n]))
 
 
 def ignorance_formula(n: int) -> Formula:
     """No child knows their own state (muddy or clean)."""
-    conjuncts = []
-    for i in range(n):
-        atom = child_atom(CHILD_NAMES[i])
-        conjuncts.append(And(Not(KnowI(i + 1, atom)), Not(KnowI(i + 1, Not(atom)))))
-    result: Formula = conjuncts[0]
-    for extra in conjuncts[1:]:
-        result = And(result, extra)
-    return result
+    return fold(And, (
+        And(Not(KnowI(i + 1, atom)), Not(KnowI(i + 1, Not(atom))))
+        for i, atom in enumerate(map(child_atom, CHILD_NAMES[:n]))
+    ))
 
 
 def muddy_model(n: int, muddy: Iterable[str]) -> tuple[ProductModel, World]:

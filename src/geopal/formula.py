@@ -177,10 +177,17 @@ def rebuild(f: Formula, kids) -> Formula:
 
 
 def walk(f: Formula):
-    """Yield every node of the formula, root first."""
-    yield f
-    for child in children(f):
-        yield from walk(child)
+    """Yield each distinct node object once, root first (preorder); iterative,
+    so shared subformulas of a reduced DAG are visited once, at any depth."""
+    seen = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        stack.extend(reversed(children(node)))
 
 
 # The node classes each semantics interprets.

@@ -81,41 +81,33 @@ class GameTree:
         return {"kind": "game", "root": node_json(self.root)}
 
     @cached_property
+    def _preorder(self) -> tuple[tuple, tuple, tuple]:
+        """Nodes, parent ids and child ids, from one iterative preorder pass."""
+        nodes, parents, kids = [], [], []
+        stack = [(self.root, None)]
+        while stack:
+            node, parent = stack.pop()
+            nid = len(nodes)
+            nodes.append(node)
+            parents.append(parent)
+            kids.append([])
+            if parent is not None:
+                kids[parent].append(nid)
+            stack.extend((child, nid) for child in reversed(node.children))
+        return tuple(nodes), tuple(parents), tuple(map(tuple, kids))
+
+    # Each index is its own attribute: rational_extension reads them in its inner loops.
+    @cached_property
     def nodes(self) -> tuple[GameNode, ...]:
-        collected = []
-
-        def visit(node):
-            collected.append(node)
-            for child in node.children:
-                visit(child)
-
-        visit(self.root)
-        return tuple(collected)
+        return self._preorder[0]
 
     @cached_property
     def parent(self) -> tuple[int | None, ...]:
-        parents = [None] * len(self.nodes)
-        for nid, node in enumerate(self.nodes):
-            for cid in self.children_ids[nid]:
-                parents[cid] = nid
-        return tuple(parents)
+        return self._preorder[1]
 
     @cached_property
     def children_ids(self) -> tuple[tuple[int, ...], ...]:
-        result = [None] * len(self.nodes)
-
-        def assign(node: GameNode, nid: int) -> int:
-            """Fill result[nid]; return the next free preorder id."""
-            ids = []
-            counter = nid + 1
-            for child in node.children:
-                ids.append(counter)
-                counter = assign(child, counter)
-            result[nid] = tuple(ids)
-            return counter
-
-        assign(self.root, 0)
-        return tuple(result)
+        return self._preorder[2]
 
     @cached_property
     def leaf_ids(self) -> frozenset[int]:
@@ -147,12 +139,7 @@ class GameTree:
 
     @cached_property
     def depth(self) -> int:
-        def measure(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(measure(child) for child in node.children)
-
-        return measure(self.root)
+        return max(len(self.path_to(leaf)) for leaf in self.leaf_ids) - 1
 
     def path_to(self, nid: int) -> list[int]:
         path = [nid]
@@ -179,25 +166,17 @@ def _payoff(value) -> Fraction:
         raise ValueError(f"bad payoff {value!r}") from None
 
 
-def tree_topology(tree: GameTree, orientation: str = "descendant") -> Topology:
+def tree_topology(tree: GameTree) -> Topology:
     """Topology on node ids whose opens are the descendant-closed node sets.
 
     Each node's minimal open is its subtree, so deeper information refines
-    opens under this orientation.  The "ancestor" orientation (opens are the
-    ancestor-closed sets, each node's minimal open its path from the root)
-    is available for experiments.
+    opens.
     """
     count = len(tree.nodes)
-    if orientation not in ("descendant", "ancestor"):
-        raise ValueError(f"unknown orientation {orientation!r}")
     minimal = [1 << nid for nid in range(count)]
-    if orientation == "descendant":
-        for nid in reversed(range(count)):  # preorder: children come after their parent
-            for cid in tree.children_ids[nid]:
-                minimal[nid] |= minimal[cid]
-    else:
-        for nid in range(1, count):
-            minimal[nid] |= minimal[tree.parent[nid]]
+    for nid in reversed(range(count)):  # preorder: children come after their parent
+        for cid in tree.children_ids[nid]:
+            minimal[nid] |= minimal[cid]
     return Topology(tuple(range(count)), tuple(minimal))
 
 
@@ -329,11 +308,11 @@ class BiAnnouncementResult:
     generic: bool
 
 
-def bi_via_announcements(tree: GameTree, snapshot_cap: int = 64) -> BiAnnouncementResult:
+def bi_via_announcements(tree: GameTree) -> BiAnnouncementResult:
     """Iterate the rationality announcement to its limit and compare with
     the backward induction fold."""
     model, sizes, stages, _ = _stage_loop(
-        GameModel.fresh(tree), lambda stage: GameModel(tree, rational_extension(stage)), snapshot_cap
+        GameModel.fresh(tree), lambda stage: GameModel(tree, rational_extension(stage))
     )
     induction = backward_induction(tree)
     surviving_leaves = model.surviving & tree.leaf_ids
@@ -341,7 +320,6 @@ def bi_via_announcements(tree: GameTree, snapshot_cap: int = 64) -> BiAnnounceme
     trace = LimitTrace(
         sizes=sizes,
         stages=stages,
-        stage_count=len(sizes) - 1,
         outcome="stabilized-nonempty",
         limit=model,
         announcement_valid_in_limit=True,
@@ -372,24 +350,17 @@ def random_game_tree(
     skeleton = shape(max_depth)
     if skeleton is None:
         skeleton = [None for _ in range(rng.randint(2, max_branching))]
-    leaf_count = [0]
 
-    def count(part):
-        if part is None:
-            leaf_count[0] += 1
-        else:
-            for sub in part:
-                count(sub)
+    def count(part) -> int:
+        return 1 if part is None else sum(map(count, part))
 
-    count(skeleton)
-    pools = [rng.sample(range(leaf_count[0] * 3), leaf_count[0]) for _ in range(players)]
-    cursor = [0]
+    leaf_count = count(skeleton)
+    pools = [rng.sample(range(leaf_count * 3), leaf_count) for _ in range(players)]
+    payoffs = zip(*pools)  # leaf i, in build order, gets entry i of every pool
 
     def build(part) -> GameNode:
         if part is None:
-            index = cursor[0]
-            cursor[0] += 1
-            return GameNode.leaf(*(Fraction(pool[index]) for pool in pools))
+            return GameNode.leaf(*map(Fraction, next(payoffs)))
         return GameNode.decision(rng.randint(1, players), [build(sub) for sub in part])
 
     return GameTree(build(skeleton))

@@ -23,10 +23,6 @@ LOWER = Fraction(-1)
 UPPER = Fraction(1)
 
 
-def _fmt(value: Fraction) -> str:
-    return str(value)
-
-
 @dataclass(frozen=True)
 class Interval:
     lo: Fraction
@@ -68,10 +64,10 @@ class Interval:
 
     def __str__(self) -> str:
         if self.degenerate:
-            return "{" + _fmt(self.lo) + "}"
+            return "{" + str(self.lo) + "}"
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
-        return f"{left}{_fmt(self.lo)}, {_fmt(self.hi)}{right}"
+        return f"{left}{self.lo}, {self.hi}{right}"
 
 
 def _connects(first: Interval, second: Interval) -> bool:
@@ -273,13 +269,17 @@ class DivergenceReport:
         return "\n".join(lines)
 
 
-def divergence_report(truncation_indices: tuple[int, ...] = (2, 10, 1000)) -> DivergenceReport:
+# The finite truncations the divergence report compares.
+TRUNCATION_INDICES = (2, 10, 1000)
+
+
+def divergence_report() -> DivergenceReport:
     """Compare the two evaluation orders exactly, limit and truncations."""
     closed_family = HarmonicFamily(Fraction(1), closed=True)
     open_family = HarmonicFamily(Fraction(1), closed=False)
     truncations = tuple(
         (n, euclid_interior(finite_meet(closed_family, n)), finite_meet(open_family, n))
-        for n in truncation_indices
+        for n in TRUNCATION_INDICES
     )
     return DivergenceReport(
         interior_of_limit=euclid_interior(omega_limit(closed_family)),

@@ -334,7 +334,8 @@ def fmt_world(world: World) -> str:
 
 
 def h_open(model: ProductModel, area: Iterable[World], axis: int) -> bool:
-    """Whether every member of the area has an axis-open slice inside it.
+    """Whether every member of the area has an axis-open slice inside it:
+    whether it lies within its own knowledge interior on the full product.
 
     Axis 1 is the classical horizontal direction for two factors; general n
     is handled by fixing all other coordinates.  The area is a subset of the
@@ -343,15 +344,10 @@ def h_open(model: ProductModel, area: Iterable[World], axis: int) -> bool:
     if not 1 <= axis <= model.agent_count:
         raise ValueError(f"axis {axis} out of range")
     area = frozenset(map(tuple, area))
-    full = frozenset(cartesian(*(f.points for f in model.factors)))
-    if not area <= full:
+    full = ProductModel.full(model.factors)
+    if not area <= full.worlds:
         raise ValueError("area is not a subset of the full product")
-    factor = model.factors[axis - 1]
-    return all(
-        v in area
-        for world in area
-        for v in model.variants(world, axis, factor.minimal[factor.index(world[axis - 1])])
-    )
+    return area <= knowledge_interior(full, area, axis)
 
 
 def random_product_model(
@@ -367,9 +363,8 @@ def random_product_model(
         random_topology(rng.randrange(1 << 30), rng.randint(1, max_points), rng.randint(0, 3))
         for _ in range(count)
     )
-    worlds = frozenset(cartesian(*(f.points for f in factors)))
-    ordered = sorted(worlds)
+    full = ProductModel.full(factors)
     valuation = {
-        atom: frozenset(w for w in ordered if rng.random() < 0.5) for atom in atoms
+        atom: frozenset(w for w in full.loci() if rng.random() < 0.5) for atom in atoms
     }
-    return ProductModel(factors, worlds, valuation)
+    return ProductModel(factors, full.worlds, valuation)

@@ -29,6 +29,7 @@ two layers (these last are what catch the effort schema).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -304,24 +305,14 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
 
 
 def _instantiations(axiom: AxiomId, pools, model):
-    if axiom.index == 1:
-        for phi in pools["phi"]:
-            for psi in pools["atoms"]:
-                yield phi, psi, None, 1
-    elif axiom.index == 3:
-        for phi in pools["phi"]:
-            for psi in pools["psi"]:
-                for chi in pools["chi"]:
-                    yield phi, psi, chi, 1
-    elif axiom.semantics == "product" and axiom.index == 4:
-        for phi in pools["phi"]:
-            for psi in pools["psi"]:
-                for agent in range(1, model.agent_count + 1):
-                    yield phi, psi, None, agent
-    else:
-        for phi in pools["phi"]:
-            for psi in pools["psi"]:
-                yield phi, psi, None, 1
+    """Every (phi, psi, chi, agent) of the schema, phi varying slowest."""
+    per_agent = axiom.semantics == "product" and axiom.index == 4
+    return itertools.product(
+        pools["phi"],
+        pools["atoms"] if axiom.index == 1 else pools["psi"],
+        pools["chi"] if axiom.index == 3 else [None],
+        range(1, model.agent_count + 1) if per_agent else [1],
+    )
 
 
 # ---------------------------------------------------------------------------

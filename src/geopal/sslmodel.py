@@ -218,6 +218,10 @@ def situations(model: SSLModel) -> list[Situation]:
     return model.loci()
 
 
+# Each dual pair differs only in its quantifier: "for every" or "for some".
+_QUANTIFIER = {Know: all, Possible: any, Effort: all, EffortDual: any}
+
+
 class SslEvaluator:
     """Batch evaluator for one model: formula -> set of satisfying situations.
 
@@ -268,29 +272,19 @@ class SslEvaluator:
                 return self.table(a) | self.table(b)
             case Implies(a, b):
                 return (self._all - self.table(a)) | self.table(b)
-            case Know(b):
+            case Know(b) | Possible(b):
                 tb = self.table(b)
+                holds = _QUANTIFIER[type(f)]
                 good = {member for member in self.model.sigma
-                        if all(Situation(t, member) in tb for t in member)}
+                        if holds(Situation(t, member) in tb for t in member)}
                 return frozenset(sit for sit in self.situations if sit.nbhd in good)
-            case Possible(b):
+            case Effort(b) | EffortDual(b):
                 tb = self.table(b)
-                good = {member for member in self.model.sigma
-                        if any(Situation(t, member) in tb for t in member)}
-                return frozenset(sit for sit in self.situations if sit.nbhd in good)
-            case Effort(b):
-                tb = self.table(b)
+                holds = _QUANTIFIER[type(f)]
                 return frozenset(
                     sit for sit in self.situations
-                    if all(Situation(sit.point, v) in tb
-                           for v in self.model._refinements[sit.nbhd] if sit.point in v)
-                )
-            case EffortDual(b):
-                tb = self.table(b)
-                return frozenset(
-                    sit for sit in self.situations
-                    if any(Situation(sit.point, v) in tb
-                           for v in self.model._refinements[sit.nbhd] if sit.point in v)
+                    if holds(Situation(sit.point, v) in tb
+                             for v in self.model._refinements[sit.nbhd] if sit.point in v)
                 )
             case Announce(a, b):
                 ta = self.table(a)
@@ -387,15 +381,18 @@ class PersistenceWitness:
 
 
 def is_persistent(model: SSLModel, f: Formula) -> PersistenceWitness | None:
-    """None when truth of f survives every neighbourhood shrink, else a witness."""
+    """None when truth of f survives every neighbourhood shrink (f -> E f is
+    valid), else a witness: the first refinement failing f where E f fails."""
     table = model.truth(f)
-    for point in model.points:
-        for larger in model.sigma:
-            if point not in larger or Situation(point, larger) not in table:
-                continue
-            for smaller in model.sigma:
-                if smaller < larger and point in smaller and Situation(point, smaller) not in table:
-                    return PersistenceWitness(point, larger, smaller)
+    kept = model.truth(Effort(f))
+    for situation in model.loci():
+        if situation in table and situation not in kept:
+            point, larger = situation
+            return next(
+                PersistenceWitness(point, larger, smaller)
+                for smaller in model._refinements[larger]
+                if point in smaller and Situation(point, smaller) not in table
+            )
     return None
 
 

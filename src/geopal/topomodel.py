@@ -4,7 +4,9 @@ Two evaluators are provided.  `extension` computes the truth set of a
 formula bottom-up with bitmask operations and is the default everywhere.
 `satisfies` spells out the quantifier clauses for the modalities
 (exists-open-forall for interior, forall-open-exists for closure) and is
-kept purely as a differential-testing oracle for `extension`.
+kept purely as a differential-testing oracle for `extension`: it never
+calls `extension`, and it announces by finding the surviving points one by
+one before both paths share `_restrict`.
 """
 
 from __future__ import annotations
@@ -158,7 +160,7 @@ def extension(model: TopoModel, f: Formula) -> int:
             return space.closure(extension(model, b))
         case Announce(a, b):
             announced = extension(model, a)
-            updated = update(model, a, _announced=announced)
+            updated = _restrict(model, announced)
             inner = extension(updated, b)
             # Points failing the announcement satisfy it vacuously; surviving
             # points defer to the updated model, mapped back through labels.
@@ -202,13 +204,18 @@ def satisfies(model: TopoModel, point: Hashable, f: Formula) -> bool:
         case Announce(a, b):
             if not satisfies(model, point, a):
                 return True
-            return satisfies(update(model, a), point, b)
+            carrier = sum(1 << t for t, label in enumerate(space.points) if satisfies(model, label, a))
+            return satisfies(_restrict(model, carrier), point, b)
     check_fragment(f, "topo")  # raises: every node of the fragment is matched above
 
 
-def update(model: TopoModel, f: Formula, _announced: int | None = None) -> TopoModel:
+def update(model: TopoModel, f: Formula) -> TopoModel:
     """Announcement update: restrict carrier, topology and valuation to (f)."""
-    carrier = extension(model, f) if _announced is None else _announced
+    return _restrict(model, extension(model, f))
+
+
+def _restrict(model: TopoModel, carrier: int) -> TopoModel:
+    """The subspace model on the points of the carrier mask."""
     space = model.space.restrict(carrier)
     valuation = {
         atom: compress_mask(mask & carrier, carrier)

@@ -2,11 +2,13 @@
 
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from geopal.cli import dump_model, load_model, run
+from geopal.formula import parse
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -195,3 +197,49 @@ def test_malformed_model_file_exits_2(tmp_path, command, body):
     code, text = invoke(argv)
     assert code == 2
     assert text.startswith(f"error: {path}: ") and text.count("\n") == 1, text
+
+
+def _nested_announcement(k):
+    # F_0 = p, F_k+1 = [!(F_k) | p] K ((F_k) & q): the oracle's cost grows
+    # about 6.5x per level, evaluation through `truth` stays polynomial.
+    text = "p"
+    for _ in range(k):
+        text = f"[!({text}) | p] K (({text}) & q)"
+    return text
+
+
+def test_check_answers_through_truth(tmp_path):
+    path = tmp_path / "tower.ssl.json"
+    path.write_text(json.dumps(
+        {"kind": "ssl", "points": [0, 1, 2], "sets": [[0], [0, 1]], "valuation": {"p": [0, 1, 2], "q": [0, 2]}}
+    ))
+    model = load_model(str(path))
+    for k in range(1, 5):
+        formula = _nested_announcement(k)
+        for at in ("0@0", "0@0,1", "1@0,1"):
+            expected = model.satisfies(model.parse_locus(at), parse(formula))
+            assert invoke(["check", "--model", str(path), "--at", at, "--formula", formula]) == (
+                0, "true\n" if expected else "false\n"
+            ), (k, at)
+    start = time.perf_counter()
+    code, _ = invoke(["check", "--model", str(path), "--at", "0@0", "--formula", _nested_announcement(7)])
+    assert code == 0
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "command, fixture, flag",
+    [
+        ("check", "handoff.game.json", "--model"),
+        ("ck", "pair.ssl.json", "--model"),
+        ("persistent", "duo.product.json", "--model"),
+        ("bi", "sier.topo.json", "--game"),
+    ],
+)
+def test_command_rejects_other_model_kinds(command, fixture, flag):
+    argv = [command, flag, str(DATA / fixture)]
+    if command != "bi":
+        argv += ["--formula", "p"] + (["--at", "0"] if command == "check" else [])
+    code, text = invoke(argv)
+    assert code == 2
+    assert f"error: {command} expects a model of kind " in text

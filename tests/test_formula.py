@@ -1,5 +1,6 @@
 """Parser, printer and complexity measure."""
 
+import dataclasses
 from random import Random
 
 import pytest
@@ -21,6 +22,8 @@ from geopal.formula import (
     ParseError,
     Possible,
     Top,
+    UnsupportedOperator,
+    check_fragment,
     children,
     complexity,
     parse,
@@ -225,3 +228,48 @@ def test_complexity_drops_across_every_reduction_schema():
         cases.append((Announce(P, body), _single_step(P, body)))
     for lhs, rhs in cases:
         assert complexity(lhs) > complexity(rhs), (render(lhs), render(rhs))
+
+
+def _walk_reference(f):
+    """The recursive preorder walk over the formula as a tree."""
+    yield f
+    for child in children(f):
+        yield from _walk_reference(child)
+
+
+def _fresh_copy(f):
+    """f with every node a distinct object (the fuzzer shares TOP and BOT)."""
+    kids = children(f)
+    return rebuild(f, tuple(map(_fresh_copy, kids))) if kids else dataclasses.replace(f)
+
+
+def test_walk_is_the_preorder_without_repeats():
+    rng = Random(31)
+    for _ in range(200):
+        f = random_formula(rng, max_depth=6, modal="ICKLED", agents=2, announce_depth=2)
+        tree = _fresh_copy(f)
+        assert [id(n) for n in walk(tree)] == [id(n) for n in _walk_reference(tree)]
+        first_visits = {id(n): n for n in _walk_reference(f)}  # dicts keep first insertion order
+        assert [id(n) for n in walk(f)] == list(first_visits)
+
+
+def test_walk_yields_each_shared_node_once():
+    f = P
+    layers = [f]
+    for _ in range(16):
+        f = And(f, Not(f))  # a DAG of 33 objects, a tree of about 2**17 nodes
+        layers.append(f)
+    nodes = list(walk(f))
+    assert nodes[0] is f
+    assert len(nodes) == 1 + 2 * 16
+    assert len({id(node) for node in nodes}) == len(nodes)
+    assert {id(node) for node in nodes} >= {id(layer) for layer in layers}
+
+
+def test_check_fragment_on_deep_chain():
+    f = P
+    for _ in range(5000):
+        f = Not(f)
+    check_fragment(f, "topo")
+    with pytest.raises(UnsupportedOperator, match="operator Know is outside the topo fragment"):
+        check_fragment(Not(And(f, Know(f))), "topo")

@@ -115,9 +115,8 @@ def test_tree_topology_always_verifies():
     # verification is quadratic in the family size.
     for seed in range(120):
         tree = random_game_tree(seed, max_depth=3, max_branching=2)
-        for orientation in ("descendant", "ancestor"):
-            space = tree_topology(tree, orientation=orientation)
-            assert verify_topology(space.points, space.opens) == []
+        space = tree_topology(tree)
+        assert verify_topology(space.points, space.opens) == []
 
 
 def test_tree_topology_minimal_opens_are_subtrees():
@@ -135,11 +134,9 @@ def test_tree_topology_minimal_opens_are_subtrees():
     for tree in trees:
         count = len(tree.nodes)
         descendant = tree_topology(tree)
-        ancestor = tree_topology(tree, orientation="ancestor")
         for x in range(count):
             subtree = {y for y in range(count) if x in tree.path_to(y)}
             assert descendant.labels(descendant.minimal[x]) == subtree
-            assert ancestor.labels(ancestor.minimal[x]) == set(tree.path_to(x))
 
 
 def test_tree_topology_interior_is_largest_descendant_closed_subset():
@@ -186,3 +183,49 @@ def test_payoff_vectors_checked():
         GameTree(GameNode.decision(1, [GameNode.leaf(1, 2), GameNode.leaf(1,)])).player_count
     with pytest.raises(ValueError):
         GameTree(GameNode.decision(3, [GameNode.leaf(1, 2), GameNode.leaf(0, 0)])).player_count
+
+
+def _recursive_index(tree):
+    """The recursive traversals the preorder pass replaced: nodes, child ids, depth."""
+    nodes, kids = [], []
+
+    def visit(node):
+        nid = len(nodes)
+        nodes.append(node)
+        kids.append([])
+        for child in node.children:
+            kids[nid].append(len(nodes))
+            visit(child)
+
+    def measure(node):
+        return 0 if node.is_leaf else 1 + max(measure(child) for child in node.children)
+
+    visit(tree.root)
+    parents = [None] * len(nodes)
+    for nid, ids in enumerate(kids):
+        for cid in ids:
+            parents[cid] = nid
+    return nodes, tuple(map(tuple, kids)), tuple(parents), measure(tree.root)
+
+
+def test_tree_index_matches_recursive_traversal():
+    for seed in range(200):
+        tree = random_game_tree(seed, max_depth=5, max_branching=3)
+        nodes, kids, parents, depth = _recursive_index(tree)
+        assert len(tree.nodes) == len(nodes) and all(a is b for a, b in zip(tree.nodes, nodes))
+        assert tree.children_ids == kids
+        assert tree.parent == parents
+        assert tree.depth == depth
+
+
+def test_deep_chain_indexes_and_solves():
+    chain = GameNode.leaf(1, 0)
+    for step in range(2000):
+        chain = GameNode.decision(1 + step % 2, [chain])
+    # At the root, mover 1 drops the outside option (0, 0) for the chain's (1, 0).
+    tree = GameTree(GameNode.decision(1, [chain, GameNode.leaf(0, 0)]))
+    assert len(tree.nodes) == 2003
+    assert tree.depth == 2001
+    result = bi_via_announcements(tree)
+    assert result.matches_backward_induction and result.generic
+    assert result.trace.sizes == (2003, 2002)

@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 import geopal.product as product
-from geopal.formula import UnsupportedOperator, parse, random_formula
+from geopal.formula import Atom, KnowI, UnsupportedOperator, parse, random_formula
 from geopal.product import (
     ProductEvaluator,
     ProductModel,
@@ -221,3 +221,30 @@ def test_satisfies_agrees_with_truth_on_random_models():
         holds = model.truth(f)
         for world in model.loci():
             assert model.satisfies(world, f) == (world in holds), (seed, str(f), world)
+
+
+def _h_open_reference(model, area, axis):
+    """The variant scan h_open replaced: every axis variant of a member stays in the area."""
+    area = frozenset(map(tuple, area))
+    factor = model.factors[axis - 1]
+    return all(
+        v in area
+        for world in area
+        for v in model.variants(world, axis, factor.minimal[factor.index(world[axis - 1])])
+    )
+
+
+def test_h_open_matches_the_variant_scan():
+    rng = Random(17)
+    outcomes = Counter()
+    for seed in range(150):
+        model = random_product_model(seed)
+        for axis in range(1, model.agent_count + 1):
+            # Random areas are rarely open; knowledge extensions along the axis always are.
+            areas = [[w for w in model.loci() if rng.random() < density] for density in (0.3, 0.8, 1.0)]
+            areas.append(model.truth(KnowI(axis, Atom("p"))))
+            for area in areas:
+                verdict = h_open(model, area, axis)
+                assert verdict == _h_open_reference(model, area, axis), (seed, axis, area)
+                outcomes[verdict] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100, outcomes

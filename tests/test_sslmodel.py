@@ -300,3 +300,30 @@ def test_reverification_does_not_read_the_tables(monkeypatch):
         fresh = dataclasses.replace(c.model)
         assert c.lhs_value == (c.locus in fresh.truth(c.lhs))
         assert c.rhs_value == (c.locus in fresh.truth(c.rhs))
+
+
+def _persistence_reference(model, f):
+    """The point x larger set x smaller set scan is_persistent replaced."""
+    table = model.truth(f)
+    for point in model.points:
+        for larger in model.sigma:
+            if point not in larger or Situation(point, larger) not in table:
+                continue
+            for smaller in model.sigma:
+                if smaller < larger and point in smaller and Situation(point, smaller) not in table:
+                    return sslmodel.PersistenceWitness(point, larger, smaller)
+    return None
+
+
+def test_persistence_witness_matches_the_direct_scan():
+    rng = Random(23)
+    outcomes = Counter()
+    for seed in range(300):
+        model = random_ssl_model(seed)
+        for wrap in (None, None, "L", "L", "~K", "~K"):  # L and ~K are what usually fail to persist
+            f = random_formula(rng, max_depth=3, modal="KLED")
+            f = f if wrap is None else parse(f"{wrap} ({f})")
+            witness = is_persistent(model, f)
+            assert witness == _persistence_reference(model, f), (seed, str(f))
+            outcomes[witness is None] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 50, outcomes

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import geopal.topomodel as topomodel
 from geopal.formula import UnsupportedOperator, parse, random_formula
 from geopal.topology import verify_topology
 from geopal.topomodel import TopoModel, extension, random_topomodel, satisfies, update
@@ -138,3 +139,16 @@ def test_unsupported_operator_is_named():
 def test_point_outside_carrier_rejected():
     with pytest.raises(Exception):
         satisfies(sierpinski(), 7, parse("p"))
+
+
+def test_oracle_does_not_run_extension(monkeypatch):
+    # The oracle must not lean on the evaluator it checks: with `extension`
+    # replaced by one that announces nothing away, its verdicts stay put.
+    formula = parse("[!p] I q")
+    models = [random_topomodel(seed, 5, 3) for seed in range(200)]
+    honest = [[satisfies(m, s, formula) for s in m.space.points] for m in models]
+    honest_updates = [update(m, formula.announced) for m in models]
+    monkeypatch.setattr(topomodel, "extension", lambda model, f: model.space.full_mask)
+    # The stub is live: the fast update now keeps carriers the honest one shrinks.
+    assert sum(update(m, formula.announced) != u for m, u in zip(models, honest_updates)) > 100
+    assert [[satisfies(m, s, formula) for s in m.space.points] for m in models] == honest
