@@ -190,6 +190,23 @@ def walk(f: Formula):
         stack.extend(reversed(children(node)))
 
 
+def postorder(f: Formula, kids):
+    """Yield each distinct node object once, after every node of `kids(node)`
+    (`children`, or a subset of them); iterative, so a pass over it can read
+    each kid's value by `id` and visits shared subformulas of a reduced DAG
+    once, at any depth."""
+    seen = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if node is None:  # every kid of the node below it is done
+            yield stack.pop()
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack += node, None
+            stack.extend(reversed(kids(node)))
+
+
 # The node classes each semantics interprets.
 _BOOLEAN = _LEAVES | _BINARY | {Not, Announce}
 FRAGMENTS = {
@@ -304,13 +321,23 @@ class _Parser:
         return left
 
     def unary(self) -> Formula:
+        # A run of prefix operators is read in a loop and wrapped from the
+        # inside out, so "~~~...p" costs no stack depth; announcements recurse.
+        prefixes = []
+        while self.peek()[0] in ("~", "PREFIX", "KI"):
+            prefixes.append(self.advance())
+        result = self.operand()
+        for kind, value, _ in reversed(prefixes):
+            if kind == "~":
+                result = Not(result)
+            elif kind == "PREFIX":
+                result = _PREFIX_NODES[value](result)
+            else:
+                result = KnowI(value, result)
+        return result
+
+    def operand(self) -> Formula:
         kind, value, pos = self.advance()
-        if kind == "~":
-            return Not(self.unary())
-        if kind == "PREFIX":
-            return _PREFIX_NODES[value](self.unary())
-        if kind == "KI":
-            return KnowI(value, self.unary())
         if kind == "[!":
             announced = self.formula()
             self.expect("]", "to close the announcement '[!'")

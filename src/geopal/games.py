@@ -291,12 +291,14 @@ def rational_extension(model: GameModel) -> frozenset[int]:
                 if worst_case is None or other_span[0] > worst_case:
                     dominated_edges.add(cid)
                     break
-    result = set()
-    for nid in alive:
-        path = tree.path_to(nid)
-        if all(step not in dominated_edges for step in path[1:]):
-            result.add(nid)
-    return frozenset(result)
+    # Preorder ids put each parent before its children, and survivors are
+    # closed toward the root: one ascending pass decides every node.
+    rational = set()
+    for nid in sorted(alive):
+        parent = tree.parent[nid]
+        if parent is None or (parent in rational and nid not in dominated_edges):
+            rational.add(nid)
+    return frozenset(rational)
 
 
 @dataclass(frozen=True)

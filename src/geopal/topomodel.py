@@ -2,6 +2,19 @@
 
 Two evaluators are provided.  `extension` computes the truth set of a
 formula bottom-up with bitmask operations and is the default everywhere.
+It is one iterative pass over the distinct node objects, children first
+(`formula.postorder`), with each node's mask kept by `id`: a subformula
+shared in a reduced DAG is evaluated once, and a long chain of operators
+costs no stack depth.  An announcement's body is evaluated on the subspace
+model through a nested call, so the depth of Python recursion is the depth
+of announcement nesting.
+
+Each model memoizes both: node masks by `id`, so a node object evaluated
+once on a model (a shared subformula of two formulas, a repeated `truth`)
+is not evaluated again there, and subspaces by carrier mask, so
+`update(f) is update(f)` and every announcement of the same set restricts
+the space once.  Subspaces keep their own node masks.
+
 `satisfies` spells out the quantifier clauses for the modalities
 (exists-open-forall for interior, forall-open-exists for closure) and is
 kept purely as a differential-testing oracle for `extension`: it never
@@ -11,7 +24,8 @@ one before both paths share `_restrict`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from random import Random
 from typing import Hashable, Iterable, Mapping
 
@@ -28,12 +42,15 @@ from .formula import (
     Or,
     Top,
     check_fragment,
+    children,
+    postorder,
 )
 from .topology import (
     Topology,
     TopologyError,
     bits,
     compress_mask,
+    expand_mask,
     fmt_set,
     json_labels,
     json_valuation,
@@ -83,11 +100,32 @@ class TopoModel:
     def loci(self) -> tuple:
         return self.space.points
 
+    # The memo, built on first use.  Equality and repr see only the fields,
+    # and __getstate__ keeps it out of pickles.
+    @cached_property
+    def _subspaces(self) -> dict[int, "TopoModel"]:
+        return {}
+
+    @cached_property
+    def _masks(self) -> dict[int, int]:
+        return {}
+
+    # Every node keyed in _masks is reachable from a formula held here, so
+    # it stays alive and no other object can take its id.
+    @cached_property
+    def _evaluated(self) -> list[Formula]:
+        return []
+
+    def __getstate__(self) -> dict:
+        """Pickles and copies carry the fields, not the memo."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def truth(self, f: Formula) -> frozenset:
-        """The points where f holds."""
+        """The points where f holds (node masks memoized on the model)."""
         return self.space.labels(extension(self, f))
 
     def update(self, f: Formula) -> "TopoModel":
+        """The announcement update, memoized: the same carrier gives the same model object."""
         return update(self, f)
 
     def satisfies(self, point: Hashable, f: Formula) -> bool:
@@ -136,40 +174,55 @@ class TopoModel:
 
 
 def extension(model: TopoModel, f: Formula) -> int:
-    """Truth set of the formula as a mask over the model's points."""
+    """Truth set of the formula as a mask over the model's points.
+
+    Nodes whose mask the model already holds are neither entered nor
+    evaluated again."""
+    value = model._masks
+    if id(f) in value:
+        return value[id(f)]
+    model._evaluated.append(f)
     space = model.space
     full = space.full_mask
-    match f:
-        case Atom(name):
-            return model.atom_mask(name)
-        case Top():
-            return full
-        case Bot():
-            return 0
-        case Not(b):
-            return full & ~extension(model, b)
-        case And(a, b):
-            return extension(model, a) & extension(model, b)
-        case Or(a, b):
-            return extension(model, a) | extension(model, b)
-        case Implies(a, b):
-            return (full & ~extension(model, a)) | extension(model, b)
-        case Interior(b):
-            return space.interior(extension(model, b))
-        case Closure(b):
-            return space.closure(extension(model, b))
-        case Announce(a, b):
-            announced = extension(model, a)
-            updated = _restrict(model, announced)
-            inner = extension(updated, b)
+
+    def kids(node):
+        # Known nodes are not entered; an announcement's body belongs to the subspace.
+        if id(node) in value:
+            return ()
+        return (node.announced,) if type(node) is Announce else children(node)
+
+    for node in postorder(f, kids):
+        if id(node) in value:
+            continue
+        kind = type(node)
+        if kind is Atom:
+            mask = model.atom_mask(node.name)
+        elif kind is Not:
+            mask = full & ~value[id(node.body)]
+        elif kind is And:
+            mask = value[id(node.left)] & value[id(node.right)]
+        elif kind is Or:
+            mask = value[id(node.left)] | value[id(node.right)]
+        elif kind is Implies:
+            mask = (full & ~value[id(node.left)]) | value[id(node.right)]
+        elif kind is Interior:
+            mask = space.interior(value[id(node.body)])
+        elif kind is Closure:
+            mask = space.closure(value[id(node.body)])
+        elif kind is Top:
+            mask = full
+        elif kind is Bot:
+            mask = 0
+        elif kind is Announce:
+            announced = value[id(node.announced)]
+            inner = extension(_restrict(model, announced), node.body)
             # Points failing the announcement satisfy it vacuously; surviving
-            # points defer to the updated model, mapped back through labels.
-            surviving_true = 0
-            for packed_index, label in enumerate(updated.space.points):
-                if inner >> packed_index & 1:
-                    surviving_true |= 1 << space.index(label)
-            return (full & ~announced) | surviving_true
-    check_fragment(f, "topo")  # raises: every node of the fragment is matched above
+            # points defer to the subspace, whose indices pack the carrier's.
+            mask = (full & ~announced) | expand_mask(inner, announced)
+        else:
+            check_fragment(node, "topo")  # raises: every node of the fragment is matched above
+        value[id(node)] = mask
+    return value[id(f)]
 
 
 def satisfies(model: TopoModel, point: Hashable, f: Formula) -> bool:
@@ -215,13 +268,15 @@ def update(model: TopoModel, f: Formula) -> TopoModel:
 
 
 def _restrict(model: TopoModel, carrier: int) -> TopoModel:
-    """The subspace model on the points of the carrier mask."""
-    space = model.space.restrict(carrier)
-    valuation = {
-        atom: compress_mask(mask & carrier, carrier)
-        for atom, mask in model.valuation.items()
-    }
-    return TopoModel(space, valuation)
+    """The subspace model on the points of the carrier mask, built once per carrier."""
+    subspace = model._subspaces.get(carrier)
+    if subspace is None:
+        valuation = {
+            atom: compress_mask(mask & carrier, carrier)
+            for atom, mask in model.valuation.items()
+        }
+        subspace = model._subspaces[carrier] = TopoModel(model.space.restrict(carrier), valuation)
+    return subspace
 
 
 def random_topomodel(seed: int, n: int, k: int, atoms: tuple[str, ...] = ("p", "q")) -> TopoModel:

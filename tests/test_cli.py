@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from geopal.cli import dump_model, load_model, run
-from geopal.formula import parse
+from geopal.formula import Not, parse
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -243,3 +243,16 @@ def test_command_rejects_other_model_kinds(command, fixture, flag):
     code, text = invoke(argv)
     assert code == 2
     assert f"error: {command} expects a model of kind " in text
+
+
+def test_check_evaluates_a_long_prefix_run():
+    # 3,001 negations: the parser reads the run in a loop and the evaluator
+    # walks the chain without recursion, so the answer is printed, exit 0.
+    path = DATA / "sier.topo.json"
+    chain = parse("p")
+    for _ in range(3001):
+        chain = Not(chain)
+    expected = 0 in load_model(str(path)).truth(chain)
+    assert invoke(["check", "--model", str(path), "--at", "0", "--formula", "~" * 3001 + "p"]) == (
+        0, "true\n" if expected else "false\n"
+    )

@@ -1,5 +1,6 @@
 """Backward induction and its announcement-limit reconstruction."""
 
+import time
 from fractions import Fraction
 from random import Random
 
@@ -229,3 +230,52 @@ def test_deep_chain_indexes_and_solves():
     result = bi_via_announcements(tree)
     assert result.matches_backward_induction and result.generic
     assert result.trace.sizes == (2003, 2002)
+
+
+def _rational_reference(model):
+    """The path rule: a surviving node is rational when no edge on its root
+    path leads to a child whose surviving payoffs for the mover all lie
+    below some sibling's."""
+    tree, alive = model.tree, model.surviving
+
+    def span(cid, mover):
+        payoffs = [tree.nodes[leaf].payoffs[mover - 1] for leaf in tree.subtree_leaves[cid] if leaf in alive]
+        return (min(payoffs), max(payoffs)) if payoffs else None
+
+    dominated = set()
+    for nid in alive:
+        node = tree.nodes[nid]
+        spans = {cid: span(cid, node.player) for cid in tree.children_ids[nid] if cid in alive}
+        for cid, own in spans.items():
+            if len(spans) > 1 and any(
+                other != cid and theirs is not None and (own is None or theirs[0] > own[1])
+                for other, theirs in spans.items()
+            ):
+                dominated.add(cid)
+    return frozenset(nid for nid in alive if not dominated.intersection(tree.path_to(nid)[1:]))
+
+
+def test_rational_extension_matches_the_path_rule():
+    for seed in range(200):
+        tree = random_game_tree(seed, max_depth=5, max_branching=3, players=2 + seed % 2)
+        model = GameModel.fresh(tree)
+        while True:
+            survivors = rational_extension(model)
+            assert survivors == _rational_reference(model), seed
+            if survivors == model.surviving:
+                break
+            model = GameModel(tree, survivors)
+
+
+def test_rationality_stage_is_linear_in_depth():
+    chain = GameNode.leaf(1, 0)
+    for step in range(4000):
+        chain = GameNode.decision(1 + step % 2, [chain])
+    tree = GameTree(GameNode.decision(1, [chain, GameNode.leaf(0, 0)]))
+    model = GameModel.fresh(tree)
+    assert len(tree.nodes) == 4003
+    tree.subtree_leaves  # index the tree outside the timed stage
+    start = time.perf_counter()
+    survivors = rational_extension(model)
+    assert time.perf_counter() - start < 0.2
+    assert survivors == model.surviving - {4002}

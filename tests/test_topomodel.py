@@ -1,12 +1,30 @@
-"""Topological models: the two evaluators and the announcement update."""
+"""Topological models: the two evaluators, the announcement update, the
+visit-once pass and the per-model memo."""
 
+import dataclasses
+import gc
+import pickle
+import time
+import weakref
 from random import Random
 
 import pytest
 
 import geopal.topomodel as topomodel
-from geopal.formula import UnsupportedOperator, parse, random_formula
-from geopal.topology import verify_topology
+from geopal.formula import (
+    Announce,
+    Atom,
+    Closure,
+    Interior,
+    Not,
+    Or,
+    UnsupportedOperator,
+    parse,
+    random_formula,
+    walk,
+)
+from geopal.rewrite import reduce
+from geopal.topology import Topology, verify_topology
 from geopal.topomodel import TopoModel, extension, random_topomodel, satisfies, update
 
 
@@ -152,3 +170,120 @@ def test_oracle_does_not_run_extension(monkeypatch):
     # The stub is live: the fast update now keeps carriers the honest one shrinks.
     assert sum(update(m, formula.announced) != u for m, u in zip(models, honest_updates)) > 100
     assert [[satisfies(m, s, formula) for s in m.space.points] for m in models] == honest
+
+
+# -- the visit-once pass ----------------------------------------------------
+
+
+def chained(depth):
+    """F_0 = p, F_k+1 = [!(F_k) | p] I ((F_k) & q): its reduction is a large DAG."""
+    text = "p"
+    for _ in range(depth):
+        text = f"[!({text}) | p] I (({text}) & q)"
+    return parse(text)
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_reduced_chain_evaluates_like_the_original(depth):
+    model = random_topomodel(0, 6, 3)
+    f = chained(depth)
+    reduced = reduce(f, "topo")
+    start = time.perf_counter()
+    assert model.truth(reduced) == model.truth(f)
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.fixture
+def interior_calls(monkeypatch):
+    """The areas passed to Topology.interior (closure calls it too)."""
+    calls = []
+    interior = Topology.interior
+
+    def counting(self, area):
+        calls.append(area)
+        return interior(self, area)
+
+    monkeypatch.setattr(Topology, "interior", counting)
+    return calls
+
+
+def test_each_shared_interior_is_computed_once(interior_calls):
+    model = random_topomodel(0, 6, 3)
+    reduced = reduce(chained(3), "topo")
+    kinds = [type(node) for node in walk(reduced)]
+    assert Announce not in kinds and Closure not in kinds
+    model.truth(reduced)
+    assert len(interior_calls) == kinds.count(Interior)
+
+
+def test_deep_negation_chain_evaluates_and_updates():
+    model = sierpinski()
+    f = parse("p")
+    for _ in range(20_001):
+        f = Not(f)
+    assert model.truth(f) == frozenset({1})
+    assert update(model, f).space.points == (1,)
+
+
+# -- the per-model memo -----------------------------------------------------
+
+
+def test_truth_evaluates_each_node_object_once_per_model(interior_calls):
+    calls = interior_calls
+    model = random_topomodel(3, 5, 3)
+    shared = parse("I (p | C q)")
+    first = model.truth(shared)
+    assert len(calls) == 2  # closure is the dual interior
+    calls.clear()
+    model.truth(Or(shared, Interior(Atom("q"))))
+    assert len(calls) == 1  # only the new Interior
+    announced = Announce(shared, Interior(Atom("p")))
+    value = model.truth(announced)
+    calls.clear()
+    assert model.truth(announced) == value and model.truth(shared) == first
+    assert calls == []
+    assert model.truth(parse("I (p | C q)")) == first and len(calls) == 2  # an equal new object
+    assert random_topomodel(3, 5, 3).truth(announced) == value
+
+
+def test_update_is_memoized_per_carrier(monkeypatch):
+    restricts = []
+    restrict = Topology.restrict
+
+    def counting(self, carrier):
+        restricts.append(carrier)
+        return restrict(self, carrier)
+
+    monkeypatch.setattr(Topology, "restrict", counting)
+    model = random_topomodel(3, 5, 3)
+    f = parse("[!p] I q & C [!p] (I q | ~p)")
+    model.truth(f)
+    assert len(restricts) == 1  # both announcements of p restrict to one subspace
+    updated = model.update(parse("p"))  # announced inside f: already built
+    assert model.update(parse("p")) is updated
+    assert model.update(parse("~~p")) is updated  # the same carrier
+    assert len(restricts) == 1
+
+
+def test_memo_leaves_no_reference_cycle():
+    gc.disable()
+    try:
+        model = random_topomodel(3, 5, 3)
+        model.truth(parse("[!p] I q"))
+        model.update(parse("[!p] I q"))
+        model.update(parse("true"))
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_pickles_and_copies_carry_the_fields_not_the_memo():
+    model = random_topomodel(3, 5, 3)
+    model.update(parse("p"))
+    memo = {"_subspaces", "_masks", "_evaluated"}
+    assert memo <= set(vars(model))
+    for copy in (pickle.loads(pickle.dumps(model)), dataclasses.replace(model)):
+        assert copy == model and not memo & set(vars(copy))
+        assert copy.update(parse("p")) == model.update(parse("p"))
