@@ -207,6 +207,16 @@ def postorder(f: Formula, kids):
             stack.extend(reversed(kids(node)))
 
 
+def fold(f: Formula, step):
+    """The value of `step(node, values)` at the root, where `values` lists the
+    values of the node's children in order; iterative over `postorder`, so
+    `step` runs once per distinct node object, at any depth."""
+    value = {}
+    for node in postorder(f, children):
+        value[id(node)] = step(node, [value[id(kid)] for kid in children(node)])
+    return value[id(f)]
+
+
 # The node classes each semantics interprets.
 _BOOLEAN = _LEAVES | _BINARY | {Not, Announce}
 FRAGMENTS = {
@@ -379,48 +389,51 @@ def parse(text: str) -> Formula:
 
 def render(f: Formula) -> str:
     """Concrete syntax with minimal parentheses; parse(render(f)) == f."""
-    return _render(f, 0)
+    return fold(f, _render_step)[0]
 
 
-def _render(f: Formula, required: int) -> str:
-    match f:
-        case Atom(name):
-            return name
-        case Top():
-            return "true"
-        case Bot():
-            return "false"
-        case Not(b):
-            text, level = "~" + _render(b, 3), 3
-        case KnowI(agent, b):
-            text, level = f"K{agent} " + _render(b, 3), 3
-        case Announce(a, b):
-            text, level = "[!" + _render(a, 0) + "] " + _render(b, 3), 3
-        case Interior(b) | Closure(b) | Know(b) | Possible(b) | Effort(b) | EffortDual(b):
-            text, level = _PREFIX_LETTERS[type(f)] + " " + _render(b, 3), 3
-        case And(a, b):
-            text, level = _render(a, 2) + " & " + _render(b, 3), 2
-        case Or(a, b):
-            text, level = _render(a, 1) + " | " + _render(b, 2), 1
-        case Implies(a, b):
-            text, level = _render(a, 1) + " -> " + _render(b, 0), 0
-        case _:
-            raise TypeError(f"not a formula node: {f!r}")
+# Binary connectives: symbol, own level, levels required of the two operands.
+_INFIX = {And: (" & ", 2, 2, 3), Or: (" | ", 1, 1, 2), Implies: (" -> ", 0, 1, 0)}
+
+
+def _operand(value: tuple[str, int], required: int) -> str:
+    text, level = value
     return "(" + text + ")" if level < required else text
+
+
+def _render_step(f: Formula, kids) -> tuple[str, int]:
+    kind = type(f)
+    if kind in _INFIX:
+        symbol, level, left, right = _INFIX[kind]
+        return _operand(kids[0], left) + symbol + _operand(kids[1], right), level
+    if kind is Announce:
+        prefix = "[!" + _operand(kids[0], 0) + "] "
+    elif kind is Not:
+        prefix = "~"
+    elif kind is KnowI:
+        prefix = f"K{f.agent} "
+    elif kids:
+        prefix = _PREFIX_LETTERS[kind] + " "
+    else:
+        return (f.name if kind is Atom else "true" if kind is Top else "false"), 4
+    return prefix + _operand(kids[-1], 3), 3  # the body of a prefix or an announcement
 
 
 # ---------------------------------------------------------------------------
 # Complexity
 
-# Termination measure for the announcement-elimination rewriter: every
-# schema instance strictly shrinks it, and it is strictly monotone in each
-# subterm, so single steps applied anywhere in a formula shrink the whole.
-
 
 def complexity(f: Formula) -> int:
+    """Termination measure for announcement elimination, counted over f as a
+    tree: every reduction schema instance strictly shrinks it, and it is
+    strictly monotone in each subterm, so a step anywhere shrinks the whole."""
+    return fold(f, _complexity_step)
+
+
+def _complexity_step(f: Formula, kids) -> int:
     if type(f) is Announce:
-        return (4 + complexity(f.announced)) * complexity(f.body)
-    return 1 + sum(map(complexity, children(f)))
+        return (4 + kids[0]) * kids[1]
+    return 1 + sum(kids)
 
 
 # ---------------------------------------------------------------------------

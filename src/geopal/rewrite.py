@@ -13,11 +13,11 @@ announcements inward with one schema per body shape:
 
 Nested announcements need no composition law: the announced formula and the
 body are eliminated first.  `_single_step` is the one table of these
-schemas.  `reduce` applies it innermost first, handing it a continuation
-that eliminates each [f] g a step leaves behind; `_outermost_step` applies
-one step at the outermost announcement; `axiom_instance` builds every right
-side from it, so `check_axiom` probes the rules `reduce` applies.  Every
-step strictly decreases `formula.complexity`, so both drivers terminate.
+schemas.  `reduce` is one `formula.fold`: at each announcement it folds
+`_single_step` over the already eliminated body, so each node of that body
+is pushed once.  `axiom_instance` builds every right side from it, so
+`check_axiom` probes the rules `reduce` applies.  Every step strictly
+decreases `formula.complexity`, so elimination terminates.
 
 The effort schema is the one member of the set whose soundness is not
 guaranteed by the update semantics; `check_axiom` probes each schema
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 from .formula import (
@@ -53,6 +54,7 @@ from .formula import (
     Top,
     check_fragment,
     children,
+    fold,
     rebuild,
 )
 from .product import random_product_model
@@ -74,65 +76,50 @@ _DUALS = {Closure: Interior, Possible: Know, EffortDual: Effort}
 
 def normalize_duals(f: Formula) -> Formula:
     """Rewrite C, L, D into ~I~, ~K~, ~E~ form, bottom-up."""
-    kids = tuple(map(normalize_duals, children(f)))
+    return fold(f, _dual_step)
+
+
+def _dual_step(f: Formula, kids) -> Formula:
     dual = _DUALS.get(type(f))
     return rebuild(f, kids) if dual is None else Not(dual(Not(kids[0])))
 
 
-# Schema shapes: [f] (g o h) -> [f] g o [f] h, and [f] Og -> f -> O [f] g.
+# Schema shapes: [f] (g o h) -> [f] g o [f] h, and [f] Og -> f -> O [f] g,
+# where a leaf is guarded with nothing to push: [f] p -> f -> p.
 _DISTRIBUTIVE = frozenset({And, Or, Implies})
-_GUARDED = frozenset({Not, Interior, Know, Effort, KnowI})
+_GUARDED = frozenset({Not, Interior, Know, Effort, KnowI, Atom, Top, Bot})
 
 
-def _single_step(announced: Formula, body: Formula, announce=Announce) -> Formula:
+def _single_step(announced: Formula, body: Formula, pushed=None) -> Formula:
     """One schema application to [announced] body; body must not be an announcement.
 
-    `announce(a, g)` builds each [a] g the schema leaves behind: the node
-    itself for one step, or, from `reduce`, its elimination.
+    `pushed` lists what stands for [announced] g at each child g of body: the
+    node itself for one step, or, from `reduce`, its elimination.
     """
+    if pushed is None:
+        pushed = [Announce(announced, kid) for kid in children(body)]
     kind = type(body)
     if kind in _DISTRIBUTIVE:
-        return kind(announce(announced, body.left), announce(announced, body.right))
+        return kind(*pushed)
     if kind in _GUARDED:
-        return Implies(announced, rebuild(body, (announce(announced, body.body),)))
-    if kind in (Atom, Top, Bot):
-        return Implies(announced, body)
+        return Implies(announced, rebuild(body, pushed))
     raise TypeError(f"no reduction schema for body {kind.__name__}")
 
 
-def _outermost_step(f: Formula) -> Formula | None:
-    """Rewrite at the outermost applicable announcement, or None if none left."""
-    if type(f) is Announce and type(f.body) is not Announce:
-        return _single_step(f.announced, f.body)
-    kids = children(f)
-    for i, kid in enumerate(kids):
-        step = _outermost_step(kid)
-        if step is not None:
-            return rebuild(f, kids[:i] + (step,) + kids[i + 1 :])
-    return None
-
-
-def reduce(f: Formula, semantics: str, trace: list | None = None) -> Formula:
-    """Equivalent announcement-free formula for the given semantics.
-
-    `trace`, when provided, collects the (announced, body) pair of every
-    schema application.
-    """
+def reduce(f: Formula, semantics: str) -> Formula:
+    """Equivalent announcement-free formula for the given semantics."""
     _check_semantics(semantics)
     check_fragment(f, semantics)
+    return fold(f, _reduce_step)
 
-    def push(announced: Formula, body: Formula) -> Formula:
-        if trace is not None:
-            trace.append((announced, body))
-        return _single_step(announced, body, push)
 
-    def eliminate(g: Formula) -> Formula:
-        # Innermost first: the announced formula and the body, then the push.
-        if type(g) is Announce:
-            return push(eliminate(g.announced), eliminate(g.body))
-        return rebuild(g, tuple(map(eliminate, children(g))))
-
-    return eliminate(normalize_duals(f))
+def _reduce_step(f: Formula, kids) -> Formula:
+    # Innermost first: the announced formula and the body are eliminated, so
+    # the body is announcement-free and each of its nodes is pushed once.
+    if type(f) is Announce:
+        announced, body = kids
+        return fold(body, partial(_single_step, announced))
+    return _dual_step(f, kids)
 
 
 # ---------------------------------------------------------------------------

@@ -256,3 +256,13 @@ def test_check_evaluates_a_long_prefix_run():
     assert invoke(["check", "--model", str(path), "--at", "0", "--formula", "~" * 3001 + "p"]) == (
         0, "true\n" if expected else "false\n"
     )
+
+
+def test_reduce_prints_a_long_prefix_run():
+    # Parsing, elimination and printing are all iterative, so neither 3,000
+    # negations nor a body 3,000 deep under an announcement exhausts the stack.
+    assert invoke(["reduce", "--semantics", "topo", "--formula", "~" * 3000 + "p"]) == (
+        0, "~" * 3000 + "p\n"
+    )
+    code, text = invoke(["reduce", "--semantics", "topo", "--formula", "[!p] " + "~" * 3000 + "q"])
+    assert (code, text) == (0, "p -> ~(" * 3000 + "p -> q" + ")" * 3000 + "\n")

@@ -26,6 +26,7 @@ from geopal.formula import (
     check_fragment,
     children,
     complexity,
+    fold,
     parse,
     postorder,
     random_formula,
@@ -34,7 +35,7 @@ from geopal.formula import (
     walk,
 )
 from geopal.formula import _tokenize
-from geopal.rewrite import AxiomId, axiom_instance, _single_step
+from geopal.rewrite import AxiomId, axiom_instance, _single_step, reduce
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -195,6 +196,71 @@ def test_rebuild_inverts_children():
             assert rebuild(node, children(node)) == node
     with pytest.raises(TypeError):
         children("p")
+
+
+# The recursive printer and measure over the formula as a tree, kept as
+# references for the fold-based ones.
+
+_LETTERS = {kind: letter for letter, kind in _PREFIXES.items()}
+
+
+def _render_reference(f, required=0):
+    match f:
+        case Atom(name):
+            return name
+        case Top():
+            return "true"
+        case Bot():
+            return "false"
+        case Not(b):
+            text, level = "~" + _render_reference(b, 3), 3
+        case KnowI(agent, b):
+            text, level = f"K{agent} " + _render_reference(b, 3), 3
+        case Announce(a, b):
+            text, level = "[!" + _render_reference(a, 0) + "] " + _render_reference(b, 3), 3
+        case Interior(b) | Closure(b) | Know(b) | Possible(b) | Effort(b) | EffortDual(b):
+            text, level = _LETTERS[type(f)] + " " + _render_reference(b, 3), 3
+        case And(a, b):
+            text, level = _render_reference(a, 2) + " & " + _render_reference(b, 3), 2
+        case Or(a, b):
+            text, level = _render_reference(a, 1) + " | " + _render_reference(b, 2), 1
+        case Implies(a, b):
+            text, level = _render_reference(a, 1) + " -> " + _render_reference(b, 0), 0
+    return "(" + text + ")" if level < required else text
+
+
+def _complexity_reference(f):
+    if type(f) is Announce:
+        return (4 + _complexity_reference(f.announced)) * _complexity_reference(f.body)
+    return 1 + sum(map(_complexity_reference, children(f)))
+
+
+def test_render_and_complexity_match_the_recursive_references():
+    rng = Random(33)
+    repertoires = [("topo", "IC", 0), ("ssl", "KLED", 0), ("product", "", 3)]
+    for draw in range(1000):
+        semantics, modal, agents = repertoires[draw % 3]
+        f = random_formula(rng, max_depth=5, modal=modal, agents=agents, announce_depth=2)
+        for g in (f, reduce(f, semantics)):
+            assert render(g) == _render_reference(g)
+            assert complexity(g) == _complexity_reference(g)
+
+
+def test_render_and_complexity_on_a_deep_chain():
+    f = P
+    for _ in range(20_000):
+        f = Not(f)
+    assert render(f) == "~" * 20_000 + "p"
+    assert complexity(f) == 20_001
+
+
+def test_fold_steps_each_shared_node_once():
+    f = P
+    for _ in range(16):
+        f = And(f, Not(f))  # a DAG of 33 objects, a tree of about 2**17 nodes
+    steps = []
+    assert fold(f, lambda node, values: steps.append(node) or 1 + sum(values)) == complexity(f)
+    assert len(steps) == 1 + 2 * 16
 
 
 def test_complexity_base_cases():

@@ -12,6 +12,7 @@ import pytest
 
 import geopal.topomodel as topomodel
 from geopal.formula import (
+    And,
     Announce,
     Atom,
     Closure,
@@ -23,7 +24,8 @@ from geopal.formula import (
     random_formula,
     walk,
 )
-from geopal.rewrite import reduce
+from geopal import rewrite
+from geopal.rewrite import equivalent_on, reduce
 from geopal.topology import Topology, verify_topology
 from geopal.topomodel import TopoModel, extension, random_topomodel, satisfies, update
 
@@ -191,6 +193,36 @@ def test_reduced_chain_evaluates_like_the_original(depth):
     start = time.perf_counter()
     assert model.truth(reduced) == model.truth(f)
     assert time.perf_counter() - start < 2.0
+
+
+def shared_chain(depth):
+    """chained(depth) as a DAG: F_k+1 holds the one object F_k twice."""
+    f = p = Atom("p")
+    for _ in range(depth):
+        f = Announce(Or(f, p), Interior(And(f, Atom("q"))))
+    return f
+
+
+def test_chain_reduces_in_time_linear_in_its_dag(monkeypatch):
+    # Each announcement pushes each node of its eliminated body once; pushing
+    # through that body as a tree takes about two million steps at depth 5.
+    assert shared_chain(3) == chained(3)
+    pushes = []
+    single_step = rewrite._single_step
+
+    def counting(*args):
+        pushes.append(None)
+        return single_step(*args)
+
+    monkeypatch.setattr(rewrite, "_single_step", counting)
+    model = random_topomodel(0, 6, 3)
+    start = time.perf_counter()
+    for depth in (5, 6, 7, 8):
+        f = shared_chain(depth)
+        pushes.clear()
+        assert equivalent_on(model, f, reduce(f, "topo")), depth
+    assert time.perf_counter() - start < 2.0
+    assert 0 < len(pushes) < 5000
 
 
 @pytest.fixture
