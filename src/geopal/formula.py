@@ -17,6 +17,12 @@ Concrete syntax (whitespace-insensitive):
 Prefixes (~ and the modal letters) bind tightest, then "&", then "|",
 then "->".  `render` emits minimal parentheses and round-trips through
 `parse`.
+
+Nodes are immutable values that may be shared, so a formula is a DAG.
+Each node caches its structural hash when it is built, and `==` walks two
+formulas with an explicit stack, comparing each pair of node objects once,
+so formula-keyed memos hash one node per lookup.  Parsing, `walk`,
+`postorder` and `fold` are iterative too: no pass recurses, at any depth.
 """
 
 from __future__ import annotations
@@ -41,96 +47,163 @@ class UnsupportedOperator(FormulaError):
     """An operator was used under a semantics that does not interpret it."""
 
 
-@dataclass(frozen=True)
 class Formula:
-    """Base class for formula nodes; instances are immutable values."""
+    """Base class for formula nodes; instances are immutable values.
+
+    A node computes its structural hash once, when it is built, from its
+    type, its scalar fields and its children's cached hashes, so `hash`
+    costs O(1) and never recurses.  `==` is iterative (`_same_structure`).
+    The cached hash depends on the process's string-hash seed, so pickles
+    and copies carry the constructor arguments and rebuild the node.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return (
+            type(self) is type(other)
+            and self._hash == other._hash
+            and _same_structure(self, other)
+        )
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
+# Each node class writes its own __init__, which stores the fields and the
+# cached hash; eq=False keeps the dataclass from generating a recursive
+# __eq__ and __hash__ over the fields.
+_node = dataclass(frozen=True, eq=False, slots=True, init=False)
+_set = object.__setattr__
+
+
+@_node
 class Atom(Formula):
     name: str
 
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "_hash", hash((Atom, name)))
 
-@dataclass(frozen=True)
-class Top(Formula):
+
+@_node
+class _Constant(Formula):
+    def __init__(self):
+        _set(self, "_hash", hash(type(self)))
+
+
+@_node
+class Top(_Constant):
     pass
 
 
-@dataclass(frozen=True)
-class Bot(Formula):
+@_node
+class Bot(_Constant):
     pass
 
 
-@dataclass(frozen=True)
-class Not(Formula):
+@_node
+class _Unary(Formula):
     body: Formula
 
+    def __init__(self, body: Formula):
+        _set(self, "body", body)
+        _set(self, "_hash", hash((type(self), body._hash)))
 
-@dataclass(frozen=True)
-class And(Formula):
+
+@_node
+class Not(_Unary):
+    pass
+
+
+@_node
+class _Binary(Formula):
     left: Formula
     right: Formula
 
-
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((type(self), left._hash, right._hash)))
 
 
-@dataclass(frozen=True)
-class Interior(Formula):
-    body: Formula
+@_node
+class And(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Closure(Formula):
-    body: Formula
+@_node
+class Or(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Know(Formula):
-    body: Formula
+@_node
+class Implies(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Possible(Formula):
-    body: Formula
+@_node
+class Interior(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Effort(Formula):
-    body: Formula
+@_node
+class Closure(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class EffortDual(Formula):
-    body: Formula
+@_node
+class Know(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
+@_node
+class Possible(_Unary):
+    pass
+
+
+@_node
+class Effort(_Unary):
+    pass
+
+
+@_node
+class EffortDual(_Unary):
+    pass
+
+
+@_node
 class KnowI(Formula):
     agent: int
     body: Formula
 
-    def __post_init__(self):
-        if self.agent < 1:
+    def __init__(self, agent: int, body: Formula):
+        if agent < 1:
             raise ValueError("agent index must be at least 1")
+        _set(self, "agent", agent)
+        _set(self, "body", body)
+        _set(self, "_hash", hash((KnowI, agent, body._hash)))
 
 
-@dataclass(frozen=True)
+@_node
 class Announce(Formula):
     announced: Formula
     body: Formula
+
+    def __init__(self, announced: Formula, body: Formula):
+        _set(self, "announced", announced)
+        _set(self, "body", body)
+        _set(self, "_hash", hash((Announce, announced._hash, body._hash)))
 
 
 TOP = Top()
@@ -209,12 +282,39 @@ def postorder(f: Formula, kids):
 
 def fold(f: Formula, step):
     """The value of `step(node, values)` at the root, where `values` lists the
-    values of the node's children in order; iterative over `postorder`, so
-    `step` runs once per distinct node object, at any depth."""
+    values of the node's children in order; iterative, so `step` runs once per
+    distinct node object, at any depth, in the order of `postorder`."""
     value = {}
-    for node in postorder(f, children):
-        value[id(node)] = step(node, [value[id(kid)] for kid in children(node)])
+    stack = [(f, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is not None:  # every kid is done
+            value[id(node)] = step(node, [value[id(kid)] for kid in kids])
+        elif id(node) not in value:
+            kids = children(node)
+            stack.append((node, kids))
+            stack += [(kid, None) for kid in reversed(kids)]
     return value[id(f)]
+
+
+def _same_structure(a: Formula, b: Formula) -> bool:
+    """a == b, walking both in step with an explicit stack; each pair of node
+    objects is compared once, so two equal DAGs cost their number of nodes,
+    not their tree size."""
+    seen = set()
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        kind = type(x)
+        if kind is not type(y) or x._hash != y._hash:
+            return False
+        if (kind is Atom and x.name != y.name) or (kind is KnowI and x.agent != y.agent):
+            return False
+        seen.add((id(x), id(y)))
+        stack += zip(children(x), children(y))
+    return True
 
 
 # The node classes each semantics interprets.
@@ -289,93 +389,103 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, kind: str, context: str):
-        token = self.advance()
-        if token[0] != kind:
-            raise ParseError(f"expected {kind!r} {context}", token[2])
-        return token
-
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "->":
-            self.advance()
-            return Implies(left, self.formula())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek()[0] == "|":
-            self.advance()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while self.peek()[0] == "&":
-            self.advance()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        # A run of prefix operators is read in a loop and wrapped from the
-        # inside out, so "~~~...p" costs no stack depth; announcements recurse.
-        prefixes = []
-        while self.peek()[0] in ("~", "PREFIX", "KI"):
-            prefixes.append(self.advance())
-        result = self.operand()
-        for kind, value, _ in reversed(prefixes):
-            if kind == "~":
-                result = Not(result)
-            elif kind == "PREFIX":
-                result = _PREFIX_NODES[value](result)
-            else:
-                result = KnowI(value, result)
-        return result
-
-    def operand(self) -> Formula:
-        kind, value, pos = self.advance()
-        if kind == "[!":
-            announced = self.formula()
-            self.expect("]", "to close the announcement '[!'")
-            return Announce(announced, self.unary())
-        if kind == "<!":
-            announced = self.formula()
-            self.expect(">", "to close the announcement '<!'")
-            return Not(Announce(announced, Not(self.unary())))
-        if kind == "(":
-            inner = self.formula()
-            self.expect(")", "to close '('")
-            return inner
-        if kind == "TRUE":
-            return TOP
-        if kind == "FALSE":
-            return BOT
-        if kind == "IDENT":
-            return Atom(value)
-        raise ParseError(f"expected a formula, found {kind!r}", pos)
+# Each bracket that opens a nested formula: the token that closes it, and
+# the context an error names when that token is missing.
+_BRACKETS = {
+    "(": (")", "to close '('"),
+    "[!": ("]", "to close the announcement '[!'"),
+    "<!": (">", "to close the announcement '<!'"),
+}
+_CONNECTIVES = frozenset({"&", "|", "->"})
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into a formula; raises ParseError with a position."""
-    parser = _Parser(text)
-    result = parser.formula()
-    kind, _, pos = parser.peek()
-    if kind != "EOF":
-        raise ParseError(f"unexpected trailing {kind!r}", pos)
+    """Parse concrete syntax into a formula; raises ParseError with a position.
+
+    One loop over the tokens.  An open bracket saves the context around it
+    (the prefixes before it, and the operands and connectives read so far)
+    on an explicit stack, so nesting depth costs no Python stack.  A closed
+    announcement `[!f]` or `<!f>` is a prefix of the unary formula after it.
+    """
+    tokens = _tokenize(text)
+    brackets = []  # (opener, prefixes, items) of each enclosing open bracket
+    prefixes, items = [], []  # items alternate operands and connectives
+    i = 0
+    while True:
+        kind, value, pos = tokens[i]
+        i += 1
+        if kind in ("~", "PREFIX", "KI"):
+            prefixes.append((kind, value))
+            continue
+        if kind in _BRACKETS:
+            brackets.append((kind, prefixes, items))
+            prefixes, items = [], []
+            continue
+        if kind == "TRUE":
+            operand = TOP
+        elif kind == "FALSE":
+            operand = BOT
+        elif kind == "IDENT":
+            operand = Atom(value)
+        else:
+            raise ParseError(f"expected a formula, found {kind!r}", pos)
+        # After an operand a connective continues the formula; any other
+        # token ends it, and must close the innermost open bracket.
+        while True:
+            items.append(_prefixed(prefixes, operand) if prefixes else operand)
+            kind, _, pos = tokens[i]
+            if kind in _CONNECTIVES:
+                items.append(kind)
+                prefixes = []
+                i += 1
+                break
+            operand = _infix(items) if len(items) > 1 else items[0]
+            if not brackets:
+                if kind != "EOF":
+                    raise ParseError(f"unexpected trailing {kind!r}", pos)
+                return operand
+            opener, prefixes, items = brackets.pop()
+            closer, context = _BRACKETS[opener]
+            if kind != closer:
+                raise ParseError(f"expected {closer!r} {context}", pos)
+            i += 1
+            if opener != "(":
+                prefixes.append((opener, operand))
+                break
+
+
+def _prefixed(prefixes, f: Formula) -> Formula:
+    """f under a run of prefixes, wrapped from the inside out."""
+    for kind, value in reversed(prefixes):
+        if kind == "~":
+            f = Not(f)
+        elif kind == "PREFIX":
+            f = _PREFIX_NODES[value](f)
+        elif kind == "KI":
+            f = KnowI(value, f)
+        elif kind == "[!":
+            f = Announce(value, f)
+        else:  # "<!"
+            f = Not(Announce(value, Not(f)))
+    return f
+
+
+def _infix(items) -> Formula:
+    """Operands joined by connectives: "&" binds tightest, then "|", both
+    grouping to the left; "->" binds loosest and groups to the right."""
+    conjunction, disjunction, antecedents = items[0], None, []
+    for connective, operand in zip(items[1::2], items[2::2]):
+        if connective == "&":
+            conjunction = And(conjunction, operand)
+            continue
+        disjunction = conjunction if disjunction is None else Or(disjunction, conjunction)
+        conjunction = operand
+        if connective == "->":
+            antecedents.append(disjunction)
+            disjunction = None
+    result = conjunction if disjunction is None else Or(disjunction, conjunction)
+    for antecedent in reversed(antecedents):
+        result = Implies(antecedent, result)
     return result
 
 

@@ -258,6 +258,15 @@ def test_check_evaluates_a_long_prefix_run():
     )
 
 
+def test_check_reads_deeply_nested_parentheses():
+    path = DATA / "sier.topo.json"
+    expected = 0 in load_model(str(path)).truth(parse("p"))
+    formula = "(" * 1000 + "p" + ")" * 1000
+    assert invoke(["check", "--model", str(path), "--at", "0", "--formula", formula]) == (
+        0, "true\n" if expected else "false\n"
+    )
+
+
 def test_reduce_prints_a_long_prefix_run():
     # Parsing, elimination and printing are all iterative, so neither 3,000
     # negations nor a body 3,000 deep under an announcement exhausts the stack.

@@ -1,6 +1,12 @@
-"""Parser, printer and complexity measure."""
+"""Parser, printer, complexity measure, and node hashing and equality."""
 
+import copy
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -13,6 +19,7 @@ from geopal.formula import (
     Closure,
     Effort,
     EffortDual,
+    Formula,
     Implies,
     Interior,
     Know,
@@ -34,6 +41,7 @@ from geopal.formula import (
     render,
     walk,
 )
+import geopal.formula as formula
 from geopal.formula import _tokenize
 from geopal.rewrite import AxiomId, axiom_instance, _single_step, reduce
 
@@ -93,6 +101,13 @@ def test_render_minimal_parentheses():
         ("X p", "unknown operator"),
         ("K0 p", "agent index"),
         ("p @ q", "unexpected character"),
+        # Inside nested brackets: the innermost open one names the missing token.
+        ("((p)", "expected ')' to close '(' (at position 4)"),
+        ("[!(p] q", "expected ')' to close '(' (at position 4)"),
+        ("(<!p & q] r)", "expected '>' to close the announcement '<!' (at position 8)"),
+        ("[![!p] q)", "expected ']' to close the announcement '[!' (at position 8)"),
+        ("(p) q", "unexpected trailing 'IDENT' (at position 4)"),
+        ("(p & ())", "expected a formula, found ')' (at position 6)"),
     ],
 )
 def test_parse_errors_carry_position(text, position_hint):
@@ -114,9 +129,9 @@ def test_round_trip_fuzz():
         assert parse(render(f)) == f
 
 
-# Reference parser for the precedence check: precedence climbing over the
-# same token stream, structured nothing like the shipped one-level-per-rule
-# parser.
+# Reference parser for the precedence check: recursive precedence climbing
+# over the same token stream, structured nothing like the shipped loop over
+# an explicit stack of open brackets.
 
 _BINARY = {"->": (1, "right", Implies), "|": (2, "left", Or), "&": (3, "left", And)}
 _PREFIXES = {
@@ -355,11 +370,10 @@ def test_postorder_on_a_deep_shared_chain():
 
 
 def test_parse_long_prefix_runs():
-    negated = parse("~" * 3000 + "p")
-    for _ in range(3000):  # node by node: dataclass == recurses
-        assert type(negated) is Not
-        negated = negated.body
-    assert negated == P
+    negated = P
+    for _ in range(3000):
+        negated = Not(negated)
+    assert parse("~" * 3000 + "p") == negated
     mixed = parse("~I K1 C E ~D L K " * 500 + "(p & [!q] ~~r)")
     for node_type in (Not, Interior, KnowI, Closure, Effort, Not, EffortDual, Possible, Know) * 500:
         assert type(mixed) is node_type
@@ -374,3 +388,110 @@ def test_check_fragment_on_deep_chain():
     check_fragment(f, "topo")
     with pytest.raises(UnsupportedOperator, match="operator Know is outside the topo fragment"):
         check_fragment(Not(And(f, Know(f))), "topo")
+
+
+def test_parse_deeply_nested_brackets():
+    # Open brackets wait on the parser's own stack, not on Python's.
+    assert parse("(" * 1000 + "p" + ")" * 1000) == P
+    nested = P
+    for _ in range(1000):
+        nested = Announce(nested, Q)
+    assert parse("[!(" * 1000 + "p" + ")] q" * 1000) == nested
+    assert parse(render(nested)) == nested
+
+
+# -- hashing and equality ----------------------------------------------------
+
+
+def _examples():
+    """One node of every concrete class."""
+    return [
+        P, Top(), Bot(), Not(P), And(P, Q), Or(P, Q), Implies(P, Q), Interior(P),
+        Closure(P), Know(P), Possible(P), Effort(P), EffortDual(P), KnowI(1, P),
+        Announce(P, Q),
+    ]
+
+
+def test_every_node_class_uses_the_cached_hash_and_iterative_equality():
+    classes = {
+        obj for name, obj in vars(formula).items()
+        if isinstance(obj, type) and issubclass(obj, Formula)
+        and obj is not Formula and not name.startswith("_")
+    }
+    assert classes == {type(node) for node in _examples()}
+    for cls in classes:
+        assert cls.__hash__ is Formula.__hash__, cls
+        assert cls.__eq__ is Formula.__eq__, cls
+    for node in _examples():
+        twin = copy.deepcopy(node)  # rebuilt through the constructor
+        assert twin is not node and twin == node and hash(twin) == hash(node)
+
+
+def _not_chain(atom: str, depth: int) -> Formula:
+    f = Atom(atom)
+    for _ in range(depth):
+        f = Not(f)
+    return f
+
+
+def _doubling(atom: str, depth: int) -> Formula:
+    """A DAG of 2 * depth + 1 objects whose tree has about 2**depth nodes."""
+    f = Atom(atom)
+    for _ in range(depth):
+        f = And(f, Not(f))
+    return f
+
+
+def test_hash_and_equality_do_not_recurse():
+    left, right, other = _not_chain("p", 20000), _not_chain("p", 20000), _not_chain("q", 20000)
+    assert left is not right
+    assert hash(left) == hash(right) and left == right and not left != right
+    assert hash(left) != hash(other) and left != other and not left == other
+    # Equal but distinct DAGs compare each pair of node objects once.
+    assert _doubling("p", 300) == _doubling("p", 300)
+    assert _doubling("p", 300) != _doubling("q", 300)
+
+
+def test_equality_sees_type_and_scalar_fields():
+    assert KnowI(1, P) != KnowI(2, P)
+    assert Atom("p") != Atom("q")
+    assert Not(P) != Interior(P) and Top() != Bot() and And(P, Q) != Or(P, Q)
+    assert Top() == Top() and hash(Top()) == hash(Top())
+    assert (P == "p") is False and (P != "p") is True
+    assert P != None and Not(P) != ("body", P)
+
+
+def test_copies_keep_equality_and_hash():
+    f = parse("[!p & K1 q] ~(r -> K2 p)")
+    for twin in (copy.deepcopy(f), copy.copy(f), dataclasses.replace(f), pickle.loads(pickle.dumps(f))):
+        assert twin == f and hash(twin) == hash(f)
+    moved = dataclasses.replace(KnowI(1, P), agent=2)
+    assert moved == KnowI(2, P) and hash(moved) == hash(KnowI(2, P))
+
+
+_CHILD = """
+import pickle, sys
+from geopal.formula import parse
+f = pickle.loads(sys.stdin.buffer.read())
+fresh = parse(sys.argv[1])
+assert f == fresh and hash(f) == hash(fresh) and {fresh: "found"}[f] == "found"
+print(hash(fresh))
+"""
+
+
+def test_pickles_rebuild_the_hash_under_another_hash_seed():
+    # The cached hash depends on the string-hash seed; an unpickled node must
+    # carry the receiving process's hash, or dict lookups there miss.
+    text = "[!p & K1 q] ~(r -> K2 mud_a)"
+    f = parse(text)
+    src = str(Path(formula.__file__).resolve().parents[1])
+    seen = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        child = subprocess.run(
+            [sys.executable, "-c", _CHILD, text],
+            input=pickle.dumps(f), env=env, capture_output=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr.decode()
+        seen.add(int(child.stdout))
+    assert len(seen) == 2  # the two seeds do give the node different hashes

@@ -1,6 +1,8 @@
 """Announcement elimination, schema validity, extensional equivalence."""
 
 import dataclasses
+import time
+from functools import partial
 from random import Random
 
 import pytest
@@ -279,6 +281,31 @@ def test_reduce_equivalent_product():
         model = random_product_model(seed)
         f = random_formula(rng, max_depth=4, agents=2, announce_depth=2)
         assert equivalent_on(model, f, reduce(f, "product")), (seed, str(f))
+
+
+def _shared_chain(depth, modal):
+    """F_0 = p, F_k+1 = [!F_k | p] modal(F_k & q), built as a DAG: F_k+1 holds
+    the one object F_k twice."""
+    f = p = Atom("p")
+    for _ in range(depth):
+        f = Announce(Or(f, p), modal(And(f, Atom("q"))))
+    return f
+
+
+def test_shared_chains_reduce_and_evaluate_on_one_model():
+    # One model per semantics for every depth, so its formula-keyed memo
+    # matches equal but distinct DAGs: each hash and each == must cost a
+    # node, not a tree (tens of seconds from depth 4 on when they walk it).
+    start = time.perf_counter()
+    for semantics, model, modal in (
+        ("ssl", random_ssl_model(0), Know),
+        ("product", random_product_model(0), partial(KnowI, 1)),
+    ):
+        assert model.loci()
+        for depth in (5, 6, 7, 8):
+            f = _shared_chain(depth, modal)
+            assert equivalent_on(model, f, reduce(f, semantics)), (semantics, depth)
+    assert time.perf_counter() - start < 2.0
 
 
 def _ssl_equivalence_cases():
