@@ -22,7 +22,7 @@ Nodes are immutable values that may be shared, so a formula is a DAG.
 Each node caches its structural hash when it is built, and `==` walks two
 formulas with an explicit stack, comparing each pair of node objects once,
 so formula-keyed memos hash one node per lookup.  Parsing, `walk`,
-`postorder` and `fold` are iterative too: no pass recurses, at any depth.
+`postorder`, `fold`, `repr` and pickling are iterative; only `holds` recurses.
 """
 
 from __future__ import annotations
@@ -54,10 +54,26 @@ class Formula:
     type, its scalar fields and its children's cached hashes, so `hash`
     costs O(1) and never recurses.  `==` is iterative (`_same_structure`).
     The cached hash depends on the process's string-hash seed, so pickles
-    and copies carry the constructor arguments and rebuild the node.
+    and copies carry a table of constructor arguments and rebuild each node.
     """
 
     __slots__ = ("_hash",)
+
+    def __repr__(self) -> str:
+        """Constructor syntax, `Not(body=Atom(name='p'))`, from an explicit stack."""
+        parts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                parts.append(item)
+                continue
+            stack.append(")")
+            for position, name in reversed(list(enumerate(item.__match_args__))):
+                value = getattr(item, name)
+                label = (", " if position else "") + name + "="
+                stack += value if isinstance(value, Formula) else repr(value), label
+            stack.append(type(item).__name__ + "(")
+        return "".join(parts)
 
     def __hash__(self) -> int:
         return self._hash
@@ -74,16 +90,32 @@ class Formula:
         )
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+        """Pickle and copy as a children-first table, one `(class, scalars, child
+        indices)` row per node object: sharing is kept and nothing recurses."""
+        index, table = {}, []
+        for node in postorder(self, children):
+            index[id(node)] = len(table)
+            fields = [getattr(node, name) for name in node.__match_args__]
+            scalars = tuple(value for value in fields if not isinstance(value, Formula))
+            table.append((type(node), scalars, tuple(index[id(kid)] for kid in children(node))))
+        return _from_table, (tuple(table),)
 
     def __str__(self) -> str:
         return render(self)
 
 
+def _from_table(table) -> Formula:
+    """The root of a `Formula.__reduce__` table, each node rebuilt by its constructor."""
+    built = []
+    for kind, scalars, kids in table:
+        built.append(kind(*scalars, *(built[i] for i in kids)))
+    return built[-1]
+
+
 # Each node class writes its own __init__, which stores the fields and the
 # cached hash; eq=False keeps the dataclass from generating a recursive
-# __eq__ and __hash__ over the fields.
-_node = dataclass(frozen=True, eq=False, slots=True, init=False)
+# __eq__ and __hash__ over the fields, and repr=False a recursive __repr__.
+_node = dataclass(frozen=True, eq=False, slots=True, init=False, repr=False)
 _set = object.__setattr__
 
 
@@ -334,6 +366,28 @@ def check_fragment(f: Formula, semantics: str):
             raise UnsupportedOperator(
                 f"operator {type(node).__name__} is outside the {semantics} fragment"
             )
+
+
+def holds(model, locus, f: Formula) -> bool:
+    """Truth of f at a checked locus, f within the model's fragment, in quantifier
+    form: `[!a] b` holds where a fails, else b where `model._announced(locus, a)`
+    moves the locus.  Atoms and modalities are the model's `_holds(locus, f)`."""
+    kind = type(f)
+    if kind is Top:
+        return True
+    if kind is Bot:
+        return False
+    if kind is Not:
+        return not holds(model, locus, f.body)
+    if kind is And:
+        return holds(model, locus, f.left) and holds(model, locus, f.right)
+    if kind is Or:
+        return holds(model, locus, f.left) or holds(model, locus, f.right)
+    if kind is Implies:
+        return not holds(model, locus, f.left) or holds(model, locus, f.right)
+    if kind is Announce:
+        return not holds(model, locus, f.announced) or holds(*model._announced(locus, f.announced), f.body)
+    return model._holds(locus, f)
 
 
 # ---------------------------------------------------------------------------

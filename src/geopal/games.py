@@ -151,6 +151,8 @@ class GameTree:
 
 def _node_from_json(body) -> GameNode:
     if isinstance(body, dict) and "payoff" in body:
+        if "player" in body or "children" in body:
+            raise ValueError("a leaf carries only its payoff vector")
         return GameNode.leaf(*map(_payoff, json_list(body["payoff"], "payoff")))
     player = json_field(body, "player")
     if type(player) is not int:

@@ -10,7 +10,8 @@ along that coordinate.  The quantifier is relativized to surviving worlds;
 factor topologies are never rebuilt.  This is the update under which the
 announcement/knowledge reduction law is sound, and it makes announcements
 with non-rectangular extensions (the interesting ones) actually remove
-worlds.
+worlds.  The oracle `satisfies` is `formula.holds` over the model's own
+clauses: atoms, K_i over the factor opens, and announcements world by world.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .formula import (
     Top,
     UnsupportedOperator,
     check_fragment,
+    holds,
     walk,
 )
 from .topology import (
@@ -142,7 +144,24 @@ class ProductModel:
         for node in walk(f):
             if type(node) is KnowI:
                 _check_agent(self, node.agent)
-        return _holds(self, world, f)
+        return holds(self, world, f)
+
+    def _holds(self, world: World, f: Formula) -> bool:
+        """Atoms, and K_i as some factor-i open keeping b at every surviving variant."""
+        match f:
+            case Atom(name):
+                return world in self.atom_set(name)
+            case KnowI(agent, b):
+                factor = self.factors[agent - 1]
+                position = factor.index(world[agent - 1])
+                return any(
+                    all(v not in self.worlds or holds(self, v, b) for v in self.variants(world, agent, open_))
+                    for open_ in factor.opens if open_ >> position & 1
+                )
+
+    def _announced(self, world: World, a: Formula) -> tuple["ProductModel", World]:
+        """The worlds where a holds, found one by one."""
+        return _restrict(self, frozenset(w for w in self.worlds if holds(self, w, a))), world
 
     def locus(self, world) -> World:
         """The world as a tuple, checked to be surviving."""
@@ -265,41 +284,6 @@ def _check_agent(model: ProductModel, agent: int):
     """Raise UnsupportedOperator unless the model has a factor for the agent."""
     if agent > model.agent_count:
         raise UnsupportedOperator(f"agent {agent} out of range for {model.agent_count} factors")
-
-
-def _holds(model: ProductModel, world: World, f: Formula) -> bool:
-    """Quantifier-form truth at one world; f is interpreted on the model."""
-    match f:
-        case Atom(name):
-            return world in model.atom_set(name)
-        case Top():
-            return True
-        case Bot():
-            return False
-        case Not(b):
-            return not _holds(model, world, b)
-        case And(a, b):
-            return _holds(model, world, a) and _holds(model, world, b)
-        case Or(a, b):
-            return _holds(model, world, a) or _holds(model, world, b)
-        case Implies(a, b):
-            return not _holds(model, world, a) or _holds(model, world, b)
-        case KnowI(agent, b):
-            factor = model.factors[agent - 1]
-            position = factor.index(world[agent - 1])
-            return any(
-                open_ >> position & 1
-                and all(
-                    v not in model.worlds or _holds(model, v, b)
-                    for v in model.variants(world, agent, open_)
-                )
-                for open_ in factor.opens
-            )
-        case Announce(a, b):
-            if not _holds(model, world, a):
-                return True
-            survivors = frozenset(w for w in model.worlds if _holds(model, w, a))
-            return _holds(_restrict(model, survivors), world, b)
 
 
 def knowledge_interior(model: ProductModel, area: frozenset, agent: int) -> frozenset:

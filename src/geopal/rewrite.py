@@ -272,16 +272,14 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
         model = sampler(seed + offset)
         for phi, psi, chi, agent in _instantiations(axiom, pools, model):
             lhs, rhs = axiom_instance(axiom, phi, psi, chi, agent)
-            lhs_map = _truth_map(model, lhs)
-            rhs_map = _truth_map(model, rhs)
-            for locus, lhs_value in lhs_map.items():
-                rhs_value = rhs_map[locus]
-                if lhs_value == rhs_value:
+            lhs_holds = model.truth(lhs)
+            differ = lhs_holds ^ model.truth(rhs)
+            for locus in model.loci() if differ else ():
+                if locus not in differ:
                     continue
+                lhs_value, rhs_value = locus in lhs_holds, locus not in lhs_holds
                 # Re-verify through the single-locus path before recording.
-                if model.satisfies(locus, lhs) != lhs_value:
-                    continue
-                if model.satisfies(locus, rhs) != rhs_value:
+                if model.satisfies(locus, lhs) != lhs_value or model.satisfies(locus, rhs) != rhs_value:
                     continue
                 # A fresh equal model: the report must not keep this one's memo alive.
                 counterexamples.append(

@@ -10,7 +10,8 @@ The announcement update shrinks every neighbourhood individually:
 U_f = {t in U : (t, U) satisfies f}, empty results dropped, and the carrier
 becomes the set of points that still occur in a satisfying situation.  Two
 neighbourhoods that shrink to the same point set merge, since the semantics
-only ever consults the point set.
+only ever consults the point set.  The oracle `satisfies` is `formula.holds`
+over the model's own clauses: atoms, K/L, E/D, and that update spelled out.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .formula import (
     Possible,
     Top,
     check_fragment,
+    holds,
 )
 from .topology import fmt_set, json_field, json_labels, json_list, json_valuation, parse_label
 
@@ -157,7 +159,31 @@ class SSLModel:
         """
         situation = self.locus(situation)
         check_fragment(f, "ssl")
-        return _holds(self, situation, f)
+        return holds(self, situation, f)
+
+    def _holds(self, situation: "Situation", f: Formula) -> bool:
+        """Atoms, K/L over the current set, E/D over its refinements around the point."""
+        point, nbhd = situation
+        match f:
+            case Atom(name):
+                return point in self.atom_set(name)
+            case Know(b) | Possible(b):
+                return _QUANTIFIER[type(f)](holds(self, Situation(t, nbhd), b) for t in nbhd)
+            case Effort(b) | EffortDual(b):
+                refinements = (v for v in self.sigma if point in v and v <= nbhd)
+                return _QUANTIFIER[type(f)](holds(self, Situation(point, v), b) for v in refinements)
+
+    def _announced(self, situation: "Situation", a: Formula) -> tuple["SSLModel", "Situation"]:
+        """The update by a, spelled out situation by situation, and the situation in it."""
+        point, nbhd = situation
+        shrunk = {u: frozenset(t for t in u if holds(self, Situation(t, u), a)) for u in self.sigma}
+        surviving = frozenset().union(*shrunk.values())
+        updated = SSLModel(
+            tuple(p for p in self.points if p in surviving),
+            tuple(u for u in shrunk.values() if u),
+            {atom: area & surviving for atom, area in self.valuation.items()},
+        )
+        return updated, Situation(point, shrunk[nbhd])
 
     def locus(self, situation) -> "Situation":
         """The (point, set) pair as a situation, checked to be one of this model's."""
@@ -295,61 +321,6 @@ class SslEvaluator:
                     sit for sit in ta if Situation(sit.point, nbhd_map[sit.nbhd]) in tb2
                 )
         check_fragment(f, "ssl")  # raises: every node of the fragment is matched above
-
-
-def _holds(model: SSLModel, situation: Situation, f: Formula) -> bool:
-    """Quantifier-form truth at one situation; f is within the fragment."""
-    point, nbhd = situation
-    match f:
-        case Atom(name):
-            return point in model.atom_set(name)
-        case Top():
-            return True
-        case Bot():
-            return False
-        case Not(b):
-            return not _holds(model, situation, b)
-        case And(a, b):
-            return _holds(model, situation, a) and _holds(model, situation, b)
-        case Or(a, b):
-            return _holds(model, situation, a) or _holds(model, situation, b)
-        case Implies(a, b):
-            return not _holds(model, situation, a) or _holds(model, situation, b)
-        case Know(b):
-            return all(_holds(model, Situation(t, nbhd), b) for t in nbhd)
-        case Possible(b):
-            return any(_holds(model, Situation(t, nbhd), b) for t in nbhd)
-        case Effort(b):
-            return all(
-                _holds(model, Situation(point, v), b)
-                for v in model.sigma if point in v and v <= nbhd
-            )
-        case EffortDual(b):
-            return any(
-                _holds(model, Situation(point, v), b)
-                for v in model.sigma if point in v and v <= nbhd
-            )
-        case Announce(a, b):
-            if not _holds(model, situation, a):
-                return True
-            shrunk = frozenset(t for t in nbhd if _holds(model, Situation(t, nbhd), a))
-            return _holds(_announced(model, a), Situation(point, shrunk), b)
-    check_fragment(f, "ssl")  # raises: every node of the fragment is matched above
-
-
-def _announced(model: SSLModel, a: Formula) -> SSLModel:
-    """The update by a, spelled out situation by situation."""
-    sigma = [
-        shrunk
-        for member in model.sigma
-        if (shrunk := frozenset(t for t in member if _holds(model, Situation(t, member), a)))
-    ]
-    surviving = frozenset().union(*sigma)
-    return SSLModel(
-        tuple(p for p in model.points if p in surviving),
-        tuple(sigma),
-        {atom: area & surviving for atom, area in model.valuation.items()},
-    )
 
 
 def apply_update(model: SSLModel, satisfying: frozenset) -> tuple[SSLModel, dict[frozenset, frozenset]]:

@@ -15,11 +15,11 @@ is not evaluated again there, and subspaces by carrier mask, so
 `update(f) is update(f)` and every announcement of the same set restricts
 the space once.  Subspaces keep their own node masks.
 
-`satisfies` spells out the quantifier clauses for the modalities
-(exists-open-forall for interior, forall-open-exists for closure) and is
-kept purely as a differential-testing oracle for `extension`: it never
-calls `extension`, and it announces by finding the surviving points one by
-one before both paths share `_restrict`.
+`satisfies` is `formula.holds` over the model's quantifier clauses for
+atoms, interior (exists-open-forall) and closure (forall-open-exists), kept
+purely as a differential-testing oracle for `extension`: it never calls
+`extension`, and it announces by finding the surviving points one by one
+before both paths share `_restrict`.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .formula import (
     Top,
     check_fragment,
     children,
+    holds,
     postorder,
 )
 from .topology import (
@@ -129,9 +130,29 @@ class TopoModel:
         return update(self, f)
 
     def satisfies(self, point: Hashable, f: Formula) -> bool:
-        """Truth at one point through the quantifier-form oracle."""
+        """Truth at a checked point of a formula within the topo fragment, in quantifier form."""
+        point = self.locus(point)
         check_fragment(f, "topo")
-        return satisfies(self, point, f)
+        return holds(self, point, f)
+
+    def _holds(self, point: Hashable, f: Formula) -> bool:
+        """Atoms, and I/C as exists-open-forall and forall-open-exists."""
+        space = self.space
+        s = space.index(point)
+        match f:
+            case Atom(name):
+                return bool(self.atom_mask(name) >> s & 1)
+            case Interior(b) | Closure(b):
+                outer, inner = (any, all) if type(f) is Interior else (all, any)
+                return outer(
+                    inner(holds(self, space.points[t], b) for t in bits(open_))
+                    for open_ in space.opens if open_ >> s & 1
+                )
+
+    def _announced(self, point: Hashable, a: Formula) -> tuple["TopoModel", Hashable]:
+        """The subspace of the points where a holds, found one by one."""
+        carrier = sum(1 << t for t, label in enumerate(self.space.points) if holds(self, label, a))
+        return _restrict(self, carrier), point
 
     def locus(self, point: Hashable) -> Hashable:
         """The point, checked to be one of this model's."""
@@ -225,41 +246,8 @@ def extension(model: TopoModel, f: Formula) -> int:
     return value[id(f)]
 
 
-def satisfies(model: TopoModel, point: Hashable, f: Formula) -> bool:
-    """Quantifier-form evaluation at a single point (differential oracle)."""
-    space = model.space
-    s = space.index(point)
-    match f:
-        case Atom(name):
-            return bool(model.atom_mask(name) >> s & 1)
-        case Top():
-            return True
-        case Bot():
-            return False
-        case Not(b):
-            return not satisfies(model, point, b)
-        case And(a, b):
-            return satisfies(model, point, a) and satisfies(model, point, b)
-        case Or(a, b):
-            return satisfies(model, point, a) or satisfies(model, point, b)
-        case Implies(a, b):
-            return not satisfies(model, point, a) or satisfies(model, point, b)
-        case Interior(b):
-            return any(
-                open_ >> s & 1 and all(satisfies(model, space.points[t], b) for t in bits(open_))
-                for open_ in space.opens
-            )
-        case Closure(b):
-            return all(
-                not open_ >> s & 1 or any(satisfies(model, space.points[t], b) for t in bits(open_))
-                for open_ in space.opens
-            )
-        case Announce(a, b):
-            if not satisfies(model, point, a):
-                return True
-            carrier = sum(1 << t for t, label in enumerate(space.points) if satisfies(model, label, a))
-            return satisfies(_restrict(model, carrier), point, b)
-    check_fragment(f, "topo")  # raises: every node of the fragment is matched above
+# The oracle as a function, satisfies(model, point, f).
+satisfies = TopoModel.satisfies
 
 
 def update(model: TopoModel, f: Formula) -> TopoModel:

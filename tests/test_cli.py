@@ -186,6 +186,7 @@ MALFORMED = [
     ("list-label", "update", {"kind": "topo", "points": [[0]], "opens": [[]]}),
     ("ragged-payoffs", "bi", {"kind": "game", "root": {"player": 1, "children": [{"payoff": [1, 0]}, {"payoff": [2]}]}}),
     ("player-without-payoff", "bi", {"kind": "game", "root": {"player": 3, "children": [{"payoff": [1, 0]}, {"payoff": [0, 1]}]}}),
+    ("leaf-with-children", "bi", {"kind": "game", "root": {"payoff": [1, 2], "player": 2, "children": [{"payoff": [0, 0]}]}}),
 ]
 
 

@@ -461,6 +461,23 @@ def test_equality_sees_type_and_scalar_fields():
     assert P != None and Not(P) != ("body", P)
 
 
+def test_deep_chains_print_pickle_and_copy():
+    chain = _not_chain("p", 3000)
+    assert repr(chain) == "Not(body=" * 3000 + "Atom(name='p')" + ")" * 3000
+    for twin in (pickle.loads(pickle.dumps(chain)), copy.deepcopy(chain)):
+        assert twin is not chain and twin == chain
+    assert repr(KnowI(2, And(P, Top()))) == "KnowI(agent=2, body=And(left=Atom(name='p'), right=Top()))"
+
+
+def test_pickles_and_copies_keep_a_dag_shared():
+    nested = "p"
+    for _ in range(4):
+        nested = f"[!({nested}) | p] I (({nested}) & q)"
+    for f in (reduce(parse(nested), "topo"), _doubling("p", 300)):
+        for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert twin == f and len(list(walk(twin))) == len(list(walk(f)))
+
+
 def test_copies_keep_equality_and_hash():
     f = parse("[!p & K1 q] ~(r -> K2 p)")
     for twin in (copy.deepcopy(f), copy.copy(f), dataclasses.replace(f), pickle.loads(pickle.dumps(f))):

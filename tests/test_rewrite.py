@@ -33,7 +33,7 @@ from geopal.formula import (
     render,
     walk,
 )
-from geopal import rewrite
+from geopal import product, rewrite, sslmodel, topomodel
 from geopal.rewrite import (
     SEMANTICS,
     AxiomId,
@@ -123,12 +123,49 @@ def test_fragments_are_enforced_everywhere(semantics):
                 lambda: model.truth(f),
                 lambda: model.satisfies(locus, f),
             )
+            if semantics == "topo":
+                checks += (lambda: topomodel.satisfies(model, locus, f),)
             for check in checks:
                 if kind in FRAGMENTS[semantics]:
                     check()
                 else:
                     with pytest.raises(UnsupportedOperator, match=kind.__name__):
                         check()
+
+
+def test_oracle_is_independent_of_the_fast_paths(monkeypatch):
+    # With every evaluator and table-based update made to raise, satisfies
+    # still agrees with the truth sets computed before, nested announcements
+    # included.
+    rng = Random(4)
+    nested = {"topo": "[![!p] I q] C [!~q] p", "ssl": "[![!p] K q] E [!~q] L p",
+              "product": "[![!p] K1 q] K2 [!~q] p"}
+    repertoire = {"topo": ("IC", 0), "ssl": ("KLED", 0), "product": ("", 2)}
+    cases = []
+    for seed in range(25):
+        models = {"topo": random_topomodel(seed, 4, 3), "ssl": random_ssl_model(seed, 4, 4),
+                  "product": random_product_model(seed, 2, 3)}
+        for semantics, model in models.items():
+            modal, agents = repertoire[semantics]
+            for f in (parse(nested[semantics]),
+                      random_formula(rng, 4, modal=modal, agents=agents, announce_depth=2)):
+                cases.append((model, f, model.truth(f)))
+
+    def fast_path(*args):
+        raise AssertionError("the oracle reached a fast path")
+
+    monkeypatch.setattr(topomodel, "extension", fast_path)
+    monkeypatch.setattr(sslmodel, "apply_update", fast_path)
+    monkeypatch.setattr(product, "knowledge_interior", fast_path)
+    monkeypatch.setattr(sslmodel.SslEvaluator, "_compute", fast_path)
+    monkeypatch.setattr(product.ProductEvaluator, "_compute", fast_path)
+    for fresh in (random_topomodel(99, 3, 2), random_ssl_model(99), random_product_model(99)):
+        with pytest.raises(AssertionError, match="fast path"):  # the patches are live
+            fresh.truth(parse("p"))
+    assert sum(any(isinstance(n, Announce) for n in walk(f)) for _, f, _ in cases) > 100
+    for model, f, holds in cases:
+        for locus in model.loci():
+            assert model.satisfies(locus, f) == (locus in holds), (str(f), locus)
 
 
 def test_reduce_handles_duals_via_negation_form():
