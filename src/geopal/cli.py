@@ -248,7 +248,10 @@ def _build_parser() -> argparse.ArgumentParser:
     upd.add_argument("--emit", help="write the updated model to this path")
     upd.set_defaults(handler=_cmd_update)
 
-    red = sub.add_parser("reduce", help="eliminate announcements")
+    red = sub.add_parser("reduce", help="eliminate announcements", description=(
+        "Print an announcement-free formula equivalent to --formula. For ssl it is equivalent only"
+        " when no E or D lies under an announcement: the effort schema is unsound there"
+        " (geopal axioms --semantics ssl --axiom 5)."))
     red.add_argument("--semantics", required=True, choices=SEMANTICS)
     red.add_argument("--formula", required=True)
     red.set_defaults(handler=_cmd_reduce)
@@ -303,7 +306,7 @@ def run(argv: list[str], out=None, err=None) -> int:
     try:
         return args.handler(args, out)
     except Exception as error:  # any failure is reported as exit 2, never 1
-        print(f"error: {error}", file=err)
+        print(f"error: {str(error) or type(error).__name__}", file=err)
         return 2
 
 

@@ -22,7 +22,9 @@ Nodes are immutable values that may be shared, so a formula is a DAG.
 Each node caches its structural hash when it is built, and `==` walks two
 formulas with an explicit stack, comparing each pair of node objects once,
 so formula-keyed memos hash one node per lookup.  Parsing, `walk`,
-`postorder`, `fold`, `repr` and pickling are iterative; only `holds` recurses.
+`postorder`, `fold`, `repr`, pickling and both evaluation loops are
+iterative: `tabulate` computes truth sets for every model kind, and `holds`
+recurses only through a model's modal clauses.
 """
 
 from __future__ import annotations
@@ -371,23 +373,92 @@ def check_fragment(f: Formula, semantics: str):
 def holds(model, locus, f: Formula) -> bool:
     """Truth of f at a checked locus, f within the model's fragment, in quantifier
     form: `[!a] b` holds where a fails, else b where `model._announced(locus, a)`
-    moves the locus.  Atoms and modalities are the model's `_holds(locus, f)`."""
-    kind = type(f)
-    if kind is Top:
-        return True
-    if kind is Bot:
-        return False
-    if kind is Not:
-        return not holds(model, locus, f.body)
-    if kind is And:
-        return holds(model, locus, f.left) and holds(model, locus, f.right)
-    if kind is Or:
-        return holds(model, locus, f.left) or holds(model, locus, f.right)
-    if kind is Implies:
-        return not holds(model, locus, f.left) or holds(model, locus, f.right)
-    if kind is Announce:
-        return not holds(model, locus, f.announced) or holds(*model._announced(locus, f.announced), f.body)
-    return model._holds(locus, f)
+    moves the locus.  Atoms and modalities are the model's `_holds(locus, f)`,
+    which calls `holds` per body.  Connectives and announcements run on an
+    explicit stack, left operand first and short-circuiting, so only modal
+    nesting costs Python stack."""
+    todo, value = [(model, locus, f)], False
+    while todo:
+        item = todo.pop()
+        if item is None:  # `value` is the left operand of the node below
+            model, locus, node = todo.pop()
+            kind = type(node)
+            if kind is Not:
+                value = not value
+            elif kind is Or:
+                if not value:
+                    todo.append((model, locus, node.right))
+            elif not value:  # & fails; -> and [!a] hold vacuously
+                value = kind is not And
+            elif kind is Announce:
+                todo.append((*model._announced(locus, node.announced), node.body))
+            else:
+                todo.append((model, locus, node.right))
+            continue
+        model, locus, node = item
+        kind = type(node)
+        if kind is Top or kind is Bot:
+            value = kind is Top
+        elif kind in _BINARY or kind is Not or kind is Announce:
+            todo += item, None, (model, locus, children(node)[0])
+        else:
+            value = model._holds(locus, node)
+    return value
+
+
+def tabulate(evaluator, f: Formula):
+    """The truth set of f on the evaluator's model: the batch form of `holds`.
+
+    The evaluator supplies `_all`, the set of every locus; `_tables`, a
+    formula-keyed memo; `_modal(node, body_set)` for atoms (`body_set` None)
+    and modalities; and `_announce(node, announced_set)` for `[!a] b`, which
+    evaluates b on the updated model.  The connectives use only
+    `everything - x`, `&` and `|`, so int masks and frozensets both serve.
+
+    Postfix order over two explicit stacks: `todo` holds nodes, a `None`
+    meaning "compute the node below me", and `done` the finished sets.  Each
+    node reference costs one memo lookup; any other node is computed once
+    its children's sets are on `done`, then stored, at any input depth."""
+    tables, everything = evaluator._tables, evaluator._all
+    todo, done = [f], []
+    while todo:
+        node = todo.pop()
+        if node is not None:
+            value = tables.get(node)
+            if value is not None:
+                done.append(value)
+                continue
+            kind = type(node)
+            todo += node, None
+            if kind in _BINARY:
+                todo += node.right, node.left
+            elif kind is Announce:
+                todo.append(node.announced)
+            elif kind in _UNARY:
+                todo.append(node.body)
+            continue
+        node = todo.pop()
+        kind = type(node)
+        if kind is Not:
+            value = everything - done.pop()
+        elif kind is And:
+            value = done.pop() & done.pop()
+        elif kind is Or:
+            value = done.pop() | done.pop()
+        elif kind is Implies:
+            right = done.pop()
+            value = (everything - done.pop()) | right
+        elif kind is Announce:
+            value = evaluator._announce(node, done.pop())
+        elif kind is Top:
+            value = everything
+        elif kind is Bot:
+            value = everything - everything
+        else:
+            value = evaluator._modal(node, done.pop() if kind in _UNARY else None)
+        tables[node] = value
+        done.append(value)
+    return done.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -23,19 +23,13 @@ from random import Random
 from typing import Iterable, Mapping
 
 from .formula import (
-    And,
-    Announce,
     Atom,
-    Bot,
     Formula,
-    Implies,
     KnowI,
-    Not,
-    Or,
-    Top,
     UnsupportedOperator,
     check_fragment,
     holds,
+    tabulate,
     walk,
 )
 from .topology import (
@@ -226,7 +220,9 @@ class ProductModel:
 
 
 class ProductEvaluator:
-    """Batch evaluator for one model: formula -> set of satisfying worlds.
+    """One model's clauses for `formula.tabulate`: atoms and K_i over sets of
+    worlds (`_modal`), and an announcement's body read on the restricted
+    model (`_announce`).
 
     Tables and announcement updates live in the model's memo, shared by
     every evaluator of that model; the memo holds the updated models'
@@ -235,6 +231,7 @@ class ProductEvaluator:
 
     def __init__(self, model: ProductModel):
         self.model = model
+        self._all = model.worlds
         self._tables = model._tables
         self._updates = model._updates
 
@@ -246,38 +243,20 @@ class ProductEvaluator:
         return cached
 
     def table(self, f: Formula) -> frozenset:
-        result = self._tables.get(f)
-        if result is None:
-            result = self._compute(f)
-            self._tables[f] = result
-        return result
+        return tabulate(self, f)
 
-    def _compute(self, f: Formula) -> frozenset:
-        model = self.model
-        worlds = model.worlds
+    def _modal(self, f: Formula, tb: frozenset | None) -> frozenset:
         match f:
             case Atom(name):
-                return model.atom_set(name)
-            case Top():
-                return worlds
-            case Bot():
-                return frozenset()
-            case Not(b):
-                return worlds - self.table(b)
-            case And(a, b):
-                return self.table(a) & self.table(b)
-            case Or(a, b):
-                return self.table(a) | self.table(b)
-            case Implies(a, b):
-                return (worlds - self.table(a)) | self.table(b)
-            case KnowI(agent, b):
-                _check_agent(model, agent)
-                return knowledge_interior(model, self.table(b), agent)
-            case Announce(a, b):
-                ta = self.table(a)
-                tb2 = self.updated(a).table(b)
-                return (worlds - ta) | (ta & tb2)
-        check_fragment(f, "product")  # raises: every node of the fragment is matched above
+                return self.model.atom_set(name)
+            case KnowI(agent):
+                _check_agent(self.model, agent)
+                return knowledge_interior(self.model, tb, agent)
+        check_fragment(f, "product")  # raises: every modal node of the fragment is matched above
+
+    def _announce(self, f: Formula, ta: frozenset) -> frozenset:
+        tb2 = self.updated(f.announced).table(f.body)
+        return (self._all - ta) | (ta & tb2)
 
 
 def _check_agent(model: ProductModel, agent: int):

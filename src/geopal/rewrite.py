@@ -107,7 +107,9 @@ def _single_step(announced: Formula, body: Formula, pushed=None) -> Formula:
 
 
 def reduce(f: Formula, semantics: str) -> Formula:
-    """Equivalent announcement-free formula for the given semantics."""
+    """Announcement-free formula equivalent to f on topological and product
+    models; on subset spaces only when no E or D lies under an announcement,
+    since the effort schema is unsound there (see `check_axiom`, ssl axiom 5)."""
     _check_semantics(semantics)
     check_fragment(f, semantics)
     return fold(f, _reduce_step)

@@ -22,21 +22,16 @@ from random import Random
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .formula import (
-    And,
     Announce,
     Atom,
-    Bot,
     Effort,
     EffortDual,
     Formula,
-    Implies,
     Know,
-    Not,
-    Or,
     Possible,
-    Top,
     check_fragment,
     holds,
+    tabulate,
 )
 from .topology import fmt_set, json_field, json_labels, json_list, json_valuation, parse_label
 
@@ -249,7 +244,9 @@ _QUANTIFIER = {Know: all, Possible: any, Effort: all, EffortDual: any}
 
 
 class SslEvaluator:
-    """Batch evaluator for one model: formula -> set of satisfying situations.
+    """One model's clauses for `formula.tabulate`: atoms, K/L and E/D over sets
+    of situations (`_modal`), and an announcement's body read on the updated
+    model (`_announce`).
 
     Tables (per formula) and announcement updates (per announced formula)
     live in the model's memo, which every evaluator of that model shares, so
@@ -275,52 +272,33 @@ class SslEvaluator:
         return cached
 
     def table(self, f: Formula) -> frozenset:
-        result = self._tables.get(f)
-        if result is None:
-            result = self._compute(f)
-            self._tables[f] = result
-        return result
+        return tabulate(self, f)
 
-    def _compute(self, f: Formula) -> frozenset:
+    def _modal(self, f: Formula, tb: frozenset | None) -> frozenset:
         match f:
             case Atom(name):
                 area = self.model.atom_set(name)
                 return frozenset(sit for sit in self.situations if sit.point in area)
-            case Top():
-                return self._all
-            case Bot():
-                return frozenset()
-            case Not(b):
-                return self._all - self.table(b)
-            case And(a, b):
-                return self.table(a) & self.table(b)
-            case Or(a, b):
-                return self.table(a) | self.table(b)
-            case Implies(a, b):
-                return (self._all - self.table(a)) | self.table(b)
-            case Know(b) | Possible(b):
-                tb = self.table(b)
+            case Know() | Possible():
                 holds = _QUANTIFIER[type(f)]
                 good = {member for member in self.model.sigma
                         if holds(Situation(t, member) in tb for t in member)}
                 return frozenset(sit for sit in self.situations if sit.nbhd in good)
-            case Effort(b) | EffortDual(b):
-                tb = self.table(b)
+            case Effort() | EffortDual():
                 holds = _QUANTIFIER[type(f)]
                 return frozenset(
                     sit for sit in self.situations
                     if holds(Situation(sit.point, v) in tb
                              for v in self.model._refinements[sit.nbhd] if sit.point in v)
                 )
-            case Announce(a, b):
-                ta = self.table(a)
-                inner, nbhd_map = self.updated(a)
-                tb2 = inner.table(b)
-                vacuous = self._all - ta
-                return vacuous | frozenset(
-                    sit for sit in ta if Situation(sit.point, nbhd_map[sit.nbhd]) in tb2
-                )
-        check_fragment(f, "ssl")  # raises: every node of the fragment is matched above
+        check_fragment(f, "ssl")  # raises: every modal node of the fragment is matched above
+
+    def _announce(self, f: Formula, ta: frozenset) -> frozenset:
+        inner, nbhd_map = self.updated(f.announced)
+        tb2 = inner.table(f.body)
+        return (self._all - ta) | frozenset(
+            sit for sit in ta if Situation(sit.point, nbhd_map[sit.nbhd]) in tb2
+        )
 
 
 def apply_update(model: SSLModel, satisfying: frozenset) -> tuple[SSLModel, dict[frozenset, frozenset]]:

@@ -1,19 +1,17 @@
 """Single-agent topological models and their announcement update.
 
-Two evaluators are provided.  `extension` computes the truth set of a
-formula bottom-up with bitmask operations and is the default everywhere.
-It is one iterative pass over the distinct node objects, children first
-(`formula.postorder`), with each node's mask kept by `id`: a subformula
-shared in a reduced DAG is evaluated once, and a long chain of operators
-costs no stack depth.  An announcement's body is evaluated on the subspace
-model through a nested call, so the depth of Python recursion is the depth
-of announcement nesting.
+`extension` computes the truth set of a formula as a bitmask over the
+model's points and is the default everywhere.  It is `formula.tabulate`,
+the truth-set loop all three model kinds share: the model states only its
+atoms, `I`/`C` (`_modal`) and its announcement (`_announce`), whose body is
+evaluated on the subspace model by a nested pass, so the depth of Python
+recursion is the depth of announcement nesting.
 
-Each model memoizes both: node masks by `id`, so a node object evaluated
-once on a model (a shared subformula of two formulas, a repeated `truth`)
-is not evaluated again there, and subspaces by carrier mask, so
-`update(f) is update(f)` and every announcement of the same set restricts
-the space once.  Subspaces keep their own node masks.
+Each model memoizes both: masks by formula, so a formula evaluated once on
+a model (a shared subformula of two formulas, a repeated `truth`, an equal
+formula built anew) is not evaluated again there, and subspaces by carrier
+mask, so `update(f) is update(f)` and every announcement of the same set
+restricts the space once.  Subspaces keep their own masks.
 
 `satisfies` is `formula.holds` over the model's quantifier clauses for
 atoms, interior (exists-open-forall) and closure (forall-open-exists), kept
@@ -30,21 +28,13 @@ from random import Random
 from typing import Hashable, Iterable, Mapping
 
 from .formula import (
-    And,
-    Announce,
     Atom,
-    Bot,
     Closure,
     Formula,
-    Implies,
     Interior,
-    Not,
-    Or,
-    Top,
     check_fragment,
-    children,
     holds,
-    postorder,
+    tabulate,
 )
 from .topology import (
     Topology,
@@ -108,21 +98,15 @@ class TopoModel:
         return {}
 
     @cached_property
-    def _masks(self) -> dict[int, int]:
+    def _tables(self) -> dict[Formula, int]:
         return {}
-
-    # Every node keyed in _masks is reachable from a formula held here, so
-    # it stays alive and no other object can take its id.
-    @cached_property
-    def _evaluated(self) -> list[Formula]:
-        return []
 
     def __getstate__(self) -> dict:
         """Pickles and copies carry the fields, not the memo."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def truth(self, f: Formula) -> frozenset:
-        """The points where f holds (node masks memoized on the model)."""
+        """The points where f holds (masks memoized on the model)."""
         return self.space.labels(extension(self, f))
 
     def update(self, f: Formula) -> "TopoModel":
@@ -148,6 +132,29 @@ class TopoModel:
                     inner(holds(self, space.points[t], b) for t in bits(open_))
                     for open_ in space.opens if open_ >> s & 1
                 )
+
+    # The model's clauses for `formula.tabulate`, over masks.
+
+    @property
+    def _all(self) -> int:
+        return self.space.full_mask
+
+    def _modal(self, f: Formula, body: int | None) -> int:
+        """The mask of an atom, or of I/C over the body's mask."""
+        kind = type(f)
+        if kind is Atom:
+            return self.atom_mask(f.name)
+        if kind is Interior:
+            return self.space.interior(body)
+        if kind is Closure:
+            return self.space.closure(body)
+        check_fragment(f, "topo")  # raises: every modal node of the fragment is matched above
+
+    def _announce(self, f: Formula, announced: int) -> int:
+        """Points failing the announcement satisfy it vacuously; surviving
+        points defer to the subspace, whose indices pack the carrier's."""
+        inner = extension(_restrict(self, announced), f.body)
+        return (self.space.full_mask & ~announced) | expand_mask(inner, announced)
 
     def _announced(self, point: Hashable, a: Formula) -> tuple["TopoModel", Hashable]:
         """The subspace of the points where a holds, found one by one."""
@@ -195,55 +202,8 @@ class TopoModel:
 
 
 def extension(model: TopoModel, f: Formula) -> int:
-    """Truth set of the formula as a mask over the model's points.
-
-    Nodes whose mask the model already holds are neither entered nor
-    evaluated again."""
-    value = model._masks
-    if id(f) in value:
-        return value[id(f)]
-    model._evaluated.append(f)
-    space = model.space
-    full = space.full_mask
-
-    def kids(node):
-        # Known nodes are not entered; an announcement's body belongs to the subspace.
-        if id(node) in value:
-            return ()
-        return (node.announced,) if type(node) is Announce else children(node)
-
-    for node in postorder(f, kids):
-        if id(node) in value:
-            continue
-        kind = type(node)
-        if kind is Atom:
-            mask = model.atom_mask(node.name)
-        elif kind is Not:
-            mask = full & ~value[id(node.body)]
-        elif kind is And:
-            mask = value[id(node.left)] & value[id(node.right)]
-        elif kind is Or:
-            mask = value[id(node.left)] | value[id(node.right)]
-        elif kind is Implies:
-            mask = (full & ~value[id(node.left)]) | value[id(node.right)]
-        elif kind is Interior:
-            mask = space.interior(value[id(node.body)])
-        elif kind is Closure:
-            mask = space.closure(value[id(node.body)])
-        elif kind is Top:
-            mask = full
-        elif kind is Bot:
-            mask = 0
-        elif kind is Announce:
-            announced = value[id(node.announced)]
-            inner = extension(_restrict(model, announced), node.body)
-            # Points failing the announcement satisfy it vacuously; surviving
-            # points defer to the subspace, whose indices pack the carrier's.
-            mask = (full & ~announced) | expand_mask(inner, announced)
-        else:
-            check_fragment(node, "topo")  # raises: every node of the fragment is matched above
-        value[id(node)] = mask
-    return value[id(f)]
+    """Truth set of the formula as a mask over the model's points (memoized)."""
+    return tabulate(model, f)
 
 
 # The oracle as a function, satisfies(model, point, f).

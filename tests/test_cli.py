@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from geopal import cli
 from geopal.cli import dump_model, load_model, run
-from geopal.formula import Not, parse
+from geopal.formula import parse
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -246,17 +247,47 @@ def test_command_rejects_other_model_kinds(command, fixture, flag):
     assert f"error: {command} expects a model of kind " in text
 
 
-def test_check_evaluates_a_long_prefix_run():
-    # 3,001 negations: the parser reads the run in a loop and the evaluator
-    # walks the chain without recursion, so the answer is printed, exit 0.
-    path = DATA / "sier.topo.json"
-    chain = parse("p")
-    for _ in range(3001):
-        chain = Not(chain)
-    expected = 0 in load_model(str(path)).truth(chain)
-    assert invoke(["check", "--model", str(path), "--at", "0", "--formula", "~" * 3001 + "p"]) == (
-        0, "true\n" if expected else "false\n"
-    )
+CHAIN = "~" * 3000 + "p"  # an even run of negations: equivalent to p
+TOPO, SSL, PRODUCT = (str(DATA / name) for name in ("sier.topo.json", "pair.ssl.json", "duo.product.json"))
+LONG_PREFIX_RUNS = {
+    "check-sier.topo.json": ["check", "--model", TOPO, "--at", "0", "--formula", CHAIN],
+    "check-pair.ssl.json": ["check", "--model", SSL, "--at", "s@s,t", "--formula", CHAIN],
+    "check-duo.product.json": ["check", "--model", PRODUCT, "--at", "1,0", "--formula", CHAIN],
+    **{
+        f"{command}-{Path(model).name}": [command, "--model", model, "--formula", CHAIN]
+        for command in ("update", "limit")
+        for model in (TOPO, SSL, PRODUCT)
+    },
+    "ck-duo.product.json": ["ck", "--model", PRODUCT, "--formula", CHAIN],
+    "persistent-formula": ["persistent", "--model", SSL, "--formula", CHAIN],
+    "persistent-announcements": ["persistent", "--model", SSL, "--formula", "p", "--announcements", CHAIN],
+    **{
+        f"reduce-{semantics}": ["reduce", "--semantics", semantics, "--formula", "[!p] " + CHAIN]
+        for semantics in ("topo", "ssl", "product")
+    },
+}
+
+
+@pytest.mark.parametrize("argv", LONG_PREFIX_RUNS.values(), ids=LONG_PREFIX_RUNS.keys())
+def test_check_evaluates_a_long_prefix_run(argv):
+    # 3,000 negations: parsing, evaluation, updates and elimination all walk
+    # the chain without recursion on every kind of model, so each command
+    # answers as it does for the equivalent p, and reduce pushes [!p] through
+    # every negation.
+    code, text = invoke(argv)
+    if argv[0] == "reduce":
+        assert (code, text) == (0, "p -> ~(" * 3000 + "p -> p" + ")" * 3000 + "\n")
+    else:
+        assert code in (0, 1)
+        assert (code, text) == invoke([arg.replace(CHAIN, "p") for arg in argv])
+
+
+def test_error_without_a_message_names_its_type(monkeypatch):
+    def out_of_memory(args, out):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_reduce", out_of_memory)
+    assert invoke(["reduce", "--semantics", "topo", "--formula", "p"]) == (2, "error: MemoryError\n")
 
 
 def test_check_reads_deeply_nested_parentheses():

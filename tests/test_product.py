@@ -149,14 +149,17 @@ def test_fresh_model_has_full_product():
 
 
 def test_truth_computes_each_table_once(monkeypatch):
+    # Atoms, modalities and announcements are the evaluator's clauses; each
+    # runs once per model and formula.
     computed = Counter()
-    compute = ProductEvaluator._compute
+    for name in ("_modal", "_announce"):
+        clause = getattr(ProductEvaluator, name)
 
-    def counting(self, f):
-        computed[id(self.model), f] += 1
-        return compute(self, f)
+        def counting(self, f, value, clause=clause):
+            computed[id(self.model), f] += 1
+            return clause(self, f, value)
 
-    monkeypatch.setattr(ProductEvaluator, "_compute", counting)
+        monkeypatch.setattr(ProductEvaluator, name, counting)
     model = indiscrete_pair()
     f = parse("[!p] K1 q & K2 [!p] (K1 q | p)")
     first = model.truth(f)

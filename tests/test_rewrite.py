@@ -157,8 +157,8 @@ def test_oracle_is_independent_of_the_fast_paths(monkeypatch):
     monkeypatch.setattr(topomodel, "extension", fast_path)
     monkeypatch.setattr(sslmodel, "apply_update", fast_path)
     monkeypatch.setattr(product, "knowledge_interior", fast_path)
-    monkeypatch.setattr(sslmodel.SslEvaluator, "_compute", fast_path)
-    monkeypatch.setattr(product.ProductEvaluator, "_compute", fast_path)
+    monkeypatch.setattr(sslmodel.SslEvaluator, "_modal", fast_path)
+    monkeypatch.setattr(product.ProductEvaluator, "_modal", fast_path)
     for fresh in (random_topomodel(99, 3, 2), random_ssl_model(99), random_product_model(99)):
         with pytest.raises(AssertionError, match="fast path"):  # the patches are live
             fresh.truth(parse("p"))
@@ -166,6 +166,19 @@ def test_oracle_is_independent_of_the_fast_paths(monkeypatch):
     for model, f, holds in cases:
         for locus in model.loci():
             assert model.satisfies(locus, f) == (locus in holds), (str(f), locus)
+
+
+def test_oracle_reads_long_runs_of_connectives_on_every_kind():
+    # `holds` keeps negations, connectives and announcements on its own
+    # stack, so a run 3,000 deep answers like the table on every kind.
+    runs = ["~" * 3000 + "p", "[!q] " + "~" * 3000 + "p", " -> ".join(["q"] * 3000 + ["p"]),
+            " | ".join(["q"] * 3000 + ["p"])]
+    for model in (random_topomodel(5, 4, 3), random_ssl_model(5), random_product_model(5)):
+        for f in map(parse, runs):
+            holds = model.truth(f)
+            assert [model.satisfies(locus, f) for locus in model.loci()] == [
+                locus in holds for locus in model.loci()
+            ], str(f)[:20]
 
 
 def test_reduce_handles_duals_via_negation_form():

@@ -204,14 +204,17 @@ def test_announcements_inside_announcements():
 
 
 def test_truth_computes_each_table_once(monkeypatch):
+    # Atoms, modalities and announcements are the evaluator's clauses; each
+    # runs once per model and formula.
     computed = Counter()
-    compute = SslEvaluator._compute
+    for name in ("_modal", "_announce"):
+        clause = getattr(SslEvaluator, name)
 
-    def counting(self, f):
-        computed[id(self.model), f] += 1
-        return compute(self, f)
+        def counting(self, f, value, clause=clause):
+            computed[id(self.model), f] += 1
+            return clause(self, f, value)
 
-    monkeypatch.setattr(SslEvaluator, "_compute", counting)
+        monkeypatch.setattr(SslEvaluator, name, counting)
     model = pair_model()
     f = parse("[!p] K q & E [!p] (K q | D p)")
     first = model.truth(f)
@@ -283,17 +286,17 @@ def test_reverification_does_not_read_the_tables(monkeypatch):
     # that are not there; re-verification must keep only true verdicts.
     axiom = AxiomId("ssl", 5)
     flips = []
-    table = SslEvaluator.table
+    modal = SslEvaluator._modal
 
-    def flipped(self, f):
-        value = table(self, f)
+    def flipped(self, f, body):
+        value = modal(self, f, body)
         if isinstance(f, Effort):
             flips.append(f)
             return self._all - value
         return value
 
     with monkeypatch.context() as patch:
-        patch.setattr(SslEvaluator, "table", flipped)
+        patch.setattr(SslEvaluator, "_modal", flipped)
         report = check_axiom(axiom, 300, 0)
     assert flips
     for c in report.counterexamples:

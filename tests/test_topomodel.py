@@ -274,7 +274,7 @@ def test_truth_evaluates_each_node_object_once_per_model(interior_calls):
     calls.clear()
     assert model.truth(announced) == value and model.truth(shared) == first
     assert calls == []
-    assert model.truth(parse("I (p | C q)")) == first and len(calls) == 2  # an equal new object
+    assert model.truth(parse("I (p | C q)")) == first and calls == []  # an equal new object
     assert random_topomodel(3, 5, 3).truth(announced) == value
 
 
@@ -314,7 +314,7 @@ def test_memo_leaves_no_reference_cycle():
 def test_pickles_and_copies_carry_the_fields_not_the_memo():
     model = random_topomodel(3, 5, 3)
     model.update(parse("p"))
-    memo = {"_subspaces", "_masks", "_evaluated"}
+    memo = {"_subspaces", "_tables"}
     assert memo <= set(vars(model))
     for copy in (pickle.loads(pickle.dumps(model)), dataclasses.replace(model)):
         assert copy == model and not memo & set(vars(copy))
