@@ -31,7 +31,7 @@ from .dynamics import (
     limit_model,
     muddy_scenario,
 )
-from .formula import FormulaError, parse, render
+from .formula import FormulaError, complexity, parse, render, walk
 from .games import GameTree, bi_via_announcements
 from .intervals import divergence_report
 from .product import ProductModel, fmt_world
@@ -119,8 +119,22 @@ def _cmd_update(args, out) -> int:
     return 0
 
 
+# The largest reduced formula `geopal reduce` prints, in occurrences as a
+# tree.  Elimination shares subterms, so a short input can reduce to a small
+# DAG whose printed tree does not fit in memory.
+MAX_PRINTED_SIZE = 1_000_000
+
+
 def _cmd_reduce(args, out) -> int:
-    print(render(reduce(_parse_formula(args.formula), args.semantics)), file=out)
+    reduced = reduce(_parse_formula(args.formula), args.semantics)
+    size = complexity(reduced)
+    if size > MAX_PRINTED_SIZE:
+        nodes = sum(1 for _ in walk(reduced))
+        raise ValueError(
+            f"the reduced formula has {size:,} occurrences as a tree ({nodes:,} distinct nodes),"
+            f" more than the {MAX_PRINTED_SIZE:,} that reduce prints"
+        )
+    print(render(reduced), file=out)
     return 0
 
 
@@ -251,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     red = sub.add_parser("reduce", help="eliminate announcements", description=(
         "Print an announcement-free formula equivalent to --formula. For ssl it is equivalent only"
         " when no E or D lies under an announcement: the effort schema is unsound there"
-        " (geopal axioms --semantics ssl --axiom 5)."))
+        f" (geopal axioms --semantics ssl --axiom 5). A result of more than {MAX_PRINTED_SIZE:,}"
+        " occurrences as a tree is not printed (exit 2)."))
     red.add_argument("--semantics", required=True, choices=SEMANTICS)
     red.add_argument("--formula", required=True)
     red.set_defaults(handler=_cmd_reduce)

@@ -81,8 +81,8 @@ def _stage_loop(model, step):
 
 
 def _valid(model: Model, f: Formula) -> bool:
-    """True when f holds at every locus."""
-    return model.truth(f) == frozenset(model.loci())
+    """True when f holds at every locus: its mask is the model's full mask."""
+    return model._mask(f) == model._all
 
 
 def limit_model(model: Model, f: Formula) -> LimitTrace:
@@ -145,7 +145,7 @@ def common_knowledge_extension(model: ProductModel, f: Formula) -> CommonKnowled
     """
     if not isinstance(model, ProductModel):
         raise TypeError("common knowledge extension is defined on product models")
-    base = model.truth(f)
+    base = model._mask(f)
     current = base
     iterations = 0
     while True:
@@ -153,7 +153,7 @@ def common_knowledge_extension(model: ProductModel, f: Formula) -> CommonKnowled
         for agent in range(1, model.agent_count + 1):
             refined &= knowledge_interior(model, current, agent)
         if refined == current:
-            return CommonKnowledge(current, iterations)
+            return CommonKnowledge(model._worlds(current), iterations)
         current = refined
         iterations += 1
 
@@ -214,12 +214,13 @@ _UNKNOWN = "unknown"
 
 def _knowledge_states(model: ProductModel, actual: World, n: int) -> dict[str, str]:
     states = {}
+    bit = 1 << model._bit[actual]
     for i in range(n):
         name = CHILD_NAMES[i]
         atom = child_atom(name)
-        if actual in model.truth(KnowI(i + 1, atom)):
+        if model._mask(KnowI(i + 1, atom)) & bit:
             states[name] = _KNOWS_MUDDY
-        elif actual in model.truth(KnowI(i + 1, Not(atom))):
+        elif model._mask(KnowI(i + 1, Not(atom))) & bit:
             states[name] = _KNOWS_CLEAN
         else:
             states[name] = _UNKNOWN

@@ -407,13 +407,14 @@ def holds(model, locus, f: Formula) -> bool:
 
 
 def tabulate(evaluator, f: Formula):
-    """The truth set of f on the evaluator's model: the batch form of `holds`.
+    """The truth set of f on the evaluator's model, as an int mask over its
+    loci: the batch form of `holds`.
 
-    The evaluator supplies `_all`, the set of every locus; `_tables`, a
-    formula-keyed memo; `_modal(node, body_set)` for atoms (`body_set` None)
-    and modalities; and `_announce(node, announced_set)` for `[!a] b`, which
-    evaluates b on the updated model.  The connectives use only
-    `everything - x`, `&` and `|`, so int masks and frozensets both serve.
+    The evaluator supplies `_all`, the mask of every locus; `_tables`, a
+    formula-keyed memo; `_modal(node, body_mask)` for atoms (`body_mask`
+    None) and modalities; and `_announce(node, announced_mask)` for
+    `[!a] b`, which evaluates b on the updated model.  The connectives use
+    only `everything - x`, `&` and `|`.
 
     Postfix order over two explicit stacks: `todo` holds nodes, a `None`
     meaning "compute the node below me", and `done` the finished sets.  Each

@@ -12,6 +12,15 @@ announcement/knowledge reduction law is sound, and it makes announcements
 with non-rectangular extensions (the interesting ones) actually remove
 worlds.  The oracle `satisfies` is `formula.holds` over the model's own
 clauses: atoms, K_i over the factor opens, and announcements world by world.
+
+Truth tables are int masks.  Bit i stands for the i-th world of the root
+model (the model no announcement produced) in `loci()` order, and every
+model an announcement restricts it to keeps that index, so lifting a table
+through an announcement is plain `&` and `|`.  Only listed worlds are
+indexed, never the full cartesian product.  K_i reads a per-agent table,
+built once per root model from its lines (the worlds that agree on every
+coordinate but the agent's): for each world, the mask of listed variants
+inside its coordinate's minimal open.
 """
 
 from __future__ import annotations
@@ -51,8 +60,9 @@ World = tuple
 class ProductModel:
     """Factor topologies, surviving worlds and a valuation on worlds.
 
-    Treat instances as immutable: each model memoizes its truth tables and
-    announcement updates (see ProductEvaluator).
+    Treat instances as immutable: each model memoizes its truth masks, their
+    read-out as world sets, and its announcement updates (see
+    ProductEvaluator); updated models share their root's world index.
     """
 
     factors: tuple[Topology, ...]
@@ -99,12 +109,43 @@ class ProductModel:
         return len(self.worlds)
 
     def loci(self) -> list[World]:
-        return sorted(self.worlds)
+        """The worlds in mask order: sorted, or in factor order if labels do not compare."""
+        order = self._order
+        return [order[i] for i in bits(self._all)]
 
-    # The memo, built on first use.  Equality and repr see only the fields,
-    # and __getstate__ keeps it out of pickles.
+    # The index and the memo, built on first use.  Equality and repr see
+    # only the fields, and __getstate__ keeps these out of pickles.
+    # `_restrict` hands `_order`, `_bit` and `_lines` down to every model it
+    # builds, so a family of updates shares one index.
     @cached_property
-    def _tables(self) -> dict[Formula, frozenset]:
+    def _order(self) -> tuple[World, ...]:
+        """The world at each mask bit: this root model's worlds, sorted."""
+        try:
+            return tuple(sorted(self.worlds))
+        except TypeError:  # labels of mixed types in one factor: factor order
+            return tuple(sorted(self.worlds, key=lambda w: tuple(map(Topology.index, self.factors, w))))
+
+    @cached_property
+    def _bit(self) -> dict[World, int]:
+        return {world: i for i, world in enumerate(self._order)}
+
+    @cached_property
+    def _all(self) -> int:
+        """The mask of this model's worlds."""
+        bit = self._bit
+        return sum(1 << bit[world] for world in self.worlds)
+
+    @cached_property
+    def _lines(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Per agent, `knowledge_interior`'s (need, members) pairs, built on first use."""
+        return {}
+
+    @cached_property
+    def _tables(self) -> dict[Formula, int]:
+        return {}
+
+    @cached_property
+    def _truths(self) -> dict[Formula, frozenset]:
         return {}
 
     @cached_property
@@ -115,10 +156,21 @@ class ProductModel:
         """Pickles and copies carry the fields, not the memo."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def truth(self, f: Formula) -> frozenset:
-        """The worlds where f holds (memoized on the model)."""
+    def _mask(self, f: Formula) -> int:
+        """The mask of the worlds where f holds (memoized on the model)."""
         table = self._tables.get(f)
         return ProductEvaluator(self).table(f) if table is None else table
+
+    def _worlds(self, mask: int) -> frozenset:
+        order = self._order
+        return frozenset(order[i] for i in bits(mask))
+
+    def truth(self, f: Formula) -> frozenset:
+        """The worlds where f holds: the mask read out once per formula."""
+        truth = self._truths.get(f)
+        if truth is None:
+            truth = self._truths[f] = self._worlds(self._mask(f))
+        return truth
 
     def update(self, f: Formula) -> "ProductModel":
         """Announcement update: drop worlds where f fails; factors are untouched.
@@ -220,9 +272,9 @@ class ProductModel:
 
 
 class ProductEvaluator:
-    """One model's clauses for `formula.tabulate`: atoms and K_i over sets of
-    worlds (`_modal`), and an announcement's body read on the restricted
-    model (`_announce`).
+    """One model's clauses for `formula.tabulate`: atoms and K_i over world
+    masks (`_modal`), and an announcement's body read on the restricted
+    model (`_announce`), whose masks index the same worlds.
 
     Tables and announcement updates live in the model's memo, shared by
     every evaluator of that model; the memo holds the updated models'
@@ -231,30 +283,32 @@ class ProductEvaluator:
 
     def __init__(self, model: ProductModel):
         self.model = model
-        self._all = model.worlds
+        self._all = model._all
         self._tables = model._tables
         self._updates = model._updates
 
     def updated(self, announced: Formula) -> "ProductEvaluator":
         cached = self._updates.get(announced)
         if cached is None:
-            cached = ProductEvaluator(_restrict(self.model, self.table(announced)))
+            surviving = self.model._worlds(self.table(announced))
+            cached = ProductEvaluator(_restrict(self.model, surviving))
             self._updates[announced] = cached
         return cached
 
-    def table(self, f: Formula) -> frozenset:
+    def table(self, f: Formula) -> int:
         return tabulate(self, f)
 
-    def _modal(self, f: Formula, tb: frozenset | None) -> frozenset:
+    def _modal(self, f: Formula, tb: int | None) -> int:
         match f:
             case Atom(name):
-                return self.model.atom_set(name)
+                bit = self.model._bit
+                return sum(1 << bit[world] for world in self.model.atom_set(name))
             case KnowI(agent):
                 _check_agent(self.model, agent)
                 return knowledge_interior(self.model, tb, agent)
         check_fragment(f, "product")  # raises: every modal node of the fragment is matched above
 
-    def _announce(self, f: Formula, ta: frozenset) -> frozenset:
+    def _announce(self, f: Formula, ta: int) -> int:
         tb2 = self.updated(f.announced).table(f.body)
         return (self._all - ta) | (ta & tb2)
 
@@ -265,31 +319,54 @@ def _check_agent(model: ProductModel, agent: int):
         raise UnsupportedOperator(f"agent {agent} out of range for {model.agent_count} factors")
 
 
-def knowledge_interior(model: ProductModel, area: frozenset, agent: int) -> frozenset:
-    """Worlds where agent i knows membership in the area.
+def knowledge_interior(model: ProductModel, area: int, agent: int) -> int:
+    """The mask of the worlds where agent i knows membership in the area mask.
 
     A world qualifies when some factor-i open around its i-th coordinate
     keeps every surviving variant along that coordinate inside the area.
     The condition is monotone in the open, so the minimal open of that
-    coordinate decides it.
+    coordinate decides it: the world's `need` mask, its listed variants in
+    that open, must meet no surviving world outside the area.
     """
-    factor = model.factors[agent - 1]
-    return frozenset(
-        world
-        for world in model.worlds
-        if all(
-            v not in model.worlds or v in area
-            for v in model.variants(world, agent, factor.minimal[factor.index(world[agent - 1])])
-        )
-    )
+    worlds = model._all
+    outside = worlds & ~area
+    known = 0
+    for need, members in _knowledge_table(model, agent):
+        if not need & outside:
+            known |= members
+    return known & worlds
+
+
+def _knowledge_table(model: ProductModel, agent: int) -> tuple[tuple[int, int], ...]:
+    """(need, members) pairs over the root's worlds: `members` is every world
+    whose listed variants inside its coordinate's minimal open are `need`."""
+    table = model._lines.get(agent)
+    if table is None:
+        axis = agent - 1
+        factor = model.factors[axis]
+        lines = {}
+        for i, world in enumerate(model._order):
+            line = lines.setdefault(world[:axis] + world[agent:], [])
+            line.append((factor.index(world[axis]), 1 << i))
+        groups = {}
+        for line in lines.values():
+            for position, bit in line:
+                minimal = factor.minimal[position]
+                need = sum(other_bit for other, other_bit in line if minimal >> other & 1)
+                groups[need] = groups.get(need, 0) | bit
+        table = model._lines[agent] = tuple(groups.items())
+    return table
 
 
 def _restrict(model: ProductModel, surviving: frozenset) -> ProductModel:
-    return ProductModel(
+    """The model on the surviving worlds, indexed like its parent."""
+    restricted = ProductModel(
         model.factors,
         surviving,
         {atom: area & surviving for atom, area in model.valuation.items()},
     )
+    vars(restricted).update(_order=model._order, _bit=model._bit, _lines=model._lines)
+    return restricted
 
 
 def fmt_world(world: World) -> str:
@@ -310,7 +387,9 @@ def h_open(model: ProductModel, area: Iterable[World], axis: int) -> bool:
     full = ProductModel.full(model.factors)
     if not area <= full.worlds:
         raise ValueError("area is not a subset of the full product")
-    return area <= knowledge_interior(full, area, axis)
+    bit = full._bit
+    mask = sum(1 << bit[world] for world in area)
+    return not mask & ~knowledge_interior(full, mask, axis)
 
 
 def random_product_model(

@@ -59,6 +59,7 @@ from .formula import (
 )
 from .product import random_product_model
 from .sslmodel import random_ssl_model
+from .topology import bits
 from .topomodel import random_topomodel
 
 SEMANTICS = tuple(FRAGMENTS)
@@ -260,7 +261,8 @@ _SAMPLERS: dict[str, Callable[[int], object]] = {
 def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> ValidityReport:
     """Evaluate both sides of the axiom at every locus of random models.
 
-    Disagreements are re-verified through the pointwise evaluators before
+    The two sides' masks are compared; the loci where they differ are
+    re-verified, in `loci()` order, through the pointwise evaluators before
     being recorded; the report keeps one counterexample per (model,
     instantiation) pair.  Models are visited in seed order, so reports are
     reproducible.
@@ -274,12 +276,11 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
         model = sampler(seed + offset)
         for phi, psi, chi, agent in _instantiations(axiom, pools, model):
             lhs, rhs = axiom_instance(axiom, phi, psi, chi, agent)
-            lhs_holds = model.truth(lhs)
-            differ = lhs_holds ^ model.truth(rhs)
-            for locus in model.loci() if differ else ():
-                if locus not in differ:
-                    continue
-                lhs_value, rhs_value = locus in lhs_holds, locus not in lhs_holds
+            lhs_holds = model._mask(lhs)
+            for i in bits(lhs_holds ^ model._mask(rhs)):
+                locus = model._order[i]
+                lhs_value = bool(lhs_holds >> i & 1)
+                rhs_value = not lhs_value
                 # Re-verify through the single-locus path before recording.
                 if model.satisfies(locus, lhs) != lhs_value or model.satisfies(locus, rhs) != rhs_value:
                     continue
@@ -316,10 +317,9 @@ class EquivalenceResult:
 
 
 def equivalent_on(model, f: Formula, g: Formula) -> EquivalenceResult:
-    """Whether two formulas agree at every locus of the model."""
-    f_map = _truth_map(model, f)
-    g_map = _truth_map(model, g)
-    for locus, value in f_map.items():
-        if g_map[locus] != value:
-            return EquivalenceResult(False, locus)
-    return EquivalenceResult(True)
+    """Whether two formulas agree at every locus of the model; if not, the
+    witness is the first locus in `loci()` order where they differ."""
+    differ = model._mask(f) ^ model._mask(g)
+    if not differ:
+        return EquivalenceResult(True)
+    return EquivalenceResult(False, model._order[next(bits(differ))])

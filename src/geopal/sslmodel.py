@@ -12,6 +12,13 @@ becomes the set of points that still occur in a satisfying situation.  Two
 neighbourhoods that shrink to the same point set merge, since the semantics
 only ever consults the point set.  The oracle `satisfies` is `formula.holds`
 over the model's own clauses: atoms, K/L, E/D, and that update spelled out.
+
+Truth tables are int masks whose bit i is the i-th situation in `loci()`
+order.  K/L read one mask per sigma member (its situations), E/D one mask
+per situation (its refinements around the point), and `apply_update`
+returns, with the updated model, each new situation's mask of the old
+situations that shrink to it, so an announcement's body is lifted back
+bit by bit, merged neighbourhoods included.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .formula import (
     holds,
     tabulate,
 )
-from .topology import fmt_set, json_field, json_labels, json_list, json_valuation, parse_label
+from .topology import bits, fmt_set, json_field, json_labels, json_list, json_valuation, parse_label
 
 
 class Situation(NamedTuple):
@@ -50,7 +57,7 @@ class SSLModel:
 
     sigma members must be nonempty subsets of the carrier; they are stored
     deduplicated in a canonical order (by size, then by point index).
-    Treat instances as immutable: each model memoizes its truth tables and
+    Treat instances as immutable: each model memoizes its truth masks and
     announcement updates (see SslEvaluator), so a mutated model would keep
     answering for its old contents.
     """
@@ -114,19 +121,37 @@ class SSLModel:
         )
 
     @cached_property
-    def _everything(self) -> frozenset:
-        return frozenset(self._situations)
+    def _all(self) -> int:
+        return (1 << len(self._situations)) - 1
 
     @cached_property
-    def _refinements(self) -> dict[frozenset, tuple[frozenset, ...]]:
-        return {member: tuple(v for v in self.sigma if v <= member) for member in self.sigma}
+    def _member_masks(self) -> tuple[int, ...]:
+        """The situations of each sigma member, in sigma order."""
+        position = {member: k for k, member in enumerate(self.sigma)}
+        masks = [0] * len(self.sigma)
+        for i, (_, member) in enumerate(self._situations):
+            masks[position[member]] |= 1 << i
+        return tuple(masks)
 
     @cached_property
-    def _tables(self) -> dict[Formula, frozenset]:
+    def _refinement_masks(self) -> tuple[int, ...]:
+        """For each situation (x, U), the situations (x, V) with V within U."""
+        bit = {situation: i for i, situation in enumerate(self._situations)}
+        return tuple(
+            sum(1 << bit[point, smaller] for smaller in self.sigma if point in smaller and smaller <= member)
+            for point, member in self._situations
+        )
+
+    @cached_property
+    def _tables(self) -> dict[Formula, int]:
         return {}
 
     @cached_property
-    def _updates(self) -> dict[Formula, tuple["SslEvaluator", dict[frozenset, frozenset]]]:
+    def _truths(self) -> dict[Formula, frozenset]:
+        return {}
+
+    @cached_property
+    def _updates(self) -> dict[Formula, tuple["SslEvaluator", tuple[int, ...]]]:
         return {}
 
     def __getstate__(self) -> dict:
@@ -136,10 +161,23 @@ class SSLModel:
     def loci(self) -> list["Situation"]:
         return list(self._situations)
 
-    def truth(self, f: Formula) -> frozenset:
-        """The situations where f holds (memoized on the model)."""
+    @property
+    def _order(self) -> tuple["Situation", ...]:
+        """The situation at each mask bit."""
+        return self._situations
+
+    def _mask(self, f: Formula) -> int:
+        """The mask of the situations where f holds (memoized on the model)."""
         table = self._tables.get(f)
         return SslEvaluator(self).table(f) if table is None else table
+
+    def truth(self, f: Formula) -> frozenset:
+        """The situations where f holds: the mask read out once per formula."""
+        truth = self._truths.get(f)
+        if truth is None:
+            situations = self._situations
+            truth = self._truths[f] = frozenset(situations[i] for i in bits(self._mask(f)))
+        return truth
 
     def update(self, f: Formula) -> "SSLModel":
         """The announcement update, memoized: the same f gives the same model object."""
@@ -244,9 +282,9 @@ _QUANTIFIER = {Know: all, Possible: any, Effort: all, EffortDual: any}
 
 
 class SslEvaluator:
-    """One model's clauses for `formula.tabulate`: atoms, K/L and E/D over sets
-    of situations (`_modal`), and an announcement's body read on the updated
-    model (`_announce`).
+    """One model's clauses for `formula.tabulate`: atoms, K/L and E/D over
+    situation masks (`_modal`), and an announcement's body read on the
+    updated model and lifted back through its pull table (`_announce`).
 
     Tables (per formula) and announcement updates (per announced formula)
     live in the model's memo, which every evaluator of that model shares, so
@@ -257,67 +295,69 @@ class SslEvaluator:
 
     def __init__(self, model: SSLModel):
         self.model = model
-        self.situations = model._situations
-        self._all = model._everything
+        self._all = model._all
         self._tables = model._tables
         self._updates = model._updates
 
-    def updated(self, announced: Formula) -> tuple["SslEvaluator", dict[frozenset, frozenset]]:
-        """Evaluator for the updated model, plus the old-to-new neighbourhood map."""
+    def updated(self, announced: Formula) -> tuple["SslEvaluator", tuple[int, ...]]:
+        """Evaluator for the updated model, plus its pull table (see `apply_update`)."""
         cached = self._updates.get(announced)
         if cached is None:
-            new_model, nbhd_map = apply_update(self.model, self.table(announced))
-            cached = (SslEvaluator(new_model), nbhd_map)
+            new_model, pull = apply_update(self.model, self.table(announced))
+            cached = (SslEvaluator(new_model), pull)
             self._updates[announced] = cached
         return cached
 
-    def table(self, f: Formula) -> frozenset:
+    def table(self, f: Formula) -> int:
         return tabulate(self, f)
 
-    def _modal(self, f: Formula, tb: frozenset | None) -> frozenset:
+    # Each `sum` below adds masks with no bit in common: single situations,
+    # or sigma members, which partition the situations.
+    def _modal(self, f: Formula, tb: int | None) -> int:
+        model = self.model
         match f:
             case Atom(name):
-                area = self.model.atom_set(name)
-                return frozenset(sit for sit in self.situations if sit.point in area)
-            case Know() | Possible():
-                holds = _QUANTIFIER[type(f)]
-                good = {member for member in self.model.sigma
-                        if holds(Situation(t, member) in tb for t in member)}
-                return frozenset(sit for sit in self.situations if sit.nbhd in good)
-            case Effort() | EffortDual():
-                holds = _QUANTIFIER[type(f)]
-                return frozenset(
-                    sit for sit in self.situations
-                    if holds(Situation(sit.point, v) in tb
-                             for v in self.model._refinements[sit.nbhd] if sit.point in v)
-                )
+                area = model.atom_set(name)
+                return sum(1 << i for i, (point, _) in enumerate(model._situations) if point in area)
+            case Know():
+                return sum(m for m in model._member_masks if not m & ~tb)
+            case Possible():
+                return sum(m for m in model._member_masks if m & tb)
+            case Effort():
+                return sum(1 << i for i, r in enumerate(model._refinement_masks) if not r & ~tb)
+            case EffortDual():
+                return sum(1 << i for i, r in enumerate(model._refinement_masks) if r & tb)
         check_fragment(f, "ssl")  # raises: every modal node of the fragment is matched above
 
-    def _announce(self, f: Formula, ta: frozenset) -> frozenset:
-        inner, nbhd_map = self.updated(f.announced)
+    def _announce(self, f: Formula, ta: int) -> int:
+        inner, pull = self.updated(f.announced)
         tb2 = inner.table(f.body)
-        return (self._all - ta) | frozenset(
-            sit for sit in ta if Situation(sit.point, nbhd_map[sit.nbhd]) in tb2
-        )
+        return (self._all - ta) | sum(pull[j] for j in bits(tb2))
 
 
-def apply_update(model: SSLModel, satisfying: frozenset) -> tuple[SSLModel, dict[frozenset, frozenset]]:
-    """Update from a precomputed satisfying-situation set.
+def apply_update(model: SSLModel, satisfying: int) -> tuple[SSLModel, tuple[int, ...]]:
+    """Update from a precomputed mask of satisfying situations.
 
-    Returns the new model and the map from each old neighbourhood to its
-    shrunk version (only for neighbourhoods that survive).
+    Returns the new model and its pull table: for each new situation, in
+    `loci()` order, the mask of the old situations that shrink to it.  Two
+    members that shrink to the same set merge, so a new situation can pull
+    from several old ones.
     """
-    nbhd_map = {}
-    new_sigma = []
-    for member in model.sigma:
-        shrunk = frozenset(t for t in member if Situation(t, member) in satisfying)
-        if shrunk:
-            nbhd_map[member] = shrunk
-            new_sigma.append(shrunk)
-    surviving = {sit.point for sit in satisfying}
+    situations = model._situations
+    shrunk = {}
+    for member, mask in zip(model.sigma, model._member_masks):
+        kept = mask & satisfying
+        if kept:
+            shrunk[member] = frozenset(situations[i].point for i in bits(kept))
+    surviving = {situations[i].point for i in bits(satisfying)}
     new_points = tuple(p for p in model.points if p in surviving)
     new_valuation = {atom: area & surviving for atom, area in model.valuation.items()}
-    return SSLModel(new_points, tuple(new_sigma), new_valuation), nbhd_map
+    updated = SSLModel(new_points, tuple(shrunk.values()), new_valuation)
+    pull = dict.fromkeys(updated._situations, 0)
+    for i in bits(satisfying):
+        point, member = situations[i]
+        pull[point, shrunk[member]] |= 1 << i
+    return updated, tuple(pull.values())
 
 
 @dataclass(frozen=True)
@@ -331,18 +371,16 @@ class PersistenceWitness:
 
 def is_persistent(model: SSLModel, f: Formula) -> PersistenceWitness | None:
     """None when truth of f survives every neighbourhood shrink (f -> E f is
-    valid), else a witness: the first refinement failing f where E f fails."""
-    table = model.truth(f)
-    kept = model.truth(Effort(f))
-    for situation in model.loci():
-        if situation in table and situation not in kept:
-            point, larger = situation
-            return next(
-                PersistenceWitness(point, larger, smaller)
-                for smaller in model._refinements[larger]
-                if point in smaller and Situation(point, smaller) not in table
-            )
-    return None
+    valid), else a witness: at the first situation where f holds and E f
+    fails, the first refinement in sigma order that fails f."""
+    table = model._mask(f)
+    lost = table & ~model._mask(Effort(f))
+    if not lost:
+        return None
+    i = next(bits(lost))
+    point, larger = model._situations[i]
+    smaller = model._situations[next(bits(model._refinement_masks[i] & ~table))].nbhd
+    return PersistenceWitness(point, larger, smaller)
 
 
 @dataclass(frozen=True)
@@ -366,15 +404,12 @@ def persistence_immunity_check(
     """
     if is_persistent(model, f) is not None:
         raise ValueError("formula is not persistent in this model")
-    table = model.truth(f)
+    table = model._mask(f)
     checks = 0
     violations = []
     for chi in announcements:
-        announced_table = model.truth(Announce(chi, f))
-        for sit in table:
-            checks += 1
-            if sit not in announced_table:
-                violations.append((sit, chi))
+        checks += table.bit_count()
+        violations += ((model._situations[i], chi) for i in bits(table & ~model._mask(Announce(chi, f))))
     return ImmunityReport(checks, tuple(violations))
 
 

@@ -109,6 +109,14 @@ class TopoModel:
         """The points where f holds (masks memoized on the model)."""
         return self.space.labels(extension(self, f))
 
+    def _mask(self, f: Formula) -> int:
+        return extension(self, f)
+
+    @property
+    def _order(self) -> tuple:
+        """The point at each mask bit."""
+        return self.space.points
+
     def update(self, f: Formula) -> "TopoModel":
         """The announcement update, memoized: the same carrier gives the same model object."""
         return update(self, f)

@@ -9,7 +9,7 @@ import pytest
 
 from geopal import cli
 from geopal.cli import dump_model, load_model, run
-from geopal.formula import parse
+from geopal.formula import complexity, parse
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -280,6 +280,48 @@ def test_check_evaluates_a_long_prefix_run(argv):
     else:
         assert code in (0, 1)
         assert (code, text) == invoke([arg.replace(CHAIN, "p") for arg in argv])
+
+
+def test_reduce_refuses_a_tree_too_large_to_print():
+    # F_k = [!F_(k-1) | p] I (F_(k-1) & q): F_3 (120 characters) reduces to
+    # 28,644 occurrences and prints; F_4 (256 characters) reduces to a DAG of
+    # 204 nodes whose tree would not fit in memory, and is refused.
+    text = "p"
+    for _ in range(3):
+        text = f"[!{text} | p] I ({text} & q)"
+    code, printed = invoke(["reduce", "--semantics", "topo", "--formula", text])
+    assert code == 0 and complexity(parse(printed)) == 28_644
+    text = f"[!{text} | p] I ({text} & q)"
+    assert len(text) == 256
+    start = time.perf_counter()
+    assert invoke(["reduce", "--semantics", "topo", "--formula", text]) == (
+        2,
+        "error: the reduced formula has 433,486,404 occurrences as a tree (204 distinct nodes),"
+        " more than the 1,000,000 that reduce prints\n",
+    )
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sparse_product_of_many_factors_answers_at_once(tmp_path):
+    # 8 factors of 8 points list 5 worlds: only listed worlds are indexed,
+    # never the 8 ** 8 tuples of the full product.
+    factor = {"points": list(range(8)), "opens": [[], [0, 1, 2, 3], list(range(8))]}
+    worlds = [[(i * k) % 8 for k in range(8)] for i in range(4)] + [[0, 1, 0, 1, 0, 1, 0, 1]]
+    path = tmp_path / "sparse.product.json"
+    path.write_text(json.dumps({
+        "kind": "product", "factors": [factor] * 8, "worlds": worlds,
+        "valuation": {"p": worlds[:3], "q": worlds[1:]},
+    }))
+    formula = "[!K1 p | q] (K8 q -> K3 (p & [!q] K5 ~p))"
+    start = time.perf_counter()
+    code, text = invoke(["check", "--model", str(path), "--at", "0,1,0,1,0,1,0,1", "--formula", formula])
+    assert code == 0 and text in ("true\n", "false\n")
+    model = load_model(str(path))
+    expected = model.satisfies((0, 1, 0, 1, 0, 1, 0, 1), parse(formula))
+    assert text == ("true\n" if expected else "false\n")
+    code, text = invoke(["update", "--model", str(path), "--formula", "K2 q | p"])
+    assert code == 0 and text.startswith("kind: product\nworlds: ")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_error_without_a_message_names_its_type(monkeypatch):

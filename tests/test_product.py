@@ -17,7 +17,7 @@ from geopal.product import (
     h_open,
     random_product_model,
 )
-from geopal.topology import Topology
+from geopal.topology import Topology, generate_from_subbasis
 
 
 def indiscrete_pair():
@@ -73,13 +73,12 @@ def test_relativized_s4_per_agent():
     rng = Random(18)
     for seed in range(300):
         model = random_product_model(seed)
-        evaluator = ProductEvaluator(model)
         phi = random_formula(rng, max_depth=2, agents=2)
         for agent in range(1, model.agent_count + 1):
             reflexive = parse(f"K{agent} ({phi}) -> ({phi})")
             transitive = parse(f"K{agent} ({phi}) -> K{agent} K{agent} ({phi})")
-            assert evaluator.table(reflexive) == model.worlds, (seed, agent)
-            assert evaluator.table(transitive) == model.worlds, (seed, agent)
+            assert model.truth(reflexive) == model.worlds, (seed, agent)
+            assert model.truth(transitive) == model.worlds, (seed, agent)
 
 
 def test_reduction_law_on_survivor_updates():
@@ -251,3 +250,63 @@ def test_h_open_matches_the_variant_scan():
                 assert verdict == _h_open_reference(model, area, axis), (seed, axis, area)
                 outcomes[verdict] += 1
     assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
+
+
+# -- the mask index -----------------------------------------------------------
+
+
+def _scrambled_model(rng):
+    """Factors of unequal sizes with string labels listed out of sorted order,
+    a random part of their product as worlds, and a random valuation."""
+    factors = []
+    for size in rng.sample([1, 2, 3, 4], rng.randint(2, 3)):
+        labels = rng.sample("zyxwvu", size)
+        subbasis = [rng.sample(labels, rng.randint(0, size)) for _ in range(2)]
+        factors.append(generate_from_subbasis(labels, subbasis))
+    full = ProductModel.full(factors).loci()
+    worlds = frozenset(w for w in full if rng.random() < 0.7)
+    valuation = {atom: frozenset(w for w in worlds if rng.random() < 0.5) for atom in ("p", "q")}
+    return ProductModel(tuple(factors), worlds, valuation)
+
+
+def _knowledge_reference(model, area, agent):
+    """The variant scan knowledge_interior replaced: every surviving variant
+    in the coordinate's minimal open stays in the area."""
+    factor = model.factors[agent - 1]
+    return frozenset(
+        world
+        for world in model.worlds
+        if all(
+            v not in model.worlds or v in area
+            for v in model.variants(world, agent, factor.minimal[factor.index(world[agent - 1])])
+        )
+    )
+
+
+def test_masks_on_unsorted_labels_and_partial_worlds():
+    rng = Random(33)
+    for seed in range(150):
+        model = _scrambled_model(rng)
+        assert model.loci() == sorted(model.worlds)
+        f = random_formula(rng, max_depth=4, agents=model.agent_count, announce_depth=2)
+        holds = model.truth(f)
+        for world in model.loci():
+            assert model.satisfies(world, f) == (world in holds), (seed, str(f), world)
+        # Updated models keep the root's index; their K_i reads the same table.
+        for stage in (model, model.update(parse("p | q")), model.update(f)):
+            for agent in range(1, model.agent_count + 1):
+                area = frozenset(w for w in stage.worlds if rng.random() < 0.6)
+                mask = sum(1 << stage._bit[w] for w in area)
+                known = product.knowledge_interior(stage, mask, agent)
+                assert stage._worlds(known) == _knowledge_reference(stage, area, agent), (seed, agent)
+
+
+def test_mixed_label_types_in_one_factor():
+    # Labels that do not compare fall back to factor order for the index.
+    factor = Topology.from_sets([0, "x", 1], [[], [0, "x"], [0, "x", 1]])
+    model = ProductModel.full([factor, factor], {"p": [(0, "x"), ("x", 1), (1, 1)]})
+    assert len(model.loci()) == 9
+    f = parse("[!p | K2 p] K1 (p | K2 ~p)")
+    holds = model.truth(f)
+    assert all(model.satisfies(w, f) == (w in holds) for w in model.loci())
+    assert model.update(f).loci() == [w for w in model.loci() if w in holds]

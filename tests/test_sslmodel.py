@@ -139,7 +139,6 @@ def test_ssl_axiom_schemas_valid():
     rng = Random(21)
     for seed in range(300):
         model = random_ssl_model(seed)
-        evaluator = SslEvaluator(model)
         everything = frozenset(situations(model))
         phi = random_formula(rng, max_depth=2, modal="KLED")
         psi = random_formula(rng, max_depth=2, modal="KLED")
@@ -153,7 +152,7 @@ def test_ssl_axiom_schemas_valid():
             parse(f"K E ({phi}) -> E K ({phi})"),
         ]
         for schema in schemas:
-            assert evaluator.table(schema) == everything, (seed, str(schema))
+            assert model.truth(schema) == everything, (seed, str(schema))
 
 
 def test_dualities_hold_extensionally():
@@ -191,6 +190,43 @@ def test_merging_neighbourhoods_collapse():
     )
     updated = model.update(parse("p"))
     assert updated.sigma == (frozenset({"s"}),)
+
+
+def test_merged_neighbourhoods_pull_every_old_situation():
+    # s, t, u: three sets that all shrink to {s} when p (true only at s) is
+    # announced, so the one new situation (s, {s}) pulls three old ones.
+    model = SSLModel.from_sets(
+        ["s", "t", "u"], [["s", "t"], ["s", "u"], ["s", "t", "u"]], {"p": ["s"], "q": ["s", "u"]}
+    )
+    updated, pull = sslmodel.apply_update(model, model._mask(parse("p")))
+    assert updated.sigma == (frozenset({"s"}),)
+    assert [model._situations[i] for i in range(len(model._situations)) if pull[0] >> i & 1] == [
+        sit("s", "s", "t"), sit("s", "s", "u"), sit("s", "s", "t", "u")
+    ]
+    for text in ("[!p] K q", "[!p] E q", "[!q] L ~p", "[!q] D K p", "[![!q] L p] E K q"):
+        holds = model.truth(parse(text))
+        for situation in model.loci():
+            assert model.satisfies(situation, parse(text)) == (situation in holds), (text, situation)
+
+
+def test_truth_through_merging_updates_on_random_models():
+    rng = Random(37)
+    merges = 0
+    for seed in range(1000):
+        model = random_ssl_model(seed, max_points=4, max_sets=6)
+        announced = random_formula(rng, max_depth=2, modal="KLED")
+        updated, pull = sslmodel.apply_update(model, model._mask(announced))
+        kept = sum(1 for m in model._member_masks if m & model._mask(announced))
+        if len(updated.sigma) == kept:
+            continue  # no two sets merged
+        merges += 1
+        assert len(pull) == len(updated.loci())
+        body = random_formula(rng, max_depth=3, modal="KLED", announce_depth=1)
+        f = Announce(announced, body)
+        holds = model.truth(f)
+        for situation in model.loci():
+            assert model.satisfies(situation, f) == (situation in holds), (seed, str(f), situation)
+    assert merges > 50, merges
 
 
 def test_announcements_inside_announcements():
