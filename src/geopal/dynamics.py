@@ -175,10 +175,20 @@ def father_formula(n: int) -> Formula:
 
 def ignorance_formula(n: int) -> Formula:
     """No child knows their own state (muddy or clean)."""
-    return fold(And, (
-        And(Not(KnowI(i + 1, atom)), Not(KnowI(i + 1, Not(atom))))
-        for i, atom in enumerate(map(child_atom, CHILD_NAMES[:n]))
-    ))
+    return _ignorance(_knowledge_checks(n))
+
+
+def _knowledge_checks(n: int) -> tuple[tuple[str, KnowI, KnowI], ...]:
+    """Per child: the name, K_i m_child and K_i ~m_child."""
+    checks = []
+    for i, name in enumerate(CHILD_NAMES[:n]):
+        atom = child_atom(name)
+        checks.append((name, KnowI(i + 1, atom), KnowI(i + 1, Not(atom))))
+    return tuple(checks)
+
+
+def _ignorance(checks) -> Formula:
+    return fold(And, (And(Not(muddy), Not(clean)) for _, muddy, clean in checks))
 
 
 def muddy_model(n: int, muddy: Iterable[str]) -> tuple[ProductModel, World]:
@@ -212,15 +222,15 @@ _KNOWS_CLEAN = "knows-clean"
 _UNKNOWN = "unknown"
 
 
-def _knowledge_states(model: ProductModel, actual: World, n: int) -> dict[str, str]:
+def _knowledge_states(model: ProductModel, actual: World, checks) -> dict[str, str]:
+    """Each child's state at the actual world, read from `_knowledge_checks`
+    formulas: the ignorance formula's own nodes, so the memo finds them by identity."""
     states = {}
     bit = 1 << model._bit[actual]
-    for i in range(n):
-        name = CHILD_NAMES[i]
-        atom = child_atom(name)
-        if model._mask(KnowI(i + 1, atom)) & bit:
+    for name, knows_muddy, knows_clean in checks:
+        if model._mask(knows_muddy) & bit:
             states[name] = _KNOWS_MUDDY
-        elif model._mask(KnowI(i + 1, Not(atom))) & bit:
+        elif model._mask(knows_clean) & bit:
             states[name] = _KNOWS_CLEAN
         else:
             states[name] = _UNKNOWN
@@ -255,10 +265,12 @@ def muddy_scenario(n: int, muddy: Iterable[str]) -> MuddyScenario:
     model, actual = muddy_model(n, muddy)
     father = father_formula(n)
     after_father = model.update(father)
-    pointed = announce_while_true(after_father, actual, ignorance_formula(n))
+    checks = _knowledge_checks(n)
+    ignorance = _ignorance(checks)
+    pointed = announce_while_true(after_father, actual, ignorance)
     rounds = (model.worlds,) + tuple(stage.worlds for stage in pointed.stages)
-    knowledge = tuple(_knowledge_states(stage, actual, n) for stage in pointed.stages)
-    unpointed = limit_model(after_father, ignorance_formula(n))
+    knowledge = tuple(_knowledge_states(stage, actual, checks) for stage in pointed.stages)
+    unpointed = limit_model(after_father, ignorance)
     return MuddyScenario(
         n=n,
         muddy=muddy,

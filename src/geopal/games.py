@@ -9,6 +9,12 @@ Iterating "keep the rational nodes" must converge, on generic trees, to the
 path backward induction selects; `bi_via_announcements` checks that against
 the direct fold.
 
+Each rationality stage is one pass from the leaves up, linear in the tree
+size: every surviving node gets the per-coordinate (min, max) of the payoffs
+below it, read from integer keys that order as the Fraction payoffs do (each
+coordinate scaled by the lcm of its denominators).  `backward_induction`
+reads the Fractions themselves, so it stays an independent oracle.
+
 Payoff ties make backward induction ambiguous, so ties are flagged
 (breaking toward the lowest child index) rather than silently resolved, and
 the announcement/induction agreement is only promised for generic trees.
@@ -19,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from math import lcm
 from random import Random
 from typing import Iterable
 
@@ -93,7 +101,8 @@ class GameTree:
             kids.append([])
             if parent is not None:
                 kids[parent].append(nid)
-            stack.extend((child, nid) for child in reversed(node.children))
+            if node.children:
+                stack += zip(reversed(node.children), repeat(nid))
         return tuple(nodes), tuple(parents), tuple(map(tuple, kids))
 
     # Each index is its own attribute: rational_extension reads them in its inner loops.
@@ -114,19 +123,6 @@ class GameTree:
         return frozenset(nid for nid, node in enumerate(self.nodes) if node.is_leaf)
 
     @cached_property
-    def subtree_leaves(self) -> tuple[frozenset[int], ...]:
-        result = [None] * len(self.nodes)
-        for nid in range(len(self.nodes) - 1, -1, -1):
-            if self.nodes[nid].is_leaf:
-                result[nid] = frozenset((nid,))
-            else:
-                acc = frozenset()
-                for cid in self.children_ids[nid]:
-                    acc |= result[cid]
-                result[nid] = acc
-        return tuple(result)
-
-    @cached_property
     def player_count(self) -> int:
         lengths = {len(node.payoffs) for node in self.nodes if node.is_leaf}
         if len(lengths) != 1:
@@ -139,7 +135,25 @@ class GameTree:
 
     @cached_property
     def depth(self) -> int:
-        return max(len(self.path_to(leaf)) for leaf in self.leaf_ids) - 1
+        depths = [0] * len(self.nodes)
+        for nid, parent in enumerate(self.parent):  # preorder: each parent comes first
+            if parent is not None:
+                depths[nid] = depths[parent] + 1
+        return max(depths)
+
+    @cached_property
+    def _payoff_keys(self) -> tuple[tuple[int, ...] | None, ...]:
+        """Each leaf's payoffs as ints that order as the Fractions do (None at
+        decision nodes): coordinate k is scaled by the lcm of its denominators."""
+        leaves = [node.payoffs for node in self.nodes if node.payoffs is not None]
+        scales = [lcm(*(x.denominator for x in column)) for column in zip(*leaves, strict=True)]
+        ratio = Fraction.as_integer_ratio
+        return tuple(
+            None
+            if node.payoffs is None
+            else tuple([n * (scale // d) for (n, d), scale in zip(map(ratio, node.payoffs), scales)])
+            for node in self.nodes
+        )
 
     def path_to(self, nid: int) -> list[int]:
         path = [nid]
@@ -260,43 +274,47 @@ class GameModel:
 
 
 def rational_extension(model: GameModel) -> frozenset[int]:
-    """Nodes reached without any strictly dominated move along the way."""
+    """Nodes reached without any strictly dominated move along the way.
+
+    One pass from the leaves up gives each surviving node its span: the
+    per-coordinate (min, max) payoff keys of the surviving leaves below it.
+    """
     tree = model.tree
     alive = model.surviving
-
-    def owner_span(cid: int, coordinate: int):
-        payoffs = [
-            tree.nodes[leaf].payoffs[coordinate]
-            for leaf in tree.subtree_leaves[cid]
-            if leaf in alive
-        ]
-        if not payoffs:
-            return None
-        return min(payoffs), max(payoffs)
-
+    keys = tree._payoff_keys
+    nodes = tree.nodes
+    children_ids = tree.children_ids
+    order = sorted(alive)
+    spans = [None] * len(nodes)  # (mins, maxes) once a surviving leaf lies below
     dominated_edges = set()
-    for nid in alive:
-        node = tree.nodes[nid]
-        if node.is_leaf or len(tree.children_ids[nid]) < 2:
+    for nid in reversed(order):  # preorder: children come after their parent
+        key = keys[nid]
+        if key is not None:
+            spans[nid] = (key, key)
             continue
-        coordinate = node.player - 1
-        spans = {
-            cid: owner_span(cid, coordinate)
-            for cid in tree.children_ids[nid]
-            if cid in alive
-        }
-        for cid, span in spans.items():
-            worst_case = span[1] if span is not None else None
-            for other, other_span in spans.items():
-                if other == cid or other_span is None:
-                    continue
-                if worst_case is None or other_span[0] > worst_case:
-                    dominated_edges.add(cid)
-                    break
+        live = [cid for cid in children_ids[nid] if cid in alive]
+        found = [spans[cid] for cid in live if spans[cid] is not None]
+        if len(found) == 1:
+            spans[nid] = found[0]
+        elif found:
+            spans[nid] = (
+                tuple(map(min, *[span[0] for span in found])),
+                tuple(map(max, *[span[1] for span in found])),
+            )
+        if len(live) < 2 or not found:
+            continue
+        # A child is dominated when some sibling's worst beats its best, or
+        # when it has no surviving leaf and a sibling has one.
+        coordinate = nodes[nid].player - 1
+        best_worst = max([span[0][coordinate] for span in found])
+        for cid in live:
+            span = spans[cid]
+            if span is None or span[1][coordinate] < best_worst:
+                dominated_edges.add(cid)
     # Preorder ids put each parent before its children, and survivors are
     # closed toward the root: one ascending pass decides every node.
     rational = set()
-    for nid in sorted(alive):
+    for nid in order:
         parent = tree.parent[nid]
         if parent is None or (parent in rational and nid not in dominated_edges):
             rational.add(nid)

@@ -359,13 +359,20 @@ def _knowledge_table(model: ProductModel, agent: int) -> tuple[tuple[int, int], 
 
 
 def _restrict(model: ProductModel, surviving: frozenset) -> ProductModel:
-    """The model on the surviving worlds, indexed like its parent."""
-    restricted = ProductModel(
-        model.factors,
-        surviving,
-        {atom: area & surviving for atom, area in model.valuation.items()},
+    """The model on the surviving worlds, indexed like its parent.
+
+    The surviving worlds are a subset of a checked model's, so the
+    constructor's checks are skipped.
+    """
+    restricted = object.__new__(ProductModel)
+    vars(restricted).update(
+        factors=model.factors,
+        worlds=surviving,
+        valuation={atom: area & surviving for atom, area in model.valuation.items()},
+        _order=model._order,
+        _bit=model._bit,
+        _lines=model._lines,
     )
-    vars(restricted).update(_order=model._order, _bit=model._bit, _lines=model._lines)
     return restricted
 
 

@@ -190,6 +190,18 @@ def test_product_run_matches_kripke_oracle():
                 assert scenario.unpointed_outcome == oracle.unpointed_outcome
 
 
+def test_muddy_run_finds_its_formulas_in_the_memo_by_identity(monkeypatch):
+    # One ignorance formula per scenario, whose K_i nodes the knowledge
+    # states read: no memo hit falls back to comparing formulas node by node.
+    import geopal.formula as formula
+
+    compared = []
+    same = formula._same_structure
+    monkeypatch.setattr(formula, "_same_structure", lambda a, b: compared.append(a) or same(a, b))
+    scenario = muddy_scenario(4, "abc")
+    assert scenario.ignorance_rounds == 2 and compared == []
+
+
 def test_ssl_pointed_run_tracks_the_shrinking_neighbourhood():
     from geopal.sslmodel import SSLModel, Situation
 

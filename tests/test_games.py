@@ -238,8 +238,17 @@ def _rational_reference(model):
     below some sibling's."""
     tree, alive = model.tree, model.surviving
 
+    def leaves_below(nid):
+        stack, found = [nid], []
+        while stack:
+            top = stack.pop()
+            if tree.nodes[top].is_leaf:
+                found.append(top)
+            stack.extend(tree.children_ids[top])
+        return found
+
     def span(cid, mover):
-        payoffs = [tree.nodes[leaf].payoffs[mover - 1] for leaf in tree.subtree_leaves[cid] if leaf in alive]
+        payoffs = [tree.nodes[leaf].payoffs[mover - 1] for leaf in leaves_below(cid) if leaf in alive]
         return (min(payoffs), max(payoffs)) if payoffs else None
 
     dominated = set()
@@ -274,8 +283,77 @@ def test_rationality_stage_is_linear_in_depth():
     tree = GameTree(GameNode.decision(1, [chain, GameNode.leaf(0, 0)]))
     model = GameModel.fresh(tree)
     assert len(tree.nodes) == 4003
-    tree.subtree_leaves  # index the tree outside the timed stage
+    tree.nodes  # index the tree outside the timed stage
     start = time.perf_counter()
     survivors = rational_extension(model)
     assert time.perf_counter() - start < 0.2
     assert survivors == model.surviving - {4002}
+
+
+def _random_payoff_tree(rng, players):
+    """Random tree whose payoffs are Fractions with denominators 1..12,
+    negative values, and ties drawn on purpose from a small pool."""
+    pool = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(8)]
+
+    def payoff():
+        return pool[rng.randrange(len(pool))] if rng.random() < 0.5 else Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+    def build(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return GameNode.leaf(*(payoff() for _ in range(players)))
+        return GameNode.decision(rng.randint(1, players), [build(depth - 1) for _ in range(rng.randint(1, 4))])
+
+    return GameTree(build(rng.randint(2, 5)))
+
+
+def test_rational_stages_match_the_path_rule_on_fraction_payoffs_with_ties():
+    rng = Random(13)
+    for trial in range(300):
+        tree = _random_payoff_tree(rng, players=2 + trial % 2)
+        model = GameModel.fresh(tree)
+        sizes = [model.size]
+        while True:
+            survivors = _rational_reference(model)
+            assert rational_extension(model) == survivors, trial
+            if survivors == model.surviving:
+                break
+            model = GameModel(tree, survivors)
+            sizes.append(model.size)
+        result = bi_via_announcements(tree)
+        assert result.trace.sizes == tuple(sizes), trial
+        assert result.surviving == model.surviving, trial
+
+
+def test_rational_extension_on_survivors_without_a_leaf_below():
+    # Survivors need only be closed toward the root, so a surviving decision
+    # node may have lost every leaf below it: such a child is dominated only
+    # when a sibling still has a surviving leaf.
+    tree = GameTree(GameNode.decision(1, [
+        GameNode.decision(2, [GameNode.leaf(5, 0)]),
+        GameNode.decision(2, [GameNode.leaf(0, 1), GameNode.leaf(1, 0)]),
+        GameNode.leaf(Fraction(1, 3), 0),
+    ]))
+    for surviving in ({0, 1, 3}, {0, 1, 3, 4}, {0, 1, 3, 6}, {0, 1, 3, 4, 6}, {0, 1, 2, 3, 6}):
+        model = GameModel(tree, frozenset(surviving))
+        assert rational_extension(model) == _rational_reference(model), surviving
+    assert rational_extension(GameModel(tree, frozenset({0, 1, 3}))) == {0, 1, 3}
+    assert rational_extension(GameModel(tree, frozenset({0, 1, 3, 6}))) == {0, 6}
+
+
+def test_comb_of_three_thousand_decision_nodes_answers_at_once():
+    # Node k has a leaf child and the rest of the comb.  Mover 1's leaves lie
+    # below everything further down and mover 2's above it, so the first
+    # stage settles the whole comb.
+    size = 3000
+    comb = GameNode.leaf(size, -size)
+    for k in range(size - 1, -1, -1):
+        comb = GameNode.decision(1 + k % 2, [GameNode.leaf(k, -k), comb])
+    tree = GameTree(comb)
+    assert len(tree.nodes) == 2 * size + 1
+    start = time.perf_counter()
+    result = bi_via_announcements(tree)
+    assert time.perf_counter() - start < 0.5
+    assert result.trace.sizes == (2 * size + 1, 3)
+    assert result.surviving == {0, 2, 3}  # mover 2 takes her leaf at node 2
+    assert result.matches_backward_induction and result.generic
+    assert tree.depth == size

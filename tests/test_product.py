@@ -144,6 +144,33 @@ def test_fresh_model_has_full_product():
     assert len(model.worlds) == expected
 
 
+def test_restricted_models_equal_constructed_ones():
+    # `_restrict` skips the constructor's checks on a subset of a checked
+    # model; the model it builds must equal the constructor's from the same fields.
+    rng = Random(41)
+    for seed in range(60):
+        model = random_product_model(seed)
+        surviving = frozenset(w for w in model.worlds if rng.random() < 0.5)
+        restricted = product._restrict(model, surviving)
+        built = ProductModel(model.factors, surviving, {a: area & surviving for a, area in model.valuation.items()})
+        assert restricted == built and repr(restricted) == repr(built), seed
+        f = random_formula(rng, max_depth=3, agents=model.agent_count, announce_depth=1)
+        assert restricted.truth(f) == built.truth(f), (seed, str(f))
+        assert restricted.update(f) == built.update(f), (seed, str(f))
+
+
+def test_constructor_checks_worlds_and_valuation():
+    factor = Topology.from_sets([0, 1], [[], [0, 1]])
+    with pytest.raises(ValueError, match="arity"):
+        ProductModel((factor, factor), frozenset({(0, 1), (0,)}))
+    with pytest.raises(ValueError, match="not in the carrier"):
+        ProductModel((factor, factor), frozenset({(0, 1), (0, 7)}))
+    with pytest.raises(ValueError, match="non-surviving"):
+        ProductModel((factor, factor), frozenset({(0, 1)}), {"p": frozenset({(1, 1)})})
+    with pytest.raises(ValueError, match="at least one factor"):
+        ProductModel((), frozenset())
+
+
 # -- the per-model memo -----------------------------------------------------
 
 
