@@ -31,7 +31,7 @@ from .dynamics import (
     limit_model,
     muddy_scenario,
 )
-from .formula import FormulaError, complexity, parse, render, walk
+from .formula import FormulaError, Model, complexity, parse, render, walk
 from .games import GameTree, bi_via_announcements
 from .intervals import divergence_report
 from .product import ProductModel, fmt_world
@@ -41,7 +41,6 @@ from .topology import fmt_set, json_field
 from .topomodel import TopoModel
 
 _MODEL_KINDS = {"topo": TopoModel, "ssl": SSLModel, "product": ProductModel, "game": GameTree}
-_WITH_LOCI = (TopoModel, SSLModel, ProductModel)
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +64,10 @@ def load_model(path: str):
         raise ValueError(f"{path}: {error}") from None
 
 
-def _load(path: str, command: str, kinds: tuple):
+def _load(path: str, command: str, kinds: type):
     model = load_model(path)
     if not isinstance(model, kinds):
-        expected = " or ".join(name for name, kind in _MODEL_KINDS.items() if kind in kinds)
+        expected = " or ".join(name for name, kind in _MODEL_KINDS.items() if issubclass(kind, kinds))
         raise ValueError(f"{command} expects a model of kind {expected}")
     return model
 
@@ -101,7 +100,7 @@ def _print_trace(trace: LimitTrace, out):
 
 
 def _cmd_check(args, out) -> int:
-    model = _load(args.model, "check", _WITH_LOCI)
+    model = _load(args.model, "check", Model)
     f = _parse_formula(args.formula)
     value = model.locus(model.parse_locus(args.at)) in model.truth(f)
     print("true" if value else "false", file=out)
@@ -109,7 +108,7 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_update(args, out) -> int:
-    model = _load(args.model, "update", _WITH_LOCI)
+    model = _load(args.model, "update", Model)
     updated = model.update(_parse_formula(args.formula))
     for line in updated.summary():
         print(line, file=out)
@@ -139,7 +138,7 @@ def _cmd_reduce(args, out) -> int:
 
 
 def _cmd_limit(args, out) -> int:
-    model = _load(args.model, "limit", _WITH_LOCI)
+    model = _load(args.model, "limit", Model)
     trace = limit_model(model, _parse_formula(args.formula))
     _print_trace(trace, out)
     if args.emit:
@@ -149,7 +148,7 @@ def _cmd_limit(args, out) -> int:
 
 
 def _cmd_ck(args, out) -> int:
-    model = _load(args.model, "ck", (ProductModel,))
+    model = _load(args.model, "ck", ProductModel)
     result = common_knowledge_extension(model, _parse_formula(args.formula))
     print(
         f"common knowledge extension: {len(result.worlds)} of {len(model.worlds)} worlds"
@@ -186,7 +185,7 @@ def _cmd_muddy(args, out) -> int:
 
 
 def _cmd_bi(args, out) -> int:
-    tree = _load(args.game, "bi", (GameTree,))
+    tree = _load(args.game, "bi", GameTree)
     result = bi_via_announcements(tree)
     value = "(" + ", ".join(map(str, result.induction.value)) + ")"
     print(f"backward induction value: {value}", file=out)
@@ -202,7 +201,7 @@ def _cmd_bi(args, out) -> int:
 
 
 def _cmd_persistent(args, out) -> int:
-    model = _load(args.model, "persistent", (SSLModel,))
+    model = _load(args.model, "persistent", SSLModel)
     f = _parse_formula(args.formula)
     witness = is_persistent(model, f)
     if witness is not None:

@@ -20,15 +20,9 @@ from dataclasses import dataclass
 from functools import reduce as fold
 from typing import Iterable
 
-from .formula import And, Atom, Formula, KnowI, Not, Or
+from .formula import And, Atom, Formula, KnowI, Model, Not, Or
 from .product import ProductModel, World, knowledge_interior
-from .sslmodel import SSLModel
 from .topology import Topology
-from .topomodel import TopoModel
-
-# Every model kind offers size, is_empty, loci(), truth(f), update(f),
-# locus(raw) and track(locus, holds); see the README's model protocol.
-Model = TopoModel | SSLModel | ProductModel
 
 # How many stages a LimitTrace keeps as full model snapshots.
 SNAPSHOT_CAP = 64
@@ -48,6 +42,11 @@ class LimitTrace:
     "stabilized-nonempty"; pointed runs may instead halt with outcome
     "halted-at-locus" when the announcement stops being true at the
     tracked locus.
+
+    A run stabilizes only when announcing f leaves the model unchanged, and
+    an update keeps exactly the loci where f holds, so f holds at every
+    locus of a stabilized limit: `announcement_valid_in_limit` is True
+    there, and None on an empty limit or a halted run.
     """
 
     sizes: tuple[int, ...]
@@ -80,11 +79,6 @@ def _stage_loop(model, step):
             stages.append(model)
 
 
-def _valid(model: Model, f: Formula) -> bool:
-    """True when f holds at every locus: its mask is the model's full mask."""
-    return model._mask(f) == model._all
-
-
 def limit_model(model: Model, f: Formula) -> LimitTrace:
     """Announce f repeatedly until the model stops changing."""
     model, sizes, stages, _ = _stage_loop(model, lambda stage: stage.update(f))
@@ -93,7 +87,7 @@ def limit_model(model: Model, f: Formula) -> LimitTrace:
         stages=stages,
         outcome="empty" if model.is_empty else "stabilized-nonempty",
         limit=model,
-        announcement_valid_in_limit=None if model.is_empty else _valid(model, f),
+        announcement_valid_in_limit=None if model.is_empty else True,
     )
 
 
@@ -121,7 +115,7 @@ def announce_while_true(model: Model, locus, f: Formula) -> LimitTrace:
         stages=stages,
         outcome="halted-at-locus" if halted else "stabilized-nonempty",
         limit=model,
-        announcement_valid_in_limit=None if halted else _valid(model, f),
+        announcement_valid_in_limit=None if halted else True,
         final_locus=locus,
     )
 
@@ -153,7 +147,7 @@ def common_knowledge_extension(model: ProductModel, f: Formula) -> CommonKnowled
         for agent in range(1, model.agent_count + 1):
             refined &= knowledge_interior(model, current, agent)
         if refined == current:
-            return CommonKnowledge(model._worlds(current), iterations)
+            return CommonKnowledge(model._read(current), iterations)
         current = refined
         iterations += 1
 

@@ -22,15 +22,20 @@ Nodes are immutable values that may be shared, so a formula is a DAG.
 Each node caches its structural hash when it is built, and `==` walks two
 formulas with an explicit stack, comparing each pair of node objects once,
 so formula-keyed memos hash one node per lookup.  Parsing, `walk`,
-`postorder`, `fold`, `repr`, pickling and both evaluation loops are
-iterative: `tabulate` computes truth sets for every model kind, and `holds`
-recurses only through a model's modal clauses.
+`fold`, `repr`, pickling and both evaluation loops are iterative:
+`tabulate` computes truth sets for every model kind, and `holds` recurses
+only through a model's modal clauses.  `Model` is the half of the model
+protocol the three kinds share: the memos, the read-out of a mask as loci,
+the memoized update and the oracle's entry point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from random import Random
+
+from .topology import bits
 
 
 class FormulaError(Exception):
@@ -94,12 +99,15 @@ class Formula:
     def __reduce__(self):
         """Pickle and copy as a children-first table, one `(class, scalars, child
         indices)` row per node object: sharing is kept and nothing recurses."""
-        index, table = {}, []
-        for node in postorder(self, children):
-            index[id(node)] = len(table)
-            fields = [getattr(node, name) for name in node.__match_args__]
-            scalars = tuple(value for value in fields if not isinstance(value, Formula))
-            table.append((type(node), scalars, tuple(index[id(kid)] for kid in children(node))))
+        table = []
+
+        def row(node, kids) -> int:
+            values = [getattr(node, name) for name in node.__match_args__]
+            scalars = tuple(value for value in values if not isinstance(value, Formula))
+            table.append((type(node), scalars, tuple(kids)))
+            return len(table) - 1
+
+        fold(self, row)
         return _from_table, (tuple(table),)
 
     def __str__(self) -> str:
@@ -297,27 +305,10 @@ def walk(f: Formula):
         stack.extend(reversed(children(node)))
 
 
-def postorder(f: Formula, kids):
-    """Yield each distinct node object once, after every node of `kids(node)`
-    (`children`, or a subset of them); iterative, so a pass over it can read
-    each kid's value by `id` and visits shared subformulas of a reduced DAG
-    once, at any depth."""
-    seen = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if node is None:  # every kid of the node below it is done
-            yield stack.pop()
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack += node, None
-            stack.extend(reversed(kids(node)))
-
-
 def fold(f: Formula, step):
     """The value of `step(node, values)` at the root, where `values` lists the
     values of the node's children in order; iterative, so `step` runs once per
-    distinct node object, at any depth, in the order of `postorder`."""
+    distinct node object, children first, at any depth."""
     value = {}
     stack = [(f, None)]
     while stack:
@@ -460,6 +451,75 @@ def tabulate(evaluator, f: Formula):
         tables[node] = value
         done.append(value)
     return done.pop()
+
+
+class Model:
+    """The half of the model protocol that topological, subset-space and
+    product models share; each kind is a frozen dataclass deriving from it.
+
+    A kind supplies `fragment`, its key in `FRAGMENTS`; `_order`, the locus
+    at each mask bit, and `_all`, the mask of its loci; `_mask(f)`, f's truth
+    mask, memoized in `_tables`; `_updated(mask)`, the announcement update to
+    the loci of a mask, memoized in `_updates` by that mask, so announcements
+    with equal truth sets share one updated model; `locus`; and the oracle's
+    clauses `_holds` and `_announced` for `holds`.  The memos are built on
+    first use; equality and repr see only the fields, and `__getstate__`
+    keeps the memos out of pickles and copies.
+    """
+
+    fragment: str
+
+    @cached_property
+    def _tables(self) -> dict[Formula, int]:
+        return {}
+
+    @cached_property
+    def _truths(self) -> dict[Formula, frozenset]:
+        return {}
+
+    @cached_property
+    def _updates(self) -> dict[int, object]:
+        return {}
+
+    def __getstate__(self) -> dict:
+        """Pickles and copies carry the fields, not the memo."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def loci(self) -> list:
+        """The loci in mask order."""
+        order = self._order
+        return [order[i] for i in bits(self._all)]
+
+    def _read(self, mask: int) -> frozenset:
+        """The loci at the bits of the mask."""
+        order = self._order
+        return frozenset(order[i] for i in bits(mask))
+
+    def truth(self, f: Formula) -> frozenset:
+        """The loci where f holds: the mask read out once per formula."""
+        truth = self._truths.get(f)
+        if truth is None:
+            truth = self._truths[f] = self._read(self._mask(f))
+        return truth
+
+    def update(self, f: Formula) -> "Model":
+        """The announcement update, memoized: the same truth set gives the same model object."""
+        return self._updated(self._mask(f))
+
+    def satisfies(self, locus, f: Formula) -> bool:
+        """Truth at one checked locus through the quantifier clauses.
+
+        A differential oracle for `truth`: it reads no table, and announces
+        through the kind's `_announced`, locus by locus.
+        """
+        locus = self.locus(locus)
+        check_fragment(f, self.fragment)
+        return holds(self, locus, f)
+
+    def track(self, locus, holds: frozenset):
+        """Where a locus is after the update to `holds`: unchanged, except on
+        subset-space models, where a situation's set shrinks."""
+        return locus
 
 
 # ---------------------------------------------------------------------------

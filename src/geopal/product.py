@@ -25,7 +25,7 @@ inside its coordinate's minimal open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as cartesian
 from random import Random
@@ -35,6 +35,7 @@ from .formula import (
     Atom,
     Formula,
     KnowI,
+    Model,
     UnsupportedOperator,
     check_fragment,
     holds,
@@ -57,17 +58,18 @@ World = tuple
 
 
 @dataclass(frozen=True)
-class ProductModel:
+class ProductModel(Model):
     """Factor topologies, surviving worlds and a valuation on worlds.
 
     Treat instances as immutable: each model memoizes its truth masks, their
     read-out as world sets, and its announcement updates (see
-    ProductEvaluator); updated models share their root's world index.
+    `formula.Model`); updated models share their root's world index.
     """
 
     factors: tuple[Topology, ...]
     worlds: frozenset[World]
     valuation: dict[str, frozenset] = field(default_factory=dict)
+    fragment = "product"
 
     def __post_init__(self):
         n = len(self.factors)
@@ -108,13 +110,8 @@ class ProductModel:
     def size(self) -> int:
         return len(self.worlds)
 
-    def loci(self) -> list[World]:
-        """The worlds in mask order: sorted, or in factor order if labels do not compare."""
-        order = self._order
-        return [order[i] for i in bits(self._all)]
-
-    # The index and the memo, built on first use.  Equality and repr see
-    # only the fields, and __getstate__ keeps these out of pickles.
+    # The index, built on first use.  Equality and repr see only the
+    # fields, and __getstate__ keeps it out of pickles.
     # `_restrict` hands `_order`, `_bit` and `_lines` down to every model it
     # builds, so a family of updates shares one index.
     @cached_property
@@ -140,57 +137,22 @@ class ProductModel:
         """Per agent, `knowledge_interior`'s (need, members) pairs, built on first use."""
         return {}
 
-    @cached_property
-    def _tables(self) -> dict[Formula, int]:
-        return {}
-
-    @cached_property
-    def _truths(self) -> dict[Formula, frozenset]:
-        return {}
-
-    @cached_property
-    def _updates(self) -> dict[Formula, "ProductEvaluator"]:
-        return {}
-
-    def __getstate__(self) -> dict:
-        """Pickles and copies carry the fields, not the memo."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     def _mask(self, f: Formula) -> int:
         """The mask of the worlds where f holds (memoized on the model)."""
         table = self._tables.get(f)
         return ProductEvaluator(self).table(f) if table is None else table
 
-    def _worlds(self, mask: int) -> frozenset:
-        order = self._order
-        return frozenset(order[i] for i in bits(mask))
-
-    def truth(self, f: Formula) -> frozenset:
-        """The worlds where f holds: the mask read out once per formula."""
-        truth = self._truths.get(f)
-        if truth is None:
-            truth = self._truths[f] = self._worlds(self._mask(f))
-        return truth
-
-    def update(self, f: Formula) -> "ProductModel":
-        """Announcement update: drop worlds where f fails; factors are untouched.
-
-        Memoized: the same f gives the same model object.
-        """
-        return (self._updates.get(f) or ProductEvaluator(self).updated(f)).model
+    def _updated(self, mask: int) -> "ProductModel":
+        """Drop the worlds outside the mask; factors are untouched."""
+        return (self._updates.get(mask) or ProductEvaluator(self).updated(mask)).model
 
     def satisfies(self, world, f: Formula) -> bool:
-        """Truth at one world through the quantifier clauses.
-
-        A differential oracle for `truth`: it reads no table and scans the
-        factor opens for K_i instead of calling `knowledge_interior`.
-        """
-        world = self.locus(world)
-        check_fragment(f, "product")
+        """The shared oracle, after checking that every K_i names a factor;
+        it scans the factor opens for K_i instead of calling `knowledge_interior`."""
         for node in walk(f):
             if type(node) is KnowI:
                 _check_agent(self, node.agent)
-        return holds(self, world, f)
+        return super().satisfies(world, f)
 
     def _holds(self, world: World, f: Formula) -> bool:
         """Atoms, and K_i as some factor-i open keeping b at every surviving variant."""
@@ -214,10 +176,6 @@ class ProductModel:
         world = tuple(world)
         if world not in self.worlds:
             raise ValueError(f"world {world!r} is not surviving in this model")
-        return world
-
-    def track(self, world: World, holds: frozenset) -> World:
-        """Where a locus is after the update to `holds`: worlds are unchanged."""
         return world
 
     def parse_locus(self, text: str) -> World:
@@ -276,9 +234,9 @@ class ProductEvaluator:
     masks (`_modal`), and an announcement's body read on the restricted
     model (`_announce`), whose masks index the same worlds.
 
-    Tables and announcement updates live in the model's memo, shared by
-    every evaluator of that model; the memo holds the updated models'
-    evaluators, never the model itself.
+    Tables and announcement updates (per announced truth mask) live in the
+    model's memo, shared by every evaluator of that model; the memo holds
+    the updated models' evaluators, never the model itself.
     """
 
     def __init__(self, model: ProductModel):
@@ -287,12 +245,11 @@ class ProductEvaluator:
         self._tables = model._tables
         self._updates = model._updates
 
-    def updated(self, announced: Formula) -> "ProductEvaluator":
-        cached = self._updates.get(announced)
+    def updated(self, mask: int) -> "ProductEvaluator":
+        cached = self._updates.get(mask)
         if cached is None:
-            surviving = self.model._worlds(self.table(announced))
-            cached = ProductEvaluator(_restrict(self.model, surviving))
-            self._updates[announced] = cached
+            model = self.model
+            cached = self._updates[mask] = ProductEvaluator(_restrict(model, model._read(mask)))
         return cached
 
     def table(self, f: Formula) -> int:
@@ -309,7 +266,7 @@ class ProductEvaluator:
         check_fragment(f, "product")  # raises: every modal node of the fragment is matched above
 
     def _announce(self, f: Formula, ta: int) -> int:
-        tb2 = self.updated(f.announced).table(f.body)
+        tb2 = self.updated(ta).table(f.body)
         return (self._all - ta) | (ta & tb2)
 
 

@@ -23,7 +23,7 @@ bit by bit, merged neighbourhoods included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
 from typing import Hashable, Iterable, Mapping, NamedTuple
@@ -35,6 +35,7 @@ from .formula import (
     EffortDual,
     Formula,
     Know,
+    Model,
     Possible,
     check_fragment,
     holds,
@@ -52,19 +53,20 @@ class Situation(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SSLModel:
+class SSLModel(Model):
     """Carrier, collection of observation sets, and valuation.
 
     sigma members must be nonempty subsets of the carrier; they are stored
     deduplicated in a canonical order (by size, then by point index).
     Treat instances as immutable: each model memoizes its truth masks and
-    announcement updates (see SslEvaluator), so a mutated model would keep
-    answering for its old contents.
+    announcement updates (see `formula.Model`), so a mutated model would
+    keep answering for its old contents.
     """
 
     points: tuple[Hashable, ...]
     sigma: tuple[frozenset, ...]
     valuation: dict[str, frozenset] = field(default_factory=dict)
+    fragment = "ssl"
 
     def __post_init__(self):
         index = {label: i for i, label in enumerate(self.points)}
@@ -109,8 +111,8 @@ class SSLModel:
         """Points plus set sizes: strictly decreases under any update that changes the model."""
         return len(self.points) + sum(len(u) for u in self.sigma)
 
-    # Derived state and the memo, built on first use.  Equality and repr see
-    # only the fields, and __getstate__ keeps these out of pickles.
+    # Derived state, built on first use.  Equality and repr see only the
+    # fields, and __getstate__ keeps it out of pickles.
     @cached_property
     def _situations(self) -> tuple["Situation", ...]:
         return tuple(
@@ -142,25 +144,6 @@ class SSLModel:
             for point, member in self._situations
         )
 
-    @cached_property
-    def _tables(self) -> dict[Formula, int]:
-        return {}
-
-    @cached_property
-    def _truths(self) -> dict[Formula, frozenset]:
-        return {}
-
-    @cached_property
-    def _updates(self) -> dict[Formula, tuple["SslEvaluator", tuple[int, ...]]]:
-        return {}
-
-    def __getstate__(self) -> dict:
-        """Pickles and copies carry the fields, not the memo."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def loci(self) -> list["Situation"]:
-        return list(self._situations)
-
     @property
     def _order(self) -> tuple["Situation", ...]:
         """The situation at each mask bit."""
@@ -171,28 +154,9 @@ class SSLModel:
         table = self._tables.get(f)
         return SslEvaluator(self).table(f) if table is None else table
 
-    def truth(self, f: Formula) -> frozenset:
-        """The situations where f holds: the mask read out once per formula."""
-        truth = self._truths.get(f)
-        if truth is None:
-            situations = self._situations
-            truth = self._truths[f] = frozenset(situations[i] for i in bits(self._mask(f)))
-        return truth
-
-    def update(self, f: Formula) -> "SSLModel":
-        """The announcement update, memoized: the same f gives the same model object."""
-        evaluator, _ = self._updates.get(f) or SslEvaluator(self).updated(f)
+    def _updated(self, satisfying: int) -> "SSLModel":
+        evaluator, _ = self._updates.get(satisfying) or SslEvaluator(self).updated(satisfying)
         return evaluator.model
-
-    def satisfies(self, situation, f: Formula) -> bool:
-        """Truth at one situation through the quantifier clauses.
-
-        A differential oracle for `truth`: it reads no table and applies
-        announcements situation by situation, not through `apply_update`.
-        """
-        situation = self.locus(situation)
-        check_fragment(f, "ssl")
-        return holds(self, situation, f)
 
     def _holds(self, situation: "Situation", f: Formula) -> bool:
         """Atoms, K/L over the current set, E/D over its refinements around the point."""
@@ -286,11 +250,11 @@ class SslEvaluator:
     situation masks (`_modal`), and an announcement's body read on the
     updated model and lifted back through its pull table (`_announce`).
 
-    Tables (per formula) and announcement updates (per announced formula)
-    live in the model's memo, which every evaluator of that model shares, so
-    repeated queries against the same model (as in the axiom harness) stay
-    cheap.  The memo holds the updated models' evaluators, never the model
-    itself, so it forms no reference cycle.
+    Tables (per formula) and announcement updates (per announced truth
+    mask) live in the model's memo, which every evaluator of that model
+    shares, so repeated queries against the same model (as in the axiom
+    harness) stay cheap.  The memo holds the updated models' evaluators,
+    never the model itself, so it forms no reference cycle.
     """
 
     def __init__(self, model: SSLModel):
@@ -299,13 +263,13 @@ class SslEvaluator:
         self._tables = model._tables
         self._updates = model._updates
 
-    def updated(self, announced: Formula) -> tuple["SslEvaluator", tuple[int, ...]]:
-        """Evaluator for the updated model, plus its pull table (see `apply_update`)."""
-        cached = self._updates.get(announced)
+    def updated(self, satisfying: int) -> tuple["SslEvaluator", tuple[int, ...]]:
+        """Evaluator for the update to the situations of the mask, plus its
+        pull table (see `apply_update`)."""
+        cached = self._updates.get(satisfying)
         if cached is None:
-            new_model, pull = apply_update(self.model, self.table(announced))
-            cached = (SslEvaluator(new_model), pull)
-            self._updates[announced] = cached
+            new_model, pull = apply_update(self.model, satisfying)
+            cached = self._updates[satisfying] = (SslEvaluator(new_model), pull)
         return cached
 
     def table(self, f: Formula) -> int:
@@ -330,7 +294,7 @@ class SslEvaluator:
         check_fragment(f, "ssl")  # raises: every modal node of the fragment is matched above
 
     def _announce(self, f: Formula, ta: int) -> int:
-        inner, pull = self.updated(f.announced)
+        inner, pull = self.updated(ta)
         tb2 = inner.table(f.body)
         return (self._all - ta) | sum(pull[j] for j in bits(tb2))
 

@@ -7,23 +7,23 @@ atoms, `I`/`C` (`_modal`) and its announcement (`_announce`), whose body is
 evaluated on the subspace model by a nested pass, so the depth of Python
 recursion is the depth of announcement nesting.
 
-Each model memoizes both: masks by formula, so a formula evaluated once on
-a model (a shared subformula of two formulas, a repeated `truth`, an equal
-formula built anew) is not evaluated again there, and subspaces by carrier
-mask, so `update(f) is update(f)` and every announcement of the same set
-restricts the space once.  Subspaces keep their own masks.
+The memos are `formula.Model`'s: masks by formula, so a formula evaluated
+once on a model (a shared subformula of two formulas, a repeated `truth`,
+an equal formula built anew) is not evaluated again there, and subspaces by
+the announced formula's truth mask, so `update(f) is update(f)` and every
+announcement of the same set restricts the space once.  Subspaces keep
+their own masks.
 
 `satisfies` is `formula.holds` over the model's quantifier clauses for
 atoms, interior (exists-open-forall) and closure (forall-open-exists), kept
 purely as a differential-testing oracle for `extension`: it never calls
 `extension`, and it announces by finding the surviving points one by one
-before both paths share `_restrict`.
+before both paths share `_updated`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import dataclass, field
 from random import Random
 from typing import Hashable, Iterable, Mapping
 
@@ -32,6 +32,7 @@ from .formula import (
     Closure,
     Formula,
     Interior,
+    Model,
     check_fragment,
     holds,
     tabulate,
@@ -51,7 +52,7 @@ from .topology import (
 
 
 @dataclass(frozen=True)
-class TopoModel:
+class TopoModel(Model):
     """A topological space plus a valuation mapping atoms to point masks.
 
     Atoms absent from the valuation denote the empty set.  Treat instances
@@ -60,6 +61,7 @@ class TopoModel:
 
     space: Topology
     valuation: dict[str, int] = field(default_factory=dict)
+    fragment = "topo"
 
     def __post_init__(self):
         full = self.space.full_mask
@@ -88,44 +90,24 @@ class TopoModel:
     def size(self) -> int:
         return len(self.space.points)
 
-    def loci(self) -> tuple:
-        return self.space.points
-
-    # The memo, built on first use.  Equality and repr see only the fields,
-    # and __getstate__ keeps it out of pickles.
-    @cached_property
-    def _subspaces(self) -> dict[int, "TopoModel"]:
-        return {}
-
-    @cached_property
-    def _tables(self) -> dict[Formula, int]:
-        return {}
-
-    def __getstate__(self) -> dict:
-        """Pickles and copies carry the fields, not the memo."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def truth(self, f: Formula) -> frozenset:
-        """The points where f holds (masks memoized on the model)."""
-        return self.space.labels(extension(self, f))
-
-    def _mask(self, f: Formula) -> int:
-        return extension(self, f)
-
     @property
     def _order(self) -> tuple:
         """The point at each mask bit."""
         return self.space.points
 
-    def update(self, f: Formula) -> "TopoModel":
-        """The announcement update, memoized: the same carrier gives the same model object."""
-        return update(self, f)
+    def _mask(self, f: Formula) -> int:
+        return extension(self, f)
 
-    def satisfies(self, point: Hashable, f: Formula) -> bool:
-        """Truth at a checked point of a formula within the topo fragment, in quantifier form."""
-        point = self.locus(point)
-        check_fragment(f, "topo")
-        return holds(self, point, f)
+    def _updated(self, carrier: int) -> "TopoModel":
+        """The subspace model on the points of the carrier mask, built once per carrier."""
+        subspace = self._updates.get(carrier)
+        if subspace is None:
+            valuation = {
+                atom: compress_mask(mask & carrier, carrier)
+                for atom, mask in self.valuation.items()
+            }
+            subspace = self._updates[carrier] = TopoModel(self.space.restrict(carrier), valuation)
+        return subspace
 
     def _holds(self, point: Hashable, f: Formula) -> bool:
         """Atoms, and I/C as exists-open-forall and forall-open-exists."""
@@ -161,21 +143,17 @@ class TopoModel:
     def _announce(self, f: Formula, announced: int) -> int:
         """Points failing the announcement satisfy it vacuously; surviving
         points defer to the subspace, whose indices pack the carrier's."""
-        inner = extension(_restrict(self, announced), f.body)
+        inner = extension(self._updated(announced), f.body)
         return (self.space.full_mask & ~announced) | expand_mask(inner, announced)
 
     def _announced(self, point: Hashable, a: Formula) -> tuple["TopoModel", Hashable]:
         """The subspace of the points where a holds, found one by one."""
         carrier = sum(1 << t for t, label in enumerate(self.space.points) if holds(self, label, a))
-        return _restrict(self, carrier), point
+        return self._updated(carrier), point
 
     def locus(self, point: Hashable) -> Hashable:
         """The point, checked to be one of this model's."""
         self.space.index(point)
-        return point
-
-    def track(self, point: Hashable, holds: frozenset) -> Hashable:
-        """Where a locus is after the update to `holds`: points keep their label."""
         return point
 
     def parse_locus(self, text: str) -> Hashable:
@@ -214,25 +192,11 @@ def extension(model: TopoModel, f: Formula) -> int:
     return tabulate(model, f)
 
 
-# The oracle as a function, satisfies(model, point, f).
+# The oracle and the announcement update as functions: satisfies(model,
+# point, f), and update(model, f), which restricts carrier, topology and
+# valuation to the truth set of f.
 satisfies = TopoModel.satisfies
-
-
-def update(model: TopoModel, f: Formula) -> TopoModel:
-    """Announcement update: restrict carrier, topology and valuation to (f)."""
-    return _restrict(model, extension(model, f))
-
-
-def _restrict(model: TopoModel, carrier: int) -> TopoModel:
-    """The subspace model on the points of the carrier mask, built once per carrier."""
-    subspace = model._subspaces.get(carrier)
-    if subspace is None:
-        valuation = {
-            atom: compress_mask(mask & carrier, carrier)
-            for atom, mask in model.valuation.items()
-        }
-        subspace = model._subspaces[carrier] = TopoModel(model.space.restrict(carrier), valuation)
-    return subspace
+update = TopoModel.update
 
 
 def random_topomodel(seed: int, n: int, k: int, atoms: tuple[str, ...] = ("p", "q")) -> TopoModel:

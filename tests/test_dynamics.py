@@ -73,6 +73,7 @@ def test_sizes_strictly_decrease_and_dichotomy_holds():
             else:
                 assert trace.announcement_valid_in_limit is True
                 assert trace.limit.truth(f) == frozenset(trace.limit.loci())
+                assert all(trace.limit.satisfies(locus, f) for locus in trace.limit.loci())
 
 
 def test_pointed_run_stops_when_formula_fails_at_locus():

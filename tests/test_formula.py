@@ -35,7 +35,6 @@ from geopal.formula import (
     complexity,
     fold,
     parse,
-    postorder,
     random_formula,
     rebuild,
     render,
@@ -346,27 +345,6 @@ def test_walk_yields_each_shared_node_once():
     assert len(nodes) == 1 + 2 * 16
     assert len({id(node) for node in nodes}) == len(nodes)
     assert {id(node) for node in nodes} >= {id(layer) for layer in layers}
-
-
-def test_postorder_puts_kids_first_and_repeats_nothing():
-    rng = Random(32)
-    for _ in range(200):
-        f = random_formula(rng, max_depth=6, modal="ICKLED", agents=2, announce_depth=2)
-        for kids in (children, lambda n: (n.announced,) if type(n) is Announce else children(n)):
-            order = [id(n) for n in postorder(f, kids)]
-            position = {node_id: i for i, node_id in enumerate(order)}
-            assert len(position) == len(order)
-            assert order[-1] == id(f)
-            for node in postorder(f, kids):
-                assert all(position[id(kid)] < position[id(node)] for kid in kids(node))
-        assert set(map(id, postorder(f, children))) == set(map(id, walk(f)))
-
-
-def test_postorder_on_a_deep_shared_chain():
-    f = P
-    for _ in range(20_000):
-        f = And(Not(f), f)
-    assert sum(1 for _ in postorder(f, children)) == 1 + 2 * 20_000
 
 
 def test_parse_long_prefix_runs():

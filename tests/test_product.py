@@ -1,9 +1,6 @@
 """Product models: coordinate-wise knowledge, updates, slice openness, the
 per-model memo."""
 
-import gc
-import pickle
-import weakref
 from collections import Counter
 from random import Random
 
@@ -218,27 +215,6 @@ def test_update_after_truth_restricts_at_most_once(monkeypatch):
     assert calls == []
 
 
-def test_memo_leaves_no_reference_cycle():
-    gc.disable()
-    try:
-        model = indiscrete_pair()
-        model.truth(parse("[!p] K1 q"))
-        model.update(parse("[!p] K1 q"))
-        ref = weakref.ref(model)
-        del model
-        assert ref() is None
-    finally:
-        gc.enable()
-
-
-def test_pickle_carries_the_fields_not_the_memo():
-    model = indiscrete_pair()
-    model.truth(parse("[!p] K1 q"))
-    copy = pickle.loads(pickle.dumps(model))
-    assert copy == model and "_tables" not in vars(copy)
-    assert copy.truth(parse("[!p] K1 q")) == model.truth(parse("[!p] K1 q"))
-
-
 # -- the quantifier-form oracle ---------------------------------------------
 
 
@@ -325,7 +301,7 @@ def test_masks_on_unsorted_labels_and_partial_worlds():
                 area = frozenset(w for w in stage.worlds if rng.random() < 0.6)
                 mask = sum(1 << stage._bit[w] for w in area)
                 known = product.knowledge_interior(stage, mask, agent)
-                assert stage._worlds(known) == _knowledge_reference(stage, area, agent), (seed, agent)
+                assert stage._read(known) == _knowledge_reference(stage, area, agent), (seed, agent)
 
 
 def test_mixed_label_types_in_one_factor():

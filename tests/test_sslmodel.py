@@ -1,9 +1,6 @@
 """Subset-space semantics, updates, persistence, the per-model memo."""
 
 import dataclasses
-import gc
-import pickle
-import weakref
 from collections import Counter
 from random import Random
 
@@ -281,27 +278,6 @@ def test_update_after_truth_applies_the_update_at_most_once(monkeypatch):
     calls.clear()
     model.update(parse("p"))  # announced inside f: already built
     assert calls == []
-
-
-def test_memo_leaves_no_reference_cycle():
-    gc.disable()
-    try:
-        model = pair_model()
-        model.truth(parse("[!p] K q"))
-        model.update(parse("[!p] K q"))
-        ref = weakref.ref(model)
-        del model
-        assert ref() is None
-    finally:
-        gc.enable()
-
-
-def test_pickle_carries_the_fields_not_the_memo():
-    model = pair_model()
-    model.truth(parse("[!p] K q"))
-    copy = pickle.loads(pickle.dumps(model))
-    assert copy == model and "_tables" not in vars(copy)
-    assert copy.truth(parse("[!p] K q")) == model.truth(parse("[!p] K q"))
 
 
 # -- the quantifier-form oracle ---------------------------------------------

@@ -1,11 +1,7 @@
 """Topological models: the two evaluators, the announcement update, the
 visit-once pass and the per-model memo."""
 
-import dataclasses
-import gc
-import pickle
 import time
-import weakref
 from random import Random
 
 import pytest
@@ -295,27 +291,3 @@ def test_update_is_memoized_per_carrier(monkeypatch):
     assert model.update(parse("p")) is updated
     assert model.update(parse("~~p")) is updated  # the same carrier
     assert len(restricts) == 1
-
-
-def test_memo_leaves_no_reference_cycle():
-    gc.disable()
-    try:
-        model = random_topomodel(3, 5, 3)
-        model.truth(parse("[!p] I q"))
-        model.update(parse("[!p] I q"))
-        model.update(parse("true"))
-        ref = weakref.ref(model)
-        del model
-        assert ref() is None
-    finally:
-        gc.enable()
-
-
-def test_pickles_and_copies_carry_the_fields_not_the_memo():
-    model = random_topomodel(3, 5, 3)
-    model.update(parse("p"))
-    memo = {"_subspaces", "_tables"}
-    assert memo <= set(vars(model))
-    for copy in (pickle.loads(pickle.dumps(model)), dataclasses.replace(model)):
-        assert copy == model and not memo & set(vars(copy))
-        assert copy.update(parse("p")) == model.update(parse("p"))
