@@ -155,7 +155,7 @@ def _cmd_ck(args, out) -> int:
         f" ({result.iterations} refinement rounds)",
         file=out,
     )
-    print("worlds: " + (" ".join(map(fmt_world, sorted(result.worlds))) or "(none)"), file=out)
+    print("worlds: " + (" ".join(map(fmt_world, model.ordered(result.worlds))) or "(none)"), file=out)
     return 0
 
 

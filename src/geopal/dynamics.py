@@ -139,7 +139,7 @@ def common_knowledge_extension(model: ProductModel, f: Formula) -> CommonKnowled
     """
     if not isinstance(model, ProductModel):
         raise TypeError("common knowledge extension is defined on product models")
-    base = model._mask(f)
+    base = model.table(f)
     current = base
     iterations = 0
     while True:
@@ -222,9 +222,9 @@ def _knowledge_states(model: ProductModel, actual: World, checks) -> dict[str, s
     states = {}
     bit = 1 << model._bit[actual]
     for name, knows_muddy, knows_clean in checks:
-        if model._mask(knows_muddy) & bit:
+        if model.table(knows_muddy) & bit:
             states[name] = _KNOWS_MUDDY
-        elif model._mask(knows_clean) & bit:
+        elif model.table(knows_clean) & bit:
             states[name] = _KNOWS_CLEAN
         else:
             states[name] = _UNKNOWN

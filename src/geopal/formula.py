@@ -10,7 +10,8 @@ Concrete syntax (whitespace-insensitive):
     I f,  C f          interior and closure
     K f,  L f          knowledge and its dual
     E f,  D f          effort (neighbourhood refinement) and its dual
-    K1 f .. K9 f       indexed knowledge, for product models
+    K1 f, K12 f        indexed knowledge of agent 1, 2, ..., for product
+                       models: ASCII digits, no leading zero
     [!f] g             public announcement of f, then g
     <!f> g             announcement dual, parsed as ~[!f]~g
 
@@ -25,8 +26,8 @@ so formula-keyed memos hash one node per lookup.  Parsing, `walk`,
 `fold`, `repr`, pickling and both evaluation loops are iterative:
 `tabulate` computes truth sets for every model kind, and `holds` recurses
 only through a model's modal clauses.  `Model` is the half of the model
-protocol the three kinds share: the memos, the read-out of a mask as loci,
-the memoized update and the oracle's entry point.
+protocol the three kinds share: the memoized truth table, the read-out of
+a mask as loci, the update by a formula and the oracle's entry point.
 """
 
 from __future__ import annotations
@@ -397,21 +398,21 @@ def holds(model, locus, f: Formula) -> bool:
     return value
 
 
-def tabulate(evaluator, f: Formula):
-    """The truth set of f on the evaluator's model, as an int mask over its
-    loci: the batch form of `holds`.
+def tabulate(model, f: Formula):
+    """The truth set of f on the model, as an int mask over its loci: the
+    batch form of `holds`.
 
-    The evaluator supplies `_all`, the mask of every locus; `_tables`, a
+    The model supplies `_all`, the mask of every locus; `_tables`, a
     formula-keyed memo; `_modal(node, body_mask)` for atoms (`body_mask`
     None) and modalities; and `_announce(node, announced_mask)` for
-    `[!a] b`, which evaluates b on the updated model.  The connectives use
-    only `everything - x`, `&` and `|`.
+    `[!a] b`, which reads b's table on the updated model.  The connectives
+    use only `everything - x`, `&` and `|`.
 
     Postfix order over two explicit stacks: `todo` holds nodes, a `None`
     meaning "compute the node below me", and `done` the finished sets.  Each
     node reference costs one memo lookup; any other node is computed once
     its children's sets are on `done`, then stored, at any input depth."""
-    tables, everything = evaluator._tables, evaluator._all
+    tables, everything = model._tables, model._all
     todo, done = [f], []
     while todo:
         node = todo.pop()
@@ -441,13 +442,13 @@ def tabulate(evaluator, f: Formula):
             right = done.pop()
             value = (everything - done.pop()) | right
         elif kind is Announce:
-            value = evaluator._announce(node, done.pop())
+            value = model._announce(node, done.pop())
         elif kind is Top:
             value = everything
         elif kind is Bot:
             value = everything - everything
         else:
-            value = evaluator._modal(node, done.pop() if kind in _UNARY else None)
+            value = model._modal(node, done.pop() if kind in _UNARY else None)
         tables[node] = value
         done.append(value)
     return done.pop()
@@ -458,13 +459,15 @@ class Model:
     product models share; each kind is a frozen dataclass deriving from it.
 
     A kind supplies `fragment`, its key in `FRAGMENTS`; `_order`, the locus
-    at each mask bit, and `_all`, the mask of its loci; `_mask(f)`, f's truth
-    mask, memoized in `_tables`; `_updated(mask)`, the announcement update to
-    the loci of a mask, memoized in `_updates` by that mask, so announcements
-    with equal truth sets share one updated model; `locus`; and the oracle's
-    clauses `_holds` and `_announced` for `holds`.  The memos are built on
-    first use; equality and repr see only the fields, and `__getstate__`
-    keeps the memos out of pickles and copies.
+    at each mask bit, and `_all`, the mask of its loci; its clauses for
+    `tabulate`, `_modal` and `_announce`; `updated(mask)`, the announcement
+    update to the loci of a mask, memoized in `_updates` by that mask, so
+    announcements with equal truth sets share one updated model; `locus`;
+    and the oracle's clauses `_holds` and `_announced` for `holds`.  The
+    base states `table(f)`, f's truth mask memoized in `_tables`, and reads
+    truth and updates through it.  The memos are built on first use;
+    equality and repr see only the fields, and `__getstate__` keeps the
+    memos out of pickles and copies.
     """
 
     fragment: str
@@ -495,16 +498,21 @@ class Model:
         order = self._order
         return frozenset(order[i] for i in bits(mask))
 
+    def table(self, f: Formula) -> int:
+        """The mask of the loci where f holds, memoized per model."""
+        table = self._tables.get(f)
+        return tabulate(self, f) if table is None else table
+
     def truth(self, f: Formula) -> frozenset:
         """The loci where f holds: the mask read out once per formula."""
         truth = self._truths.get(f)
         if truth is None:
-            truth = self._truths[f] = self._read(self._mask(f))
+            truth = self._truths[f] = self._read(self.table(f))
         return truth
 
     def update(self, f: Formula) -> "Model":
         """The announcement update, memoized: the same truth set gives the same model object."""
-        return self._updated(self._mask(f))
+        return self.updated(self.table(f))
 
     def satisfies(self, locus, f: Formula) -> bool:
         """Truth at one checked locus through the quantifier clauses.
@@ -525,7 +533,8 @@ class Model:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_IDENT_FOLLOW = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
+_DIGITS = "0123456789"  # str.isdigit also accepts "²" and other scripts' digits
+_IDENT_FOLLOW = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ" + _DIGITS + "_"
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -544,12 +553,14 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         elif ch in "()&|]>~":
             tokens.append((ch, None, i))
             i += 1
-        elif ch == "K" and i + 1 < n and text[i + 1].isdigit():
-            digit = text[i + 1]
-            if digit == "0":
-                raise ParseError("agent index must be at least 1", i + 1)
-            tokens.append(("KI", int(digit), i))
-            i += 2
+        elif ch == "K" and i + 1 < n and text[i + 1] in _DIGITS:
+            j = i + 1
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            if text[i + 1] == "0" or j - i - 1 > 100:
+                raise ParseError("agent index must be at least 1, in at most 100 digits", i + 1)
+            tokens.append(("KI", int(text[i + 1 : j]), i))
+            i = j
         elif ch in _PREFIX_NODES:
             tokens.append(("PREFIX", ch, i))
             i += 1
@@ -747,7 +758,7 @@ def random_formula(
     """Random formula over the given operator repertoire.
 
     `modal` is a string of prefix letters from "ICKLED"; `agents` > 0 adds
-    K1..Kn; `announce_depth` bounds announcement nesting inside announced
+    K1 to Kn; `announce_depth` bounds announcement nesting inside announced
     formulas.
     """
     choices = ["leaf", "leaf", "not", "and", "or", "implies"]

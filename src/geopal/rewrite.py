@@ -276,8 +276,8 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
         model = sampler(seed + offset)
         for phi, psi, chi, agent in _instantiations(axiom, pools, model):
             lhs, rhs = axiom_instance(axiom, phi, psi, chi, agent)
-            lhs_holds = model._mask(lhs)
-            for i in bits(lhs_holds ^ model._mask(rhs)):
+            lhs_holds = model.table(lhs)
+            for i in bits(lhs_holds ^ model.table(rhs)):
                 locus = model._order[i]
                 lhs_value = bool(lhs_holds >> i & 1)
                 rhs_value = not lhs_value
@@ -319,7 +319,7 @@ class EquivalenceResult:
 def equivalent_on(model, f: Formula, g: Formula) -> EquivalenceResult:
     """Whether two formulas agree at every locus of the model; if not, the
     witness is the first locus in `loci()` order where they differ."""
-    differ = model._mask(f) ^ model._mask(g)
+    differ = model.table(f) ^ model.table(g)
     if not differ:
         return EquivalenceResult(True)
     return EquivalenceResult(False, model._order[next(bits(differ))])

@@ -13,12 +13,16 @@ neighbourhoods that shrink to the same point set merge, since the semantics
 only ever consults the point set.  The oracle `satisfies` is `formula.holds`
 over the model's own clauses: atoms, K/L, E/D, and that update spelled out.
 
-Truth tables are int masks whose bit i is the i-th situation in `loci()`
-order.  K/L read one mask per sigma member (its situations), E/D one mask
-per situation (its refinements around the point), and `apply_update`
-returns, with the updated model, each new situation's mask of the old
-situations that shrink to it, so an announcement's body is lifted back
-bit by bit, merged neighbourhoods included.
+A model is its own truth-set evaluator, like the other two kinds: it
+states its atoms, K/L and E/D (`_modal`) and its announcement
+(`_announce`) for `formula.tabulate`.  Truth tables are int masks whose bit
+i is the i-th situation in `loci()` order.  K/L read one mask per sigma
+member (its situations), E/D one mask per situation (its refinements
+around the point), and `apply_update` returns, with the updated model, each
+new situation's mask of the old situations that shrink to it.  The update
+memo keeps the two together, so an announcement's body, read through the
+updated model's `table`, is lifted back bit by bit, merged neighbourhoods
+included.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .formula import (
     Possible,
     check_fragment,
     holds,
-    tabulate,
 )
 from .topology import bits, fmt_set, json_field, json_labels, json_list, json_valuation, parse_label
 
@@ -149,14 +152,45 @@ class SSLModel(Model):
         """The situation at each mask bit."""
         return self._situations
 
-    def _mask(self, f: Formula) -> int:
-        """The mask of the situations where f holds (memoized on the model)."""
-        table = self._tables.get(f)
-        return SslEvaluator(self).table(f) if table is None else table
+    # The benchmark harness under bench/ traces and patches `table` in this
+    # class's own namespace.
+    table = Model.table
 
-    def _updated(self, satisfying: int) -> "SSLModel":
-        evaluator, _ = self._updates.get(satisfying) or SslEvaluator(self).updated(satisfying)
-        return evaluator.model
+    def updated(self, satisfying: int) -> "SSLModel":
+        """The update to the situations of the mask, built once per mask."""
+        return self._pulled(satisfying)[0]
+
+    def _pulled(self, satisfying: int) -> tuple["SSLModel", tuple[int, ...]]:
+        """The update to the mask with its pull table (see `apply_update`),
+        memoized together."""
+        cached = self._updates.get(satisfying)
+        if cached is None:
+            cached = self._updates[satisfying] = apply_update(self, satisfying)
+        return cached
+
+    # Each `sum` below adds masks with no bit in common: single situations,
+    # or sigma members, which partition the situations.
+    def _modal(self, f: Formula, tb: int | None) -> int:
+        """The mask of an atom, or of K/L/E/D over the body's mask."""
+        match f:
+            case Atom(name):
+                area = self.atom_set(name)
+                return sum(1 << i for i, (point, _) in enumerate(self._situations) if point in area)
+            case Know():
+                return sum(m for m in self._member_masks if not m & ~tb)
+            case Possible():
+                return sum(m for m in self._member_masks if m & tb)
+            case Effort():
+                return sum(1 << i for i, r in enumerate(self._refinement_masks) if not r & ~tb)
+            case EffortDual():
+                return sum(1 << i for i, r in enumerate(self._refinement_masks) if r & tb)
+        check_fragment(f, "ssl")  # raises: every modal node of the fragment is matched above
+
+    def _announce(self, f: Formula, ta: int) -> int:
+        """Situations failing the announcement satisfy it vacuously; the
+        body's table on the update is lifted back through the pull table."""
+        inner, pull = self._pulled(ta)
+        return (self._all - ta) | sum(pull[j] for j in bits(inner.table(f.body)))
 
     def _holds(self, situation: "Situation", f: Formula) -> bool:
         """Atoms, K/L over the current set, E/D over its refinements around the point."""
@@ -245,58 +279,9 @@ def situations(model: SSLModel) -> list[Situation]:
 _QUANTIFIER = {Know: all, Possible: any, Effort: all, EffortDual: any}
 
 
-class SslEvaluator:
-    """One model's clauses for `formula.tabulate`: atoms, K/L and E/D over
-    situation masks (`_modal`), and an announcement's body read on the
-    updated model and lifted back through its pull table (`_announce`).
-
-    Tables (per formula) and announcement updates (per announced truth
-    mask) live in the model's memo, which every evaluator of that model
-    shares, so repeated queries against the same model (as in the axiom
-    harness) stay cheap.  The memo holds the updated models' evaluators,
-    never the model itself, so it forms no reference cycle.
-    """
-
-    def __init__(self, model: SSLModel):
-        self.model = model
-        self._all = model._all
-        self._tables = model._tables
-        self._updates = model._updates
-
-    def updated(self, satisfying: int) -> tuple["SslEvaluator", tuple[int, ...]]:
-        """Evaluator for the update to the situations of the mask, plus its
-        pull table (see `apply_update`)."""
-        cached = self._updates.get(satisfying)
-        if cached is None:
-            new_model, pull = apply_update(self.model, satisfying)
-            cached = self._updates[satisfying] = (SslEvaluator(new_model), pull)
-        return cached
-
-    def table(self, f: Formula) -> int:
-        return tabulate(self, f)
-
-    # Each `sum` below adds masks with no bit in common: single situations,
-    # or sigma members, which partition the situations.
-    def _modal(self, f: Formula, tb: int | None) -> int:
-        model = self.model
-        match f:
-            case Atom(name):
-                area = model.atom_set(name)
-                return sum(1 << i for i, (point, _) in enumerate(model._situations) if point in area)
-            case Know():
-                return sum(m for m in model._member_masks if not m & ~tb)
-            case Possible():
-                return sum(m for m in model._member_masks if m & tb)
-            case Effort():
-                return sum(1 << i for i, r in enumerate(model._refinement_masks) if not r & ~tb)
-            case EffortDual():
-                return sum(1 << i for i, r in enumerate(model._refinement_masks) if r & tb)
-        check_fragment(f, "ssl")  # raises: every modal node of the fragment is matched above
-
-    def _announce(self, f: Formula, ta: int) -> int:
-        inner, pull = self.updated(ta)
-        tb2 = inner.table(f.body)
-        return (self._all - ta) | sum(pull[j] for j in bits(tb2))
+# Read by the benchmark harness under bench/, which still names the
+# evaluator class.
+SslEvaluator = SSLModel
 
 
 def apply_update(model: SSLModel, satisfying: int) -> tuple[SSLModel, tuple[int, ...]]:
@@ -337,8 +322,8 @@ def is_persistent(model: SSLModel, f: Formula) -> PersistenceWitness | None:
     """None when truth of f survives every neighbourhood shrink (f -> E f is
     valid), else a witness: at the first situation where f holds and E f
     fails, the first refinement in sigma order that fails f."""
-    table = model._mask(f)
-    lost = table & ~model._mask(Effort(f))
+    table = model.table(f)
+    lost = table & ~model.table(Effort(f))
     if not lost:
         return None
     i = next(bits(lost))
@@ -368,12 +353,12 @@ def persistence_immunity_check(
     """
     if is_persistent(model, f) is not None:
         raise ValueError("formula is not persistent in this model")
-    table = model._mask(f)
+    table = model.table(f)
     checks = 0
     violations = []
     for chi in announcements:
         checks += table.bit_count()
-        violations += ((model._situations[i], chi) for i in bits(table & ~model._mask(Announce(chi, f))))
+        violations += ((model._situations[i], chi) for i in bits(table & ~model.table(Announce(chi, f))))
     return ImmunityReport(checks, tuple(violations))
 
 

@@ -1,11 +1,11 @@
 """Single-agent topological models and their announcement update.
 
-`extension` computes the truth set of a formula as a bitmask over the
-model's points and is the default everywhere.  It is `formula.tabulate`,
-the truth-set loop all three model kinds share: the model states only its
-atoms, `I`/`C` (`_modal`) and its announcement (`_announce`), whose body is
-evaluated on the subspace model by a nested pass, so the depth of Python
-recursion is the depth of announcement nesting.
+A model is its own truth-set evaluator, like the other two kinds: it
+states its atoms and `I`/`C` (`_modal`) and its announcement (`_announce`,
+which reads the body's table on the subspace model), and
+`formula.Model.table` runs `formula.tabulate` over them, so the depth of
+Python recursion is the depth of announcement nesting.  `extension(model,
+f)` is that table as a function.
 
 The memos are `formula.Model`'s: masks by formula, so a formula evaluated
 once on a model (a shared subformula of two formulas, a repeated `truth`,
@@ -16,9 +16,9 @@ their own masks.
 
 `satisfies` is `formula.holds` over the model's quantifier clauses for
 atoms, interior (exists-open-forall) and closure (forall-open-exists), kept
-purely as a differential-testing oracle for `extension`: it never calls
-`extension`, and it announces by finding the surviving points one by one
-before both paths share `_updated`.
+purely as a differential-testing oracle for the table: it never reads one,
+and it announces by finding the surviving points one by one before both
+paths share `updated`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .formula import (
     Model,
     check_fragment,
     holds,
-    tabulate,
 )
 from .topology import (
     Topology,
@@ -95,10 +94,7 @@ class TopoModel(Model):
         """The point at each mask bit."""
         return self.space.points
 
-    def _mask(self, f: Formula) -> int:
-        return extension(self, f)
-
-    def _updated(self, carrier: int) -> "TopoModel":
+    def updated(self, carrier: int) -> "TopoModel":
         """The subspace model on the points of the carrier mask, built once per carrier."""
         subspace = self._updates.get(carrier)
         if subspace is None:
@@ -143,13 +139,13 @@ class TopoModel(Model):
     def _announce(self, f: Formula, announced: int) -> int:
         """Points failing the announcement satisfy it vacuously; surviving
         points defer to the subspace, whose indices pack the carrier's."""
-        inner = extension(self._updated(announced), f.body)
+        inner = self.updated(announced).table(f.body)
         return (self.space.full_mask & ~announced) | expand_mask(inner, announced)
 
     def _announced(self, point: Hashable, a: Formula) -> tuple["TopoModel", Hashable]:
         """The subspace of the points where a holds, found one by one."""
         carrier = sum(1 << t for t, label in enumerate(self.space.points) if holds(self, label, a))
-        return self._updated(carrier), point
+        return self.updated(carrier), point
 
     def locus(self, point: Hashable) -> Hashable:
         """The point, checked to be one of this model's."""
@@ -187,14 +183,11 @@ class TopoModel(Model):
         ]
 
 
-def extension(model: TopoModel, f: Formula) -> int:
-    """Truth set of the formula as a mask over the model's points (memoized)."""
-    return tabulate(model, f)
-
-
-# The oracle and the announcement update as functions: satisfies(model,
-# point, f), and update(model, f), which restricts carrier, topology and
-# valuation to the truth set of f.
+# The table, the oracle and the announcement update as functions:
+# extension(model, f), the truth set of f as a mask over the model's points
+# (memoized); satisfies(model, point, f); and update(model, f), which
+# restricts carrier, topology and valuation to the truth set of f.
+extension = TopoModel.table
 satisfies = TopoModel.satisfies
 update = TopoModel.update
 

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from geopal.formula import complexity, parse
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def invoke(argv):
@@ -109,6 +113,23 @@ def test_missing_file_exits_2():
     code, text = invoke(["check", "--model", "no-such.json", "--at", "0", "--formula", "p"])
     assert code == 2
     assert "cannot read" in text
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (["example-intervals"], 0),
+    (["persistent", "--model", str(DATA / "lp.ssl.json"), "--formula", "L p"], 1),
+    (["check", "--model", str(DATA / "no-such.json"), "--at", "0", "--formula", "p"], 2),
+], ids=["success", "property-failed", "bad-input"])
+def test_entry_point_exit_codes_in_a_process(argv, expected_code):
+    # The module run as a program, through `main` and `sys.exit`.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "geopal.cli", *argv], capture_output=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert result.returncode == expected_code, result.stderr
+    if expected_code == 0:
+        assert result.stdout == (GOLDEN / "intervals_demo.txt").read_bytes()
+    if expected_code == 2:
+        assert result.stderr.startswith(b"error: ") and not result.stdout
 
 
 def test_parse_error_reports_position():

@@ -99,6 +99,11 @@ def test_render_minimal_parentheses():
         ("p &", "formula"),
         ("X p", "unknown operator"),
         ("K0 p", "agent index"),
+        ("K01 p", "agent index"),
+        pytest.param("K" + "1" * 5000 + " p", "agent index", id="K1111...-agent index"),
+        # Only ASCII digits index an agent: "K" is then the plain prefix.
+        ("K\u00b2 p", "unexpected character '\u00b2'"),
+        ("K\u0661 p", "unexpected character '\u0661'"),
         ("p @ q", "unexpected character"),
         # Inside nested brackets: the innermost open one names the missing token.
         ("((p)", "expected ')' to close '(' (at position 4)"),
@@ -119,6 +124,15 @@ def test_parse_errors_carry_position(text, position_hint):
 def test_trailing_garbage_rejected():
     with pytest.raises(ParseError):
         parse("p q")
+
+
+def test_agent_indices_round_trip():
+    for agent in range(1, 31):
+        f = KnowI(agent, And(KnowI(agent + 1, P), Q))
+        text = render(f)
+        assert text == f"K{agent} (K{agent + 1} p & q)"
+        assert parse(text) == f
+        assert parse(f"K{agent}p") == KnowI(agent, P)
 
 
 def test_round_trip_fuzz():

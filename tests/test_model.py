@@ -1,13 +1,18 @@
 """The model protocol the three kinds share through `formula.Model`: the
-memos, what pickles and copies carry, and updates shared by truth mask."""
+memos, what pickles and copies carry, tables computed once and updates
+built once per truth mask."""
 
 import dataclasses
 import gc
 import pickle
 import weakref
+from collections import Counter
 
 import pytest
 
+import geopal.formula as formula
+import geopal.product as product
+import geopal.sslmodel as sslmodel
 from geopal.formula import parse
 from geopal.product import ProductModel
 from geopal.sslmodel import SSLModel
@@ -26,8 +31,22 @@ KINDS = {
     "ssl": (lambda: SSLModel.from_sets(["s", "t"], [["s"], ["s", "t"]], {"p": ["s"]}), "[!p] K q"),
     "product": (_indiscrete_pair, "[!p] K1 q"),
 }
+# Per kind: a formula announcing p twice, once under a modality, with the
+# first formula of KINDS as a subformula.
+TWICE = {
+    "topo": "[!p] I q & C [!p] (I q | ~p)",
+    "ssl": "[!p] K q & E [!p] (K q | D p)",
+    "product": "[!p] K1 q & K2 [!p] (K1 q | p)",
+}
+# Per kind: what builds an updated model, as (owner, attribute).
+BUILDERS = {
+    "topo": (Topology, "restrict"),
+    "ssl": (sslmodel, "apply_update"),
+    "product": (product, "_restrict"),
+}
 MEMO = {"_tables", "_truths", "_updates"}
 each_kind = pytest.mark.parametrize("build, text", KINDS.values(), ids=KINDS)
+by_name = pytest.mark.parametrize("kind", KINDS)
 
 
 @each_kind
@@ -63,3 +82,78 @@ def test_truth_and_update_are_shared(build, text):
     model, f = build(), parse(text)
     assert model.truth(f) is model.truth(f)
     assert model.update(parse("p")) is model.update(parse("~~p"))  # one truth set, one update
+
+
+@by_name
+def test_truth_computes_each_table_once(kind, monkeypatch):
+    # Atoms, modalities and announcements are the model's clauses; each
+    # runs once per model and formula.
+    build, text = KINDS[kind]
+    model = build()
+    computed = Counter()
+    for name in ("_modal", "_announce"):
+        clause = getattr(type(model), name)
+
+        def counting(self, f, value, clause=clause):
+            computed[id(self), f] += 1
+            return clause(self, f, value)
+
+        monkeypatch.setattr(type(model), name, counting)
+    f = parse(TWICE[kind])
+    first = model.truth(f)
+    assert computed and set(computed.values()) == {1}
+    total = sum(computed.values())
+    assert model.truth(f) is first
+    model.truth(parse(text))  # a subformula of f: already computed
+    assert sum(computed.values()) == total
+
+
+@pytest.fixture
+def builds(request, monkeypatch):
+    """The arguments of each call that builds an updated model of the kind."""
+    owner, name = BUILDERS[request.getfixturevalue("kind")]
+    calls = []
+    build = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@by_name
+def test_update_is_built_once_per_truth_set(kind, builds):
+    build, text = KINDS[kind]
+    model = build()
+    model.truth(parse(TWICE[kind]))
+    assert len(builds) == 1  # both announcements of p build one update
+    updated = model.update(parse("p"))  # announced inside the formula: already built
+    assert model.update(parse("p")) is updated
+    assert model.update(parse("~~p")) is updated  # the same truth set
+    assert len(builds) == 1
+    f = parse(text)
+    model.truth(f)
+    builds.clear()
+    updated = model.update(f)
+    assert len(builds) <= 1
+    assert model.update(f) is updated
+    assert len(builds) <= 1
+
+
+@by_name
+def test_update_on_a_fresh_model_tabulates_once_and_builds_once(kind, builds, monkeypatch):
+    tabulated = []
+    tabulate = formula.tabulate
+
+    def counting(model, f):
+        tabulated.append(f)
+        return tabulate(model, f)
+
+    monkeypatch.setattr(formula, "tabulate", counting)
+    build, text = KINDS[kind]
+    model, f = build(), parse(text).body  # a modality, no announcement
+    model.update(f)
+    assert tabulated == [f]
+    assert len(builds) == 1

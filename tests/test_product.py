@@ -1,19 +1,17 @@
 """Product models: coordinate-wise knowledge, updates, slice openness, the
-per-model memo."""
+order worlds are listed in."""
 
+import io
+import json
 from collections import Counter
 from random import Random
 
 import pytest
 
 import geopal.product as product
+from geopal.cli import dump_model, load_model, run
 from geopal.formula import Atom, KnowI, UnsupportedOperator, parse, random_formula
-from geopal.product import (
-    ProductEvaluator,
-    ProductModel,
-    h_open,
-    random_product_model,
-)
+from geopal.product import ProductModel, h_open, random_product_model
 from geopal.topology import Topology, generate_from_subbasis
 
 
@@ -83,13 +81,12 @@ def test_reduction_law_on_survivor_updates():
     rng = Random(19)
     for seed in range(120):
         model = random_product_model(seed)
-        evaluator = ProductEvaluator(model)
         phi = random_formula(rng, max_depth=2, agents=2)
         psi = random_formula(rng, max_depth=2, agents=2)
         for agent in (1, 2):
             lhs = parse(f"[!({phi})] K{agent} ({psi})")
             rhs = parse(f"({phi}) -> K{agent} [!({phi})] ({psi})")
-            assert evaluator.table(lhs) == evaluator.table(rhs), (seed, agent)
+            assert model.table(lhs) == model.table(rhs), (seed, agent)
 
 
 def test_h_open_examples():
@@ -166,53 +163,6 @@ def test_constructor_checks_worlds_and_valuation():
         ProductModel((factor, factor), frozenset({(0, 1)}), {"p": frozenset({(1, 1)})})
     with pytest.raises(ValueError, match="at least one factor"):
         ProductModel((), frozenset())
-
-
-# -- the per-model memo -----------------------------------------------------
-
-
-def test_truth_computes_each_table_once(monkeypatch):
-    # Atoms, modalities and announcements are the evaluator's clauses; each
-    # runs once per model and formula.
-    computed = Counter()
-    for name in ("_modal", "_announce"):
-        clause = getattr(ProductEvaluator, name)
-
-        def counting(self, f, value, clause=clause):
-            computed[id(self.model), f] += 1
-            return clause(self, f, value)
-
-        monkeypatch.setattr(ProductEvaluator, name, counting)
-    model = indiscrete_pair()
-    f = parse("[!p] K1 q & K2 [!p] (K1 q | p)")
-    first = model.truth(f)
-    assert computed and set(computed.values()) == {1}
-    total = sum(computed.values())
-    assert model.truth(f) is first
-    model.truth(parse("[!p] K1 q"))  # a subformula of f: already computed
-    assert sum(computed.values()) == total
-
-
-def test_update_after_truth_restricts_at_most_once(monkeypatch):
-    calls = []
-    restrict = product._restrict
-
-    def counting(model, surviving):
-        calls.append(model)
-        return restrict(model, surviving)
-
-    monkeypatch.setattr(product, "_restrict", counting)
-    model = indiscrete_pair()
-    f = parse("[!p] K1 q")
-    model.truth(f)
-    calls.clear()
-    updated = model.update(f)
-    assert len(calls) <= 1
-    assert model.update(f) is updated
-    assert len(calls) <= 1
-    calls.clear()
-    model.update(parse("p"))  # announced inside f: already built
-    assert calls == []
 
 
 # -- the quantifier-form oracle ---------------------------------------------
@@ -304,12 +254,26 @@ def test_masks_on_unsorted_labels_and_partial_worlds():
                 assert stage._read(known) == _knowledge_reference(stage, area, agent), (seed, agent)
 
 
-def test_mixed_label_types_in_one_factor():
-    # Labels that do not compare fall back to factor order for the index.
+def test_mixed_label_types_in_one_factor(tmp_path):
+    # Labels that do not compare fall back to factor order for the index,
+    # and every listing of worlds (reports, model files) reads that order.
     factor = Topology.from_sets([0, "x", 1], [[], [0, "x"], [0, "x", 1]])
     model = ProductModel.full([factor, factor], {"p": [(0, "x"), ("x", 1), (1, 1)]})
     assert len(model.loci()) == 9
     f = parse("[!p | K2 p] K1 (p | K2 ~p)")
     holds = model.truth(f)
     assert all(model.satisfies(w, f) == (w in holds) for w in model.loci())
-    assert model.update(f).loci() == [w for w in model.loci() if w in holds]
+    updated = model.update(f)
+    assert updated.loci() == [w for w in model.loci() if w in holds]
+    assert updated.summary()[1] == "worlds: " + " ".join(map(product.fmt_world, updated.loci()))
+    assert "v(p)={(0, 'x'),('x', 1),(1, 1)}" in model.describe()
+    for m in (model, updated):
+        assert ProductModel.from_json(json.loads(json.dumps(m.to_json()))) == m
+    path, emitted = tmp_path / "mixed.product.json", tmp_path / "updated.json"
+    dump_model(model, str(path))
+    out = io.StringIO()
+    for argv in (["update", "--formula", str(f)], ["update", "--formula", "p", "--emit", str(emitted)],
+                 ["ck", "--formula", "true"]):
+        assert run([*argv, "--model", str(path)], out=out, err=out) == 0, out.getvalue()
+    assert load_model(str(emitted)) == model.update(parse("p"))
+    assert "worlds: (0,0) (0,x) (0,1) (x,0) (x,x) (x,1) (1,0) (1,x) (1,1)" in out.getvalue()

@@ -154,11 +154,10 @@ def test_oracle_is_independent_of_the_fast_paths(monkeypatch):
     def fast_path(*args):
         raise AssertionError("the oracle reached a fast path")
 
-    monkeypatch.setattr(topomodel, "extension", fast_path)
     monkeypatch.setattr(sslmodel, "apply_update", fast_path)
     monkeypatch.setattr(product, "knowledge_interior", fast_path)
-    monkeypatch.setattr(sslmodel.SslEvaluator, "_modal", fast_path)
-    monkeypatch.setattr(product.ProductEvaluator, "_modal", fast_path)
+    for kind in (topomodel.TopoModel, sslmodel.SSLModel, product.ProductModel):
+        monkeypatch.setattr(kind, "table", fast_path)
     for fresh in (random_topomodel(99, 3, 2), random_ssl_model(99), random_product_model(99)):
         with pytest.raises(AssertionError, match="fast path"):  # the patches are live
             fresh.truth(parse("p"))

@@ -1,4 +1,4 @@
-"""Subset-space semantics, updates, persistence, the per-model memo."""
+"""Subset-space semantics, updates, persistence."""
 
 import dataclasses
 from collections import Counter
@@ -12,7 +12,6 @@ from geopal.rewrite import AxiomId, check_axiom
 from geopal.sslmodel import (
     SSLModel,
     Situation,
-    SslEvaluator,
     is_persistent,
     persistence_immunity_check,
     random_ssl_model,
@@ -156,10 +155,9 @@ def test_dualities_hold_extensionally():
     rng = Random(22)
     for seed in range(200):
         model = random_ssl_model(seed)
-        evaluator = SslEvaluator(model)
         f = random_formula(rng, max_depth=3, modal="KLED")
-        assert evaluator.table(parse(f"L ({f})")) == evaluator.table(parse(f"~K ~({f})"))
-        assert evaluator.table(parse(f"D ({f})")) == evaluator.table(parse(f"~E ~({f})"))
+        assert model.table(parse(f"L ({f})")) == model.table(parse(f"~K ~({f})"))
+        assert model.table(parse(f"D ({f})")) == model.table(parse(f"~E ~({f})"))
 
 
 def test_interior_rejected():
@@ -195,7 +193,7 @@ def test_merged_neighbourhoods_pull_every_old_situation():
     model = SSLModel.from_sets(
         ["s", "t", "u"], [["s", "t"], ["s", "u"], ["s", "t", "u"]], {"p": ["s"], "q": ["s", "u"]}
     )
-    updated, pull = sslmodel.apply_update(model, model._mask(parse("p")))
+    updated, pull = sslmodel.apply_update(model, model.table(parse("p")))
     assert updated.sigma == (frozenset({"s"}),)
     assert [model._situations[i] for i in range(len(model._situations)) if pull[0] >> i & 1] == [
         sit("s", "s", "t"), sit("s", "s", "u"), sit("s", "s", "t", "u")
@@ -212,8 +210,8 @@ def test_truth_through_merging_updates_on_random_models():
     for seed in range(1000):
         model = random_ssl_model(seed, max_points=4, max_sets=6)
         announced = random_formula(rng, max_depth=2, modal="KLED")
-        updated, pull = sslmodel.apply_update(model, model._mask(announced))
-        kept = sum(1 for m in model._member_masks if m & model._mask(announced))
+        updated, pull = sslmodel.apply_update(model, model.table(announced))
+        kept = sum(1 for m in model._member_masks if m & model.table(announced))
         if len(updated.sigma) == kept:
             continue  # no two sets merged
         merges += 1
@@ -231,53 +229,6 @@ def test_announcements_inside_announcements():
     nested = Announce(parse("[!p] p"), parse("K p"))
     for situation in situations(model):
         model.satisfies(situation, nested)  # must simply not blow up
-
-
-# -- the per-model memo -----------------------------------------------------
-
-
-def test_truth_computes_each_table_once(monkeypatch):
-    # Atoms, modalities and announcements are the evaluator's clauses; each
-    # runs once per model and formula.
-    computed = Counter()
-    for name in ("_modal", "_announce"):
-        clause = getattr(SslEvaluator, name)
-
-        def counting(self, f, value, clause=clause):
-            computed[id(self.model), f] += 1
-            return clause(self, f, value)
-
-        monkeypatch.setattr(SslEvaluator, name, counting)
-    model = pair_model()
-    f = parse("[!p] K q & E [!p] (K q | D p)")
-    first = model.truth(f)
-    assert computed and set(computed.values()) == {1}
-    total = sum(computed.values())
-    assert model.truth(f) is first
-    model.truth(parse("[!p] K q"))  # a subformula of f: already computed
-    assert sum(computed.values()) == total
-
-
-def test_update_after_truth_applies_the_update_at_most_once(monkeypatch):
-    calls = []
-    apply_update = sslmodel.apply_update
-
-    def counting(model, satisfying):
-        calls.append(model)
-        return apply_update(model, satisfying)
-
-    monkeypatch.setattr(sslmodel, "apply_update", counting)
-    model = pair_model()
-    f = parse("[!p] K q")
-    model.truth(f)
-    calls.clear()
-    updated = model.update(f)
-    assert len(calls) <= 1
-    assert model.update(f) is updated
-    assert len(calls) <= 1
-    calls.clear()
-    model.update(parse("p"))  # announced inside f: already built
-    assert calls == []
 
 
 # -- the quantifier-form oracle ---------------------------------------------
@@ -298,7 +249,7 @@ def test_reverification_does_not_read_the_tables(monkeypatch):
     # that are not there; re-verification must keep only true verdicts.
     axiom = AxiomId("ssl", 5)
     flips = []
-    modal = SslEvaluator._modal
+    modal = SSLModel._modal
 
     def flipped(self, f, body):
         value = modal(self, f, body)
@@ -308,7 +259,7 @@ def test_reverification_does_not_read_the_tables(monkeypatch):
         return value
 
     with monkeypatch.context() as patch:
-        patch.setattr(SslEvaluator, "_modal", flipped)
+        patch.setattr(SSLModel, "_modal", flipped)
         report = check_axiom(axiom, 300, 0)
     assert flips
     for c in report.counterexamples:

@@ -6,7 +6,6 @@ from random import Random
 
 import pytest
 
-import geopal.topomodel as topomodel
 from geopal.formula import (
     And,
     Announce,
@@ -158,13 +157,13 @@ def test_point_outside_carrier_rejected():
 
 
 def test_oracle_does_not_run_extension(monkeypatch):
-    # The oracle must not lean on the evaluator it checks: with `extension`
-    # replaced by one that announces nothing away, its verdicts stay put.
+    # The oracle must not lean on the table it checks: with `table` replaced
+    # by one that announces nothing away, its verdicts stay put.
     formula = parse("[!p] I q")
     models = [random_topomodel(seed, 5, 3) for seed in range(200)]
     honest = [[satisfies(m, s, formula) for s in m.space.points] for m in models]
     honest_updates = [update(m, formula.announced) for m in models]
-    monkeypatch.setattr(topomodel, "extension", lambda model, f: model.space.full_mask)
+    monkeypatch.setattr(TopoModel, "table", lambda model, f: model.space.full_mask)
     # The stub is live: the fast update now keeps carriers the honest one shrinks.
     assert sum(update(m, formula.announced) != u for m, u in zip(models, honest_updates)) > 100
     assert [[satisfies(m, s, formula) for s in m.space.points] for m in models] == honest
@@ -272,22 +271,3 @@ def test_truth_evaluates_each_node_object_once_per_model(interior_calls):
     assert calls == []
     assert model.truth(parse("I (p | C q)")) == first and calls == []  # an equal new object
     assert random_topomodel(3, 5, 3).truth(announced) == value
-
-
-def test_update_is_memoized_per_carrier(monkeypatch):
-    restricts = []
-    restrict = Topology.restrict
-
-    def counting(self, carrier):
-        restricts.append(carrier)
-        return restrict(self, carrier)
-
-    monkeypatch.setattr(Topology, "restrict", counting)
-    model = random_topomodel(3, 5, 3)
-    f = parse("[!p] I q & C [!p] (I q | ~p)")
-    model.truth(f)
-    assert len(restricts) == 1  # both announcements of p restrict to one subspace
-    updated = model.update(parse("p"))  # announced inside f: already built
-    assert model.update(parse("p")) is updated
-    assert model.update(parse("~~p")) is updated  # the same carrier
-    assert len(restricts) == 1
