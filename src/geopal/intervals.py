@@ -23,6 +23,14 @@ LOWER = Fraction(-1)
 UPPER = Fraction(1)
 
 
+def _exact(value, what: str) -> Fraction:
+    """An int, a Fraction or a "p/q" string as a Fraction; a float is refused,
+    since its binary expansion is rarely the rational that was meant."""
+    if isinstance(value, float):
+        raise ValueError(f"{what} {value!r} is a float; give an int, a Fraction or a 'p/q' string")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class Interval:
     lo: Fraction
@@ -31,8 +39,8 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        object.__setattr__(self, "lo", _exact(self.lo, "endpoint"))
+        object.__setattr__(self, "hi", _exact(self.hi, "endpoint"))
         if self.lo > self.hi:
             raise ValueError("empty interval: lower endpoint above upper")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
@@ -42,15 +50,15 @@ class Interval:
 
     @classmethod
     def closed(cls, lo, hi) -> "Interval":
-        return cls(Fraction(lo), Fraction(hi), True, True)
+        return cls(lo, hi, True, True)
 
     @classmethod
     def open(cls, lo, hi) -> "Interval":
-        return cls(Fraction(lo), Fraction(hi), False, False)
+        return cls(lo, hi, False, False)
 
     @classmethod
     def point(cls, x) -> "Interval":
-        return cls(Fraction(x), Fraction(x), True, True)
+        return cls(x, x, True, True)
 
     @property
     def degenerate(self) -> bool:
@@ -158,10 +166,16 @@ def _intersect_parts(a: Interval, b: Interval) -> Interval | None:
 
 
 def euclid_interior(area: IntervalSet) -> IntervalSet:
-    """Open every endpoint; degenerate points vanish."""
+    """Interior in the carrier [-1, 1]: open every endpoint but a closed -1
+    or 1, which the carrier bounds; degenerate points vanish."""
     return IntervalSet(
         tuple(
-            Interval(part.lo, part.hi, False, False)
+            Interval(
+                part.lo,
+                part.hi,
+                part.lo_closed and part.lo == LOWER,
+                part.hi_closed and part.hi == UPPER,
+            )
             for part in area.parts
             if not part.degenerate
         )
@@ -203,7 +217,7 @@ class HarmonicFamily:
     start: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", Fraction(self.scale))
+        object.__setattr__(self, "scale", _exact(self.scale, "scale"))
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         if self.start < 1:
@@ -222,13 +236,16 @@ class HarmonicFamily:
 
 
 def finite_meet(family: HarmonicFamily, n: int) -> IntervalSet:
-    """Intersection of the members from start to n (equals the n-th member)."""
+    """Intersection of the members from start to n, in closed form: member n.
+
+    The members are nested: scale/k falls as k grows, and clamping only
+    widens the early members to the closed carrier [-1, 1].  So each member
+    contains every later one, and the meet of members start..n is exactly
+    member n, whatever the scale, shape and start.
+    """
     if n < family.start:
         raise ValueError(f"index {n} below start {family.start}")
-    result = family.member(family.start)
-    for index in range(family.start + 1, n + 1):
-        result = result.intersect(family.member(index))
-    return result
+    return family.member(n)
 
 
 def omega_limit(family: HarmonicFamily) -> IntervalSet:

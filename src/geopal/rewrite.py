@@ -15,9 +15,10 @@ Nested announcements need no composition law: the announced formula and the
 body are eliminated first.  `_single_step` is the one table of these
 schemas.  `reduce` is one `formula.fold`: at each announcement it folds
 `_single_step` over the already eliminated body, so each node of that body
-is pushed once.  `axiom_instance` builds every right side from it, so
-`check_axiom` probes the rules `reduce` applies.  Every step strictly
-decreases `formula.complexity`, so elimination terminates.
+is pushed once.  `axiom_instance`, and the instances `check_axiom` shares
+across its models, build every right side from it, so `check_axiom` probes
+the rules `reduce` applies.  Every step strictly decreases
+`formula.complexity`, so elimination terminates.
 
 The effort schema is the one member of the set whose soundness is not
 guaranteed by the update semantics; `check_axiom` probes each schema
@@ -153,22 +154,57 @@ def axiom_instance(
 ) -> tuple[Formula, Formula]:
     """Both sides of the reduction equivalence, instantiated; the right
     side is the one step `reduce` applies to the left."""
+    body = _schema_body(axiom, psi, chi, agent)
+    return Announce(phi, body), _single_step(phi, body)
+
+
+def _schema_body(axiom: AxiomId, psi, chi, agent: int) -> Formula:
+    """The body g of the schema's left side [phi] g."""
     index = axiom.index
     if index == 1:
         if not isinstance(psi, (Atom, Top, Bot)):
             raise ValueError("the atomic schema takes an atom on the right")
-        body = psi
-    elif index == 2:
-        body = Not(psi)
-    elif index == 3:
-        body = And(psi, chi)
-    elif axiom.semantics == "topo":
-        body = Interior(psi)
-    elif axiom.semantics == "product":
-        body = KnowI(agent, psi)
-    else:
-        body = Know(psi) if index == 4 else Effort(psi)
-    return Announce(phi, body), _single_step(phi, body)
+        return psi
+    if index == 2:
+        return Not(psi)
+    if index == 3:
+        return And(psi, chi)
+    if axiom.semantics == "topo":
+        return Interior(psi)
+    if axiom.semantics == "product":
+        return KnowI(agent, psi)
+    return Know(psi) if index == 4 else Effort(psi)
+
+
+def _instances(axiom: AxiomId, pools, agent_count: int, nodes: dict) -> list[tuple]:
+    """(phi, psi, chi, agent, lhs, rhs) for every instantiation of the schema
+    over agents 1..agent_count, equal to what `axiom_instance` builds.
+
+    Each body and each [phi] g, left side or pushed, is built once per
+    `nodes`, keyed by the identities of its children, so repeated subterms
+    are one object.  A stored node holds its children, and the pools outlive
+    the dict, so no identity in a key is reused while it is in use.  `nodes`
+    may also map formulas to themselves: a body equal to one of them is
+    that object."""
+    instances = []
+    for phi, psi, chi, agent in _instantiations(axiom, pools, agent_count):
+        key = (id(psi), id(chi), agent)
+        body = nodes.get(key)
+        if body is None:
+            body = _schema_body(axiom, psi, chi, agent)
+            body = nodes[key] = nodes.setdefault(body, body)
+        pushed = [_announcement(nodes, phi, kid) for kid in children(body)]
+        lhs = _announcement(nodes, phi, body)
+        instances.append((phi, psi, chi, agent, lhs, _single_step(phi, body, pushed)))
+    return instances
+
+
+def _announcement(nodes: dict, announced: Formula, body: Formula) -> Announce:
+    key = (id(announced), id(body))
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = Announce(announced, body)
+    return node
 
 
 def schema_pool(semantics: str) -> dict[str, list[Formula]]:
@@ -176,7 +212,8 @@ def schema_pool(semantics: str) -> dict[str, list[Formula]]:
     modal layer, and boolean-over-modal combinations."""
     _check_semantics(semantics)
     p, q = Atom("p"), Atom("q")
-    boolean = [Not(p), And(p, q), Or(p, q)]
+    not_p = Not(p)
+    boolean = [not_p, And(p, q), Or(p, q)]
     if semantics == "topo":
         modal = [Interior(p), Closure(q)]
         mixed = [Or(p, Interior(q)), And(p, Closure(q))]
@@ -189,8 +226,8 @@ def schema_pool(semantics: str) -> dict[str, list[Formula]]:
     return {
         "atoms": [p, q],
         "phi": [p, q] + boolean + modal + mixed,
-        "psi": [p, q, Not(p)] + modal,
-        "chi": [q, Not(p)],
+        "psi": [p, q, not_p] + modal,
+        "chi": [q, not_p],
     }
 
 
@@ -261,21 +298,31 @@ _SAMPLERS: dict[str, Callable[[int], object]] = {
 def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> ValidityReport:
     """Evaluate both sides of the axiom at every locus of random models.
 
-    The two sides' masks are compared; the loci where they differ are
-    re-verified, in `loci()` order, through the pointwise evaluators before
-    being recorded; the report keeps one counterexample per (model,
-    instantiation) pair.  Models are visited in seed order, so reports are
-    reproducible.
+    The instances are built once per call (once per agent count for the
+    per-agent product schema), each body and each pushed [phi] g as one
+    shared node, so every model's memo finds repeated subterms by identity;
+    each right side is still `_single_step`, the step `reduce` applies.
+    Nothing is kept between calls.  The two sides' masks are compared; the
+    loci where they differ are re-verified, in `loci()` order, through the
+    pointwise evaluators before being recorded; the report keeps one
+    counterexample per (model, instantiation) pair.  Models are visited in
+    seed order, so reports are reproducible.
     """
     if sample_size < 1:
         raise ValueError(f"sample size must be at least 1, got {sample_size}")
     pools = schema_pool(axiom.semantics)
     sampler = _SAMPLERS[axiom.semantics]
+    per_agent = axiom.semantics == "product" and axiom.index == 4
+    nodes = {f: f for pool in pools.values() for f in pool}
+    by_agents: dict[int, list[tuple]] = {}
     counterexamples = []
     for offset in range(sample_size):
         model = sampler(seed + offset)
-        for phi, psi, chi, agent in _instantiations(axiom, pools, model):
-            lhs, rhs = axiom_instance(axiom, phi, psi, chi, agent)
+        agent_count = model.agent_count if per_agent else 1
+        instances = by_agents.get(agent_count)
+        if instances is None:
+            instances = by_agents[agent_count] = _instances(axiom, pools, agent_count, nodes)
+        for phi, psi, chi, agent, lhs, rhs in instances:
             lhs_holds = model.table(lhs)
             for i in bits(lhs_holds ^ model.table(rhs)):
                 locus = model._order[i]
@@ -292,14 +339,14 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
     return ValidityReport(axiom, sample_size, seed, tuple(counterexamples))
 
 
-def _instantiations(axiom: AxiomId, pools, model):
-    """Every (phi, psi, chi, agent) of the schema, phi varying slowest."""
-    per_agent = axiom.semantics == "product" and axiom.index == 4
+def _instantiations(axiom: AxiomId, pools, agent_count: int):
+    """Every (phi, psi, chi, agent) of the schema, phi varying slowest, for
+    the agents 1..agent_count."""
     return itertools.product(
         pools["phi"],
         pools["atoms"] if axiom.index == 1 else pools["psi"],
         pools["chi"] if axiom.index == 3 else [None],
-        range(1, model.agent_count + 1) if per_agent else [1],
+        range(1, agent_count + 1),
     )
 
 

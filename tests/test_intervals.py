@@ -114,6 +114,21 @@ def test_kuratowski_laws_on_random_sets():
         for x in (Fraction(0), Fraction(1, 7), Fraction(-2, 3), Fraction(1)):
             assert not interior.contains(x) or a.contains(x)
             assert not a.contains(x) or closure.contains(x)
+    # The carrier [-1, 1] is its own interior, and the empty set its own closure.
+    carrier = IntervalSet.of(Interval.closed(-1, 1))
+    assert euclid_interior(carrier) == carrier
+    assert euclid_closure(EMPTY) == EMPTY
+    # A member clamped to the carrier is open in it.
+    clamped = HarmonicFamily(Fraction(2), closed=False).member(1)
+    assert euclid_interior(clamped) == clamped
+
+
+def test_interior_keeps_the_carrier_bounds_closed():
+    assert str(euclid_interior(IntervalSet.of(Interval.closed(-1, 0)))) == "[-1, 0)"
+    assert str(euclid_interior(IntervalSet.of(Interval.closed(HALF, 1)))) == "(1/2, 1]"
+    assert str(euclid_interior(IntervalSet.of(Interval(-1, 1, False, True)))) == "(-1, 1]"
+    for end in (-1, 1):
+        assert euclid_interior(IntervalSet.of(Interval.point(end))) == EMPTY
 
 
 def test_interval_validation():
@@ -127,6 +142,39 @@ def test_interval_validation():
         HarmonicFamily(Fraction(0))
     with pytest.raises(ValueError):
         HarmonicFamily(Fraction(1), start=0)
+
+
+def test_float_endpoints_and_scales_are_refused():
+    for build in (
+        lambda: Interval(0.1, 0.5, True, True),
+        lambda: Interval(Fraction(0), 0.5, True, False),
+        lambda: Interval.closed(-0.5, 0),
+        lambda: Interval.open(0, 1.0),
+        lambda: Interval.point(0.25),
+        lambda: HarmonicFamily(0.5),
+        lambda: HarmonicFamily(2.0, closed=False),
+    ):
+        with pytest.raises(ValueError, match="float"):
+            build()
+
+
+def test_ints_fractions_and_ratio_strings_are_exact():
+    assert str(Interval(0, "1/2", True, True)) == "[0, 1/2]"
+    assert str(Interval.open("-1/3", Fraction(1, 3))) == "(-1/3, 1/3)"
+    assert Interval.point("1/10").lo == Fraction(1, 10)
+    assert str(HarmonicFamily("5/2", closed=False).member(5)) == "(-1/2, 1/2)"
+    assert str(HarmonicFamily(3).member(6)) == "[-1/2, 1/2]"
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 3), 1, 2, Fraction(5, 2), 7], ids=str)
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("start", [1, 2, 3])
+def test_finite_meet_equals_the_folded_intersection(scale, closed, start):
+    family = HarmonicFamily(scale, closed=closed, start=start)
+    folded = family.member(start)
+    for n in range(start, 61):
+        folded = folded.intersect(family.member(n))
+        assert finite_meet(family, n) == folded
 
 
 def test_normalization_sorts_and_merges():

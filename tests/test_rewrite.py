@@ -302,6 +302,76 @@ def test_effort_schema_pinned_counter_model():
     assert model.satisfies(locus, rhs) is False
 
 
+ALL_SCHEMAS = [AxiomId(s, i) for s, top in (("topo", 4), ("ssl", 5), ("product", 4))
+               for i in range(1, top + 1)]
+
+
+def _agent_counts(axiom):
+    return [2, 3] if (axiom.semantics, axiom.index) == ("product", 4) else [1]
+
+
+@pytest.mark.parametrize("axiom", ALL_SCHEMAS, ids=str)
+def test_shared_instances_equal_axiom_instance(axiom):
+    pools = schema_pool(axiom.semantics)
+    nodes = {f: f for pool in pools.values() for f in pool}  # as check_axiom seeds it
+    announcements = {}
+    for n in _agent_counts(axiom):
+        instances = rewrite._instances(axiom, pools, n, nodes)
+        assert [i[:4] for i in instances] == list(rewrite._instantiations(axiom, pools, n))
+        for number, (phi, psi, chi, agent, lhs, rhs) in enumerate(instances):
+            assert (lhs, rhs) == axiom_instance(axiom, phi, psi, chi, agent)
+            for node in (*walk(lhs), *walk(rhs)):
+                if type(node) is Announce:
+                    announcements.setdefault(node, {}).setdefault(id(node), set()).add((n, number))
+    # Equal [phi] g, left sides or pushed, are one object wherever they
+    # repeat, also across agent counts and where a body equals a pool formula.
+    assert all(len(objects) == 1 for objects in announcements.values())
+    if axiom.index == 3 or len(_agent_counts(axiom)) > 1:
+        assert max(len(uses) for objects in announcements.values() for uses in objects.values()) > 1
+
+
+def test_a_body_equal_to_a_pool_formula_is_that_formula():
+    pools = schema_pool("ssl")
+    nodes = {f: f for pool in pools.values() for f in pool}
+    know_p = next(f for f in pools["psi"] if f == Know(Atom("p")))
+    lhs = rewrite._instances(AxiomId("ssl", 4), pools, 1, nodes)[0][4]
+    assert lhs == Announce(Atom("p"), Know(Atom("p")))
+    assert lhs.body is know_p
+
+
+@pytest.mark.parametrize("axiom", ALL_SCHEMAS, ids=str)
+def test_check_axiom_builds_each_instance_once_per_agent_count(axiom, monkeypatch):
+    steps = []
+    original = rewrite._single_step
+    monkeypatch.setattr(rewrite, "_single_step", lambda *a: steps.append(a) or original(*a))
+    seed, models = 11, 25
+    check_axiom(axiom, models, seed)
+    counts = {1}
+    if (axiom.semantics, axiom.index) == ("product", 4):
+        counts = {rewrite._SAMPLERS["product"](seed + o).agent_count for o in range(models)}
+        assert len(counts) > 1
+    pools = schema_pool(axiom.semantics)
+    expected = sum(len(list(rewrite._instantiations(axiom, pools, n))) for n in counts)
+    assert len(steps) == expected
+
+
+@pytest.mark.parametrize("axiom", [AxiomId("ssl", 3), AxiomId("product", 4)], ids=str)
+def test_check_axiom_calls_share_no_node(axiom, monkeypatch):
+    calls = [[], []]
+    original = rewrite._instances
+    for record in calls:
+        monkeypatch.setattr(rewrite, "_instances", lambda *a: record.append(original(*a)) or record[-1])
+        check_axiom(axiom, 10, 4)
+    # Both calls' instances stay alive in `calls`, so equal ids are one object.
+    first, second = (
+        {id(node) for instances in record for instance in instances
+         for side in instance[4:] for node in walk(side)}
+        for record in calls
+    )
+    assert first and second
+    assert first.isdisjoint(second)
+
+
 def test_equivalence_basics():
     model = random_topomodel(3, n=4, k=3)
     assert equivalent_on(model, parse("p & q"), parse("q & p"))
