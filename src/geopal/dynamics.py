@@ -262,7 +262,7 @@ def muddy_scenario(n: int, muddy: Iterable[str]) -> MuddyScenario:
     checks = _knowledge_checks(n)
     ignorance = _ignorance(checks)
     pointed = announce_while_true(after_father, actual, ignorance)
-    rounds = (model.worlds,) + tuple(stage.worlds for stage in pointed.stages)
+    rounds = tuple(frozenset(stage.loci()) for stage in (model, *pointed.stages))
     knowledge = tuple(_knowledge_states(stage, actual, checks) for stage in pointed.stages)
     unpointed = limit_model(after_father, ignorance)
     return MuddyScenario(

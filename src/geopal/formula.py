@@ -459,18 +459,29 @@ class Model:
     product models share; each kind is a frozen dataclass deriving from it.
 
     A kind supplies `fragment`, its key in `FRAGMENTS`; `_order`, the locus
-    at each mask bit, and `_all`, the mask of its loci; its clauses for
-    `tabulate`, `_modal` and `_announce`; `updated(mask)`, the announcement
-    update to the loci of a mask, memoized in `_updates` by that mask, so
-    announcements with equal truth sets share one updated model; `locus`;
-    and the oracle's clauses `_holds` and `_announced` for `holds`.  The
-    base states `table(f)`, f's truth mask memoized in `_tables`, and reads
-    truth and updates through it.  The memos are built on first use;
-    equality and repr see only the fields, and `__getstate__` keeps the
-    memos out of pickles and copies.
+    at each mask bit; its atoms and modalities for `tabulate` (`_modal`)
+    and for `holds` (`_holds`); and `locus`.  The base states `table(f)`,
+    f's truth mask memoized in `_tables`, and reads truth and updates
+    through it.
+
+    A topological or product model is its root's fields (the root is the
+    model no announcement produced) plus `carrier`, the mask of its loci
+    over the root's index; its constructor calls `_default_carrier`.  For
+    these kinds the base states the rest: `updated(mask)`, the same fields
+    with the mask as carrier, memoized in `_updates` by that mask and
+    handed the derived state the kind names in `_shared`; `_announce`,
+    which reads the body's table on it with no re-indexing; the oracle's
+    `_announced`, which finds the surviving loci one by one; `size` and
+    `is_empty`.  A subset-space update merges situations, so `SSLModel`
+    states these itself.
+
+    The memos are built on first use; equality and repr see only the
+    fields, the carrier included, and `__getstate__` keeps the memos out
+    of pickles and copies.
     """
 
     fragment: str
+    _shared: tuple[str, ...] = ()
 
     @cached_property
     def _tables(self) -> dict[Formula, int]:
@@ -487,6 +498,47 @@ class Model:
     def __getstate__(self) -> dict:
         """Pickles and copies carry the fields, not the memo."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def _default_carrier(self, every: int):
+        """Set an unset carrier to the mask of every locus; refuse one beyond it."""
+        if self.carrier is None:
+            object.__setattr__(self, "carrier", every)
+        elif self.carrier & ~every:
+            raise ValueError("carrier not within the model's loci")
+
+    @property
+    def _all(self) -> int:
+        return self.carrier
+
+    @property
+    def size(self) -> int:
+        return self._all.bit_count()
+
+    @property
+    def is_empty(self) -> bool:
+        return not self._all
+
+    def updated(self, carrier: int) -> "Model":
+        """The update to the loci of the carrier mask, built once per mask:
+        this model's fields and `_shared` state with that carrier.  The mask
+        is within a checked model's loci, so the constructor is skipped."""
+        model = self._updates.get(carrier)
+        if model is None:
+            model = self._updates[carrier] = object.__new__(type(self))
+            vars(model).update(
+                self.__getstate__(), carrier=carrier, **{name: getattr(self, name) for name in self._shared}
+            )
+        return model
+
+    def _announce(self, f: Formula, announced: int) -> int:
+        """Loci failing the announcement satisfy it vacuously; the update
+        indexes the same loci, so its table needs no lifting."""
+        return (self._all - announced) | (announced & self.updated(announced).table(f.body))
+
+    def _announced(self, locus, a: Formula) -> tuple["Model", object]:
+        """The update to the loci where a holds, found one by one."""
+        order = self._order
+        return self.updated(sum(1 << i for i in bits(self._all) if holds(self, order[i], a))), locus
 
     def loci(self) -> list:
         """The loci in mask order."""

@@ -65,7 +65,7 @@ class Interval:
         return self.lo == self.hi
 
     def contains(self, x) -> bool:
-        x = Fraction(x)
+        x = _exact(x, "point")
         above = x > self.lo or (x == self.lo and self.lo_closed)
         below = x < self.hi or (x == self.hi and self.hi_closed)
         return above and below

@@ -1,8 +1,9 @@
 """Product-topological models with coordinate-wise knowledge modalities.
 
-A model is a list of factor topologies, a set of surviving worlds (tuples
-of factor points, one per factor) and a valuation on worlds.  A fresh model
-has the full cartesian product as its world set; announcements restrict it.
+A model is a list of factor topologies, a set of listed worlds (tuples of
+factor points, one per factor), a valuation on worlds and a carrier, the
+mask of the surviving worlds.  Every listed world of a fresh model survives
+(`full` lists the whole cartesian product); announcements shrink the carrier.
 
 Agent i's knowledge quantifies along coordinate i: K_i f holds at w when
 some factor-i open around w_i keeps f true at every surviving variant of w
@@ -14,12 +15,12 @@ worlds.  The oracle `satisfies` is `formula.holds` over the model's own
 clauses: atoms, K_i over the factor opens, and announcements world by world.
 
 A model is its own truth-set evaluator, like the other two kinds: it
-states its atoms and K_i (`_modal`) and its announcement (`_announce`) for
-`formula.tabulate`.  Truth tables are int masks.  Bit i stands for the
-i-th world of the root
-model (the model no announcement produced) in `loci()` order, and every
-model an announcement restricts it to keeps that index, so lifting a table
-through an announcement is plain `&` and `|`.  Only listed worlds are
+states its atoms and K_i (`_modal`) for `formula.tabulate`.  Truth tables
+are int masks.  Bit i stands for the i-th listed world of the root model
+(the model no announcement produced) in sorted order.  An update keeps the
+root's fields and index and is told apart by its carrier, the mask of its
+surviving worlds (`formula.Model.updated`), so an announcement's body needs
+no lifting and an atom is a root mask `& carrier`.  Only listed worlds are
 indexed, never the full cartesian product.  K_i reads a per-agent table,
 built once per root model from its lines (the worlds that agree on every
 coordinate but the agent's): for each world, the mask of listed variants
@@ -61,7 +62,8 @@ World = tuple
 
 @dataclass(frozen=True)
 class ProductModel(Model):
-    """Factor topologies, surviving worlds and a valuation on worlds.
+    """Factor topologies, listed worlds, a valuation on worlds, and the
+    carrier: the mask of the surviving worlds (default: every listed one).
 
     Treat instances as immutable: each model memoizes its truth masks, their
     read-out as world sets, and its announcement updates (see
@@ -71,6 +73,7 @@ class ProductModel(Model):
     factors: tuple[Topology, ...]
     worlds: frozenset[World]
     valuation: dict[str, frozenset] = field(default_factory=dict)
+    carrier: int | None = None
     fragment = "product"
 
     def __post_init__(self):
@@ -85,6 +88,7 @@ class ProductModel(Model):
         for atom, area in self.valuation.items():
             if not area <= self.worlds:
                 raise ValueError(f"valuation of {atom!r} mentions non-surviving worlds")
+        self._default_carrier((1 << len(self.worlds)) - 1)
 
     @classmethod
     def full(
@@ -101,24 +105,14 @@ class ProductModel(Model):
     def agent_count(self) -> int:
         return len(self.factors)
 
-    def atom_set(self, name: str) -> frozenset:
-        return self.valuation.get(name, frozenset())
+    # The index, built on first use and handed to every update (`_shared`).
+    # Equality and repr see only the fields, and __getstate__ keeps it out
+    # of pickles.
+    _shared = ("_order", "_bit", "_atoms", "_lines")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.worlds
-
-    @property
-    def size(self) -> int:
-        return len(self.worlds)
-
-    # The index, built on first use.  Equality and repr see only the
-    # fields, and __getstate__ keeps it out of pickles.
-    # `_restrict` hands `_order`, `_bit` and `_lines` down to every model it
-    # builds, so a family of updates shares one index.
     @cached_property
     def _order(self) -> tuple[World, ...]:
-        """The world at each mask bit: this root model's worlds, sorted."""
+        """The world at each mask bit: the listed worlds, sorted."""
         try:
             return tuple(sorted(self.worlds))
         except TypeError:  # labels of mixed types in one factor: factor order
@@ -129,42 +123,30 @@ class ProductModel(Model):
         return {world: i for i, world in enumerate(self._order)}
 
     @cached_property
-    def _all(self) -> int:
-        """The mask of this model's worlds."""
+    def _atoms(self) -> dict[str, int]:
+        """Each atom's mask over the listed worlds."""
         bit = self._bit
-        return sum(1 << bit[world] for world in self.worlds)
+        return {atom: sum(1 << bit[world] for world in area) for atom, area in self.valuation.items()}
 
     @cached_property
     def _lines(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """Per agent, `knowledge_interior`'s (need, members) pairs, built on first use."""
         return {}
 
-    # The benchmark harness under bench/ traces and patches `table` in this
-    # class's own namespace.
+    # The benchmark harness under bench/ traces and patches `table` and
+    # `updated` in this class's own namespace.
     table = Model.table
-
-    def updated(self, mask: int) -> "ProductModel":
-        """Drop the worlds outside the mask, once per mask; factors are untouched."""
-        restricted = self._updates.get(mask)
-        if restricted is None:
-            restricted = self._updates[mask] = _restrict(self, self._read(mask))
-        return restricted
+    updated = Model.updated
 
     def _modal(self, f: Formula, tb: int | None) -> int:
         """The mask of an atom, or of K_i over the body's mask."""
         match f:
             case Atom(name):
-                bit = self._bit
-                return sum(1 << bit[world] for world in self.atom_set(name))
+                return self._atoms.get(name, 0) & self.carrier
             case KnowI(agent):
                 _check_agent(self, agent)
                 return knowledge_interior(self, tb, agent)
         check_fragment(f, "product")  # raises: every modal node of the fragment is matched above
-
-    def _announce(self, f: Formula, ta: int) -> int:
-        """Worlds failing the announcement satisfy it vacuously; the
-        restricted model indexes the same worlds, so its table needs no lifting."""
-        return (self._all - ta) | (ta & self.updated(ta).table(f.body))
 
     def satisfies(self, world, f: Formula) -> bool:
         """The shared oracle, after checking that every K_i names a factor;
@@ -174,27 +156,27 @@ class ProductModel(Model):
                 _check_agent(self, node.agent)
         return super().satisfies(world, f)
 
+    def _surviving(self, world: World) -> bool:
+        i = self._bit.get(world)
+        return i is not None and bool(self.carrier >> i & 1)
+
     def _holds(self, world: World, f: Formula) -> bool:
         """Atoms, and K_i as some factor-i open keeping b at every surviving variant."""
         match f:
             case Atom(name):
-                return world in self.atom_set(name)
+                return world in self.valuation.get(name, ())
             case KnowI(agent, b):
                 factor = self.factors[agent - 1]
                 position = factor.index(world[agent - 1])
                 return any(
-                    all(v not in self.worlds or holds(self, v, b) for v in self.variants(world, agent, open_))
+                    all(not self._surviving(v) or holds(self, v, b) for v in self.variants(world, agent, open_))
                     for open_ in factor.opens if open_ >> position & 1
                 )
-
-    def _announced(self, world: World, a: Formula) -> tuple["ProductModel", World]:
-        """The worlds where a holds, found one by one."""
-        return _restrict(self, frozenset(w for w in self.worlds if holds(self, w, a))), world
 
     def locus(self, world) -> World:
         """The world as a tuple, checked to be surviving."""
         world = tuple(world)
-        if world not in self.worlds:
+        if not self._surviving(world):
             raise ValueError(f"world {world!r} is not surviving in this model")
         return world
 
@@ -225,14 +207,17 @@ class ProductModel(Model):
         labels of each factor compare."""
         return sorted(worlds, key=self._bit.__getitem__)
 
+    def _areas(self) -> list[tuple[str, list[World]]]:
+        """Each atom's surviving worlds in `loci()` order, by atom."""
+        order = self._order
+        return [(atom, [order[i] for i in bits(mask & self.carrier)]) for atom, mask in sorted(self._atoms.items())]
+
     def to_json(self) -> dict:
         return {
             "kind": "product",
             "factors": [factor.to_json() for factor in self.factors],
             "worlds": list(map(list, self.loci())),
-            "valuation": {
-                atom: list(map(list, self.ordered(area))) for atom, area in sorted(self.valuation.items())
-            },
+            "valuation": {atom: list(map(list, area)) for atom, area in self._areas()},
         }
 
     def describe(self) -> str:
@@ -240,10 +225,8 @@ class ProductModel(Model):
             f"points={list(f.points)} opens=[{' '.join(fmt_set(f.labels(o)) for o in f.opens)}]"
             for f in self.factors
         )
-        val = " ".join(
-            f"v({a})={{{','.join(map(str, self.ordered(s)))}}}" for a, s in sorted(self.valuation.items())
-        )
-        return f"product [{factors}] worlds={len(self.worlds)} {val}"
+        val = " ".join(f"v({a})={{{','.join(map(str, area))}}}" for a, area in self._areas())
+        return f"product [{factors}] worlds={self.size} {val}"
 
     def summary(self) -> list[str]:
         return ["kind: product", f"worlds: {' '.join(map(fmt_world, self.loci())) or '(none)'}"]
@@ -304,24 +287,6 @@ def _knowledge_table(model: ProductModel, agent: int) -> tuple[tuple[int, int], 
                 groups[need] = groups.get(need, 0) | bit
         table = model._lines[agent] = tuple(groups.items())
     return table
-
-
-def _restrict(model: ProductModel, surviving: frozenset) -> ProductModel:
-    """The model on the surviving worlds, indexed like its parent.
-
-    The surviving worlds are a subset of a checked model's, so the
-    constructor's checks are skipped.
-    """
-    restricted = object.__new__(ProductModel)
-    vars(restricted).update(
-        factors=model.factors,
-        worlds=surviving,
-        valuation={atom: area & surviving for atom, area in model.valuation.items()},
-        _order=model._order,
-        _bit=model._bit,
-        _lines=model._lines,
-    )
-    return restricted
 
 
 def fmt_world(world: World) -> str:

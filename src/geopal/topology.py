@@ -156,15 +156,6 @@ def compress_mask(mask: int, carrier: int) -> int:
     return result
 
 
-def expand_mask(packed: int, carrier: int) -> int:
-    """Inverse of compress_mask: a packed subset of the carrier in the full index space."""
-    result = 0
-    for position, i in enumerate(bits(carrier)):
-        if packed >> position & 1:
-            result |= 1 << i
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Model files and point labels, shared by every model kind.  Model files are
 # outside input: each field is checked before it is used.

@@ -1,24 +1,29 @@
 """Single-agent topological models and their announcement update.
 
 A model is its own truth-set evaluator, like the other two kinds: it
-states its atoms and `I`/`C` (`_modal`) and its announcement (`_announce`,
-which reads the body's table on the subspace model), and
-`formula.Model.table` runs `formula.tabulate` over them, so the depth of
-Python recursion is the depth of announcement nesting.  `extension(model,
-f)` is that table as a function.
+states its atoms and `I`/`C` (`_modal`), and `formula.Model.table` runs
+`formula.tabulate` over them, so the depth of Python recursion is the depth
+of announcement nesting.  `extension(model, f)` is that table as a
+function.
+
+The update by an announcement is the subspace on its truth set.  It keeps
+the root's space and valuation and is told apart by its carrier, the mask
+of its points (`formula.Model.updated`), so nothing is re-indexed: atoms
+are root masks `& carrier`, and the subspace's interior and closure are
+expressions over the root's, `I_S(A) = S & I((X - S) | A)` and
+`C_S(A) = S & C(A)`.  Only the output (`to_json`, `describe`, `summary`)
+builds the subspace as a space of its own (`Topology.restrict`).
 
 The memos are `formula.Model`'s: masks by formula, so a formula evaluated
 once on a model (a shared subformula of two formulas, a repeated `truth`,
-an equal formula built anew) is not evaluated again there, and subspaces by
-the announced formula's truth mask, so `update(f) is update(f)` and every
-announcement of the same set restricts the space once.  Subspaces keep
-their own masks.
+an equal formula built anew) is not evaluated again there, and updates by
+the announced formula's truth mask, so `update(f) is update(f)`.
 
 `satisfies` is `formula.holds` over the model's quantifier clauses for
-atoms, interior (exists-open-forall) and closure (forall-open-exists), kept
-purely as a differential-testing oracle for the table: it never reads one,
-and it announces by finding the surviving points one by one before both
-paths share `updated`.
+atoms, interior (exists-open-forall) and closure (forall-open-exists) over
+the subspace opens, kept purely as a differential-testing oracle for the
+table: it never reads one, and it announces by finding the surviving
+points one by one before both paths share `updated`.
 """
 
 from __future__ import annotations
@@ -40,8 +45,6 @@ from .topology import (
     Topology,
     TopologyError,
     bits,
-    compress_mask,
-    expand_mask,
     fmt_set,
     json_labels,
     json_valuation,
@@ -52,7 +55,8 @@ from .topology import (
 
 @dataclass(frozen=True)
 class TopoModel(Model):
-    """A topological space plus a valuation mapping atoms to point masks.
+    """A topological space, a valuation mapping atoms to point masks, and
+    the carrier: the mask of the points of this model (default: all).
 
     Atoms absent from the valuation denote the empty set.  Treat instances
     as immutable: updates return fresh models.
@@ -60,10 +64,12 @@ class TopoModel(Model):
 
     space: Topology
     valuation: dict[str, int] = field(default_factory=dict)
+    carrier: int | None = None
     fragment = "topo"
 
     def __post_init__(self):
         full = self.space.full_mask
+        self._default_carrier(full)
         for atom, mask in self.valuation.items():
             if mask & ~full:
                 raise TopologyError(f"valuation of {atom!r} not within the carrier")
@@ -78,78 +84,42 @@ class TopoModel(Model):
         space = Topology.from_sets(points, opens)
         return cls(space, {atom: space.mask(area) for atom, area in valuation.items()})
 
-    def atom_mask(self, name: str) -> int:
-        return self.valuation.get(name, 0)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.space.points
-
-    @property
-    def size(self) -> int:
-        return len(self.space.points)
-
     @property
     def _order(self) -> tuple:
         """The point at each mask bit."""
         return self.space.points
 
-    def updated(self, carrier: int) -> "TopoModel":
-        """The subspace model on the points of the carrier mask, built once per carrier."""
-        subspace = self._updates.get(carrier)
-        if subspace is None:
-            valuation = {
-                atom: compress_mask(mask & carrier, carrier)
-                for atom, mask in self.valuation.items()
-            }
-            subspace = self._updates[carrier] = TopoModel(self.space.restrict(carrier), valuation)
-        return subspace
-
     def _holds(self, point: Hashable, f: Formula) -> bool:
-        """Atoms, and I/C as exists-open-forall and forall-open-exists."""
-        space = self.space
+        """Atoms, and I/C as exists-open-forall and forall-open-exists over
+        the subspace opens (each root open meet the carrier)."""
+        space, carrier = self.space, self.carrier
         s = space.index(point)
         match f:
             case Atom(name):
-                return bool(self.atom_mask(name) >> s & 1)
+                return bool(self.valuation.get(name, 0) >> s & 1)
             case Interior(b) | Closure(b):
                 outer, inner = (any, all) if type(f) is Interior else (all, any)
                 return outer(
-                    inner(holds(self, space.points[t], b) for t in bits(open_))
+                    inner(holds(self, space.points[t], b) for t in bits(open_ & carrier))
                     for open_ in space.opens if open_ >> s & 1
                 )
 
-    # The model's clauses for `formula.tabulate`, over masks.
-
-    @property
-    def _all(self) -> int:
-        return self.space.full_mask
-
     def _modal(self, f: Formula, body: int | None) -> int:
-        """The mask of an atom, or of I/C over the body's mask."""
+        """The mask of an atom, or of I/C over the body's mask, in the subspace."""
         kind = type(f)
+        carrier = self.carrier
         if kind is Atom:
-            return self.atom_mask(f.name)
+            return self.valuation.get(f.name, 0) & carrier
         if kind is Interior:
-            return self.space.interior(body)
+            return carrier & self.space.interior((self.space.full_mask - carrier) | body)
         if kind is Closure:
-            return self.space.closure(body)
+            return carrier & self.space.closure(body)
         check_fragment(f, "topo")  # raises: every modal node of the fragment is matched above
-
-    def _announce(self, f: Formula, announced: int) -> int:
-        """Points failing the announcement satisfy it vacuously; surviving
-        points defer to the subspace, whose indices pack the carrier's."""
-        inner = self.updated(announced).table(f.body)
-        return (self.space.full_mask & ~announced) | expand_mask(inner, announced)
-
-    def _announced(self, point: Hashable, a: Formula) -> tuple["TopoModel", Hashable]:
-        """The subspace of the points where a holds, found one by one."""
-        carrier = sum(1 << t for t, label in enumerate(self.space.points) if holds(self, label, a))
-        return self.updated(carrier), point
 
     def locus(self, point: Hashable) -> Hashable:
         """The point, checked to be one of this model's."""
-        self.space.index(point)
+        if not self.carrier >> self.space.index(point) & 1:
+            raise TopologyError(f"point {point!r} not in the carrier")
         return point
 
     def parse_locus(self, text: str) -> Hashable:
@@ -164,29 +134,36 @@ class TopoModel(Model):
         }
         return cls(space, valuation)
 
+    def _subspace(self) -> Topology:
+        """The carrier as a space of its own, for output."""
+        return self.space.restrict(self.carrier)
+
+    def _areas(self) -> list[tuple[str, frozenset]]:
+        """Each atom's points in this model, by atom."""
+        return [(atom, self.space.labels(mask & self.carrier)) for atom, mask in sorted(self.valuation.items())]
+
     def to_json(self) -> dict:
-        valuation = {
-            atom: sorted(self.space.labels(mask), key=repr) for atom, mask in sorted(self.valuation.items())
-        }
-        return {"kind": "topo", **self.space.to_json(), "valuation": valuation}
+        valuation = {atom: sorted(area, key=repr) for atom, area in self._areas()}
+        return {"kind": "topo", **self._subspace().to_json(), "valuation": valuation}
 
     def describe(self) -> str:
-        opens = " ".join(fmt_set(self.space.labels(o)) for o in self.space.opens)
-        val = " ".join(f"v({a})={fmt_set(self.space.labels(m))}" for a, m in sorted(self.valuation.items()))
-        return f"topo points={list(self.space.points)} opens=[{opens}] {val}"
+        space = self._subspace()
+        opens = " ".join(fmt_set(space.labels(o)) for o in space.opens)
+        val = " ".join(f"v({a})={fmt_set(area)}" for a, area in self._areas())
+        return f"topo points={list(space.points)} opens=[{opens}] {val}"
 
     def summary(self) -> list[str]:
         return [
             "kind: topo",
-            f"points: {' '.join(map(str, self.space.points)) or '(none)'}",
-            f"opens: {len(self.space.opens)}",
+            f"points: {' '.join(map(str, self.loci())) or '(none)'}",
+            f"opens: {len(self._subspace().opens)}",
         ]
 
 
 # The table, the oracle and the announcement update as functions:
 # extension(model, f), the truth set of f as a mask over the model's points
-# (memoized); satisfies(model, point, f); and update(model, f), which
-# restricts carrier, topology and valuation to the truth set of f.
+# (memoized); satisfies(model, point, f); and update(model, f), the
+# subspace on the truth set of f.
 extension = TopoModel.table
 satisfies = TopoModel.satisfies
 update = TopoModel.update

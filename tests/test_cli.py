@@ -87,6 +87,23 @@ def test_emitted_models_reload_equal(tmp_path, fixture, formula):
     assert load_model(str(tmp_path / "again.json")) == emitted
 
 
+# Emitted model files, pinned byte for byte: an update is written as the
+# model on its surviving points or worlds alone.
+EMITTED = [
+    (["update", "--model", str(DATA / "sier.topo.json"), "--formula", "C p"], "update_sier_closure.topo.json"),
+    (["update", "--model", str(DATA / "duo.product.json"), "--formula", "p | q"], "update_duo_disjunction.product.json"),
+    (["limit", "--model", str(DATA / "tri.topo.json"), "--formula", "I p"], "limit_tri_interior.topo.json"),
+]
+
+
+@pytest.mark.parametrize("argv, pinned", EMITTED, ids=[pinned for _, pinned in EMITTED])
+def test_emitted_models_match_their_pins(tmp_path, argv, pinned):
+    target = tmp_path / "emitted.json"
+    code, _ = invoke([*argv, "--emit", str(target)])
+    assert code == 0
+    assert target.read_bytes() == (DATA / "emitted" / pinned).read_bytes()
+
+
 def test_emitted_limit_reload(tmp_path):
     target = tmp_path / "limit.json"
     code, _ = invoke(

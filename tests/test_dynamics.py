@@ -116,7 +116,7 @@ def test_common_knowledge_after_father():
     model, _ = muddy_model(3, ["a", "b"])
     after = model.update(father_formula(3))
     result = common_knowledge_extension(after, father_formula(3))
-    assert result.worlds == after.worlds
+    assert result.worlds == frozenset(after.loci())
     assert len(result.worlds) == 7
 
 
@@ -131,7 +131,7 @@ def test_nonempty_limits_yield_common_knowledge():
             continue
         seen += 1
         result = common_knowledge_extension(trace.limit, f)
-        assert result.worlds == trace.limit.worlds
+        assert result.worlds == frozenset(trace.limit.loci())
     assert seen >= 20
 
 

@@ -153,6 +153,8 @@ def test_float_endpoints_and_scales_are_refused():
         lambda: Interval.point(0.25),
         lambda: HarmonicFamily(0.5),
         lambda: HarmonicFamily(2.0, closed=False),
+        lambda: Interval.closed(0, "1/10").contains(0.1),
+        lambda: IntervalSet.of(Interval.closed(0, 1)).contains(0.5),
     ):
         with pytest.raises(ValueError, match="float"):
             build()
@@ -164,6 +166,10 @@ def test_ints_fractions_and_ratio_strings_are_exact():
     assert Interval.point("1/10").lo == Fraction(1, 10)
     assert str(HarmonicFamily("5/2", closed=False).member(5)) == "(-1/2, 1/2)"
     assert str(HarmonicFamily(3).member(6)) == "[-1/2, 1/2]"
+    tenth = Interval.closed(0, "1/10")
+    assert tenth.contains(0) and tenth.contains(Fraction(1, 20)) and tenth.contains("1/10")
+    assert not tenth.contains("1/5") and not tenth.contains(-1)
+    assert IntervalSet.of(tenth).contains("1/10") and not IntervalSet.of(tenth).contains(1)
 
 
 @pytest.mark.parametrize("scale", [Fraction(1, 3), 1, 2, Fraction(5, 2), 7], ids=str)

@@ -31,14 +31,14 @@ def test_knowledge_follows_coordinates():
 
 def test_update_enables_knowledge():
     model = indiscrete_pair().update(parse("p"))
-    assert model.worlds == frozenset({(1, 0), (1, 1)})
+    assert model.loci() == [(1, 0), (1, 1)]
     assert model.satisfies((1, 0), parse("K1 p")) is True
 
 
 def test_update_true_and_false():
     model = indiscrete_pair()
     assert model.update(parse("true")) == model
-    assert model.update(parse("false")).worlds == frozenset()
+    assert model.update(parse("false")).loci() == []
 
 
 def test_three_children_father_announcement():
@@ -50,8 +50,8 @@ def test_three_children_father_announcement():
     }
     model = ProductModel((factor,) * 3, worlds, valuation)
     updated = model.update(parse("m_a | m_b | m_c"))
-    assert len(updated.worlds) == 7
-    assert (0, 0, 0) not in updated.worlds
+    assert len(updated.loci()) == 7
+    assert (0, 0, 0) not in updated.loci()
 
 
 def test_update_commutes_for_atoms():
@@ -139,18 +139,23 @@ def test_fresh_model_has_full_product():
 
 
 def test_restricted_models_equal_constructed_ones():
-    # `_restrict` skips the constructor's checks on a subset of a checked
-    # model; the model it builds must equal the constructor's from the same fields.
+    # `updated` skips the constructor's checks on a carrier within a checked
+    # model; the model it builds must equal the constructor's from the same
+    # fields, and answer like a model listing only the surviving worlds.
     rng = Random(41)
     for seed in range(60):
         model = random_product_model(seed)
-        surviving = frozenset(w for w in model.worlds if rng.random() < 0.5)
-        restricted = product._restrict(model, surviving)
-        built = ProductModel(model.factors, surviving, {a: area & surviving for a, area in model.valuation.items()})
+        carrier = sum(1 << i for i in range(model.size) if rng.random() < 0.5)
+        restricted = model.updated(carrier)
+        built = ProductModel(model.factors, model.worlds, model.valuation, carrier)
         assert restricted == built and repr(restricted) == repr(built), seed
+        surviving = frozenset(restricted.loci())
+        fresh = ProductModel(model.factors, surviving, {a: area & surviving for a, area in model.valuation.items()})
+        assert restricted.to_json() == fresh.to_json(), seed
         f = random_formula(rng, max_depth=3, agents=model.agent_count, announce_depth=1)
-        assert restricted.truth(f) == built.truth(f), (seed, str(f))
+        assert restricted.truth(f) == built.truth(f) == fresh.truth(f), (seed, str(f))
         assert restricted.update(f) == built.update(f), (seed, str(f))
+        assert restricted.update(f).loci() == fresh.update(f).loci(), (seed, str(f))
 
 
 def test_constructor_checks_worlds_and_valuation():
@@ -163,6 +168,8 @@ def test_constructor_checks_worlds_and_valuation():
         ProductModel((factor, factor), frozenset({(0, 1)}), {"p": frozenset({(1, 1)})})
     with pytest.raises(ValueError, match="at least one factor"):
         ProductModel((), frozenset())
+    with pytest.raises(ValueError, match="carrier"):
+        ProductModel((factor, factor), frozenset({(0, 1), (1, 1)}), carrier=0b100)
 
 
 # -- the quantifier-form oracle ---------------------------------------------
@@ -226,11 +233,12 @@ def _knowledge_reference(model, area, agent):
     """The variant scan knowledge_interior replaced: every surviving variant
     in the coordinate's minimal open stays in the area."""
     factor = model.factors[agent - 1]
+    surviving = frozenset(model.loci())
     return frozenset(
         world
-        for world in model.worlds
+        for world in surviving
         if all(
-            v not in model.worlds or v in area
+            v not in surviving or v in area
             for v in model.variants(world, agent, factor.minimal[factor.index(world[agent - 1])])
         )
     )
@@ -248,7 +256,7 @@ def test_masks_on_unsorted_labels_and_partial_worlds():
         # Updated models keep the root's index; their K_i reads the same table.
         for stage in (model, model.update(parse("p | q")), model.update(f)):
             for agent in range(1, model.agent_count + 1):
-                area = frozenset(w for w in stage.worlds if rng.random() < 0.6)
+                area = frozenset(w for w in stage.loci() if rng.random() < 0.6)
                 mask = sum(1 << stage._bit[w] for w in area)
                 known = product.knowledge_interior(stage, mask, agent)
                 assert stage._read(known) == _knowledge_reference(stage, area, agent), (seed, agent)
@@ -267,13 +275,14 @@ def test_mixed_label_types_in_one_factor(tmp_path):
     assert updated.loci() == [w for w in model.loci() if w in holds]
     assert updated.summary()[1] == "worlds: " + " ".join(map(product.fmt_world, updated.loci()))
     assert "v(p)={(0, 'x'),('x', 1),(1, 1)}" in model.describe()
-    for m in (model, updated):
-        assert ProductModel.from_json(json.loads(json.dumps(m.to_json()))) == m
+    assert ProductModel.from_json(json.loads(json.dumps(model.to_json()))) == model
+    again = ProductModel.from_json(json.loads(json.dumps(updated.to_json())))
+    assert again.to_json() == updated.to_json() and again.truth(f) == updated.truth(f)
     path, emitted = tmp_path / "mixed.product.json", tmp_path / "updated.json"
     dump_model(model, str(path))
     out = io.StringIO()
     for argv in (["update", "--formula", str(f)], ["update", "--formula", "p", "--emit", str(emitted)],
                  ["ck", "--formula", "true"]):
         assert run([*argv, "--model", str(path)], out=out, err=out) == 0, out.getvalue()
-    assert load_model(str(emitted)) == model.update(parse("p"))
+    assert load_model(str(emitted)).to_json() == model.update(parse("p")).to_json()
     assert "worlds: (0,0) (0,x) (0,1) (x,0) (x,x) (x,1) (1,0) (1,x) (1,1)" in out.getvalue()

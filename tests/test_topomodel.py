@@ -12,16 +12,20 @@ from geopal.formula import (
     Atom,
     Closure,
     Interior,
+    KnowI,
     Not,
     Or,
     UnsupportedOperator,
+    fold,
     parse,
     random_formula,
+    rebuild,
     walk,
 )
 from geopal import rewrite
+from geopal.product import ProductModel
 from geopal.rewrite import equivalent_on, reduce
-from geopal.topology import Topology, verify_topology
+from geopal.topology import Topology, TopologyError, compress_mask, verify_topology
 from geopal.topomodel import TopoModel, extension, random_topomodel, satisfies, update
 
 
@@ -58,12 +62,8 @@ def test_satisfies_examples():
 def test_update_by_atom():
     model = sierpinski()
     updated = update(model, parse("p"))
-    assert updated.space.points == (0,)
-    assert {updated.space.labels(o) for o in updated.space.opens} == {
-        frozenset(),
-        frozenset({0}),
-    }
-    assert updated.space.labels(updated.valuation["p"]) == frozenset({0})
+    assert updated.loci() == [0]
+    assert updated.to_json() == {"kind": "topo", "points": [0], "opens": [[], [0]], "valuation": {"p": [0]}}
 
 
 def test_update_by_truth_is_identity():
@@ -90,8 +90,54 @@ def test_updated_space_is_a_topology():
     for seed in range(150):
         model = random_topomodel(seed, n=5, k=3)
         f = random_formula(rng, max_depth=4, modal="IC", announce_depth=1)
-        space = update(model, f).space
-        assert verify_topology(space.points, space.opens) == []
+        data = update(model, f).to_json()
+        index = {label: i for i, label in enumerate(data["points"])}
+        opens = [sum(1 << index[label] for label in open_) for open_ in data["opens"]]
+        assert verify_topology(tuple(data["points"]), opens) == []
+
+
+def test_updates_answer_like_rebuilt_subspaces():
+    # An update keeps the root's index and masks it with its carrier; the
+    # subspace built afresh packs the carrier's points into an index of its own.
+    rng = Random(23)
+    for seed in range(300):
+        model = random_topomodel(seed, n=5, k=3)
+        carrier = rng.randrange(1 << 5)
+        updated = model.updated(carrier)
+        valuation = {atom: compress_mask(mask & carrier, carrier) for atom, mask in model.valuation.items()}
+        rebuilt = TopoModel(model.space.restrict(carrier), valuation)
+        assert updated.to_json() == rebuilt.to_json() and updated.summary() == rebuilt.summary()
+        f = random_formula(rng, max_depth=4, modal="IC", announce_depth=2)
+        assert updated.truth(f) == rebuilt.truth(f), (seed, str(f))
+
+
+def _as_one_factor_product(f):
+    """f with I read as K1 and C as ~K1~."""
+
+    def step(node, kids):
+        if type(node) is Interior:
+            return KnowI(1, kids[0])
+        if type(node) is Closure:
+            return Not(KnowI(1, Not(kids[0])))
+        return rebuild(node, kids)
+
+    return fold(f, step)
+
+
+def test_topological_truth_is_one_factor_product_truth():
+    # A topological model is the one-factor product over the same space and
+    # valuation; every formula announces twice, nested, with more
+    # announcements inside at random.
+    rng = Random(29)
+    for seed in range(400):
+        model = random_topomodel(seed, n=rng.randint(1, 6), k=rng.randint(0, 4))
+        space = model.space
+        valuation = {atom: [(x,) for x in space.labels(mask)] for atom, mask in model.valuation.items()}
+        factor = ProductModel.full([space], valuation)
+        for _ in range(5):
+            a, b, c = (random_formula(rng, max_depth=3, modal="IC", announce_depth=2) for _ in range(3))
+            f = Announce(a, Announce(b, c))
+            assert {(x,) for x in model.truth(f)} == factor.truth(_as_one_factor_product(f)), (seed, str(f))
 
 
 def test_evaluators_agree_on_announcement_free_formulas():
@@ -154,6 +200,10 @@ def test_unsupported_operator_is_named():
 def test_point_outside_carrier_rejected():
     with pytest.raises(Exception):
         satisfies(sierpinski(), 7, parse("p"))
+    with pytest.raises(TopologyError, match="not in the carrier"):
+        satisfies(update(sierpinski(), parse("p")), 1, parse("p"))  # removed by the update
+    with pytest.raises(ValueError, match="carrier"):
+        TopoModel(sierpinski().space, carrier=0b100)
 
 
 def test_oracle_does_not_run_extension(monkeypatch):
@@ -249,7 +299,7 @@ def test_deep_negation_chain_evaluates_and_updates():
     for _ in range(20_001):
         f = Not(f)
     assert model.truth(f) == frozenset({1})
-    assert update(model, f).space.points == (1,)
+    assert update(model, f).loci() == [1]
 
 
 # -- the per-model memo -----------------------------------------------------
