@@ -16,8 +16,10 @@ machinery.  The two runs must agree round for round.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from functools import reduce as fold
+from itertools import product as cartesian
 from typing import Iterable
 
 from .formula import And, Atom, Formula, KnowI, Model, Not, Or
@@ -155,7 +157,7 @@ def common_knowledge_extension(model: ProductModel, f: Formula) -> CommonKnowled
 # ---------------------------------------------------------------------------
 # Muddy children
 
-CHILD_NAMES = "abcdef"
+CHILD_NAMES = string.ascii_lowercase
 
 
 def child_atom(child: str) -> Atom:
@@ -192,23 +194,25 @@ def muddy_model(n: int, muddy: Iterable[str]) -> tuple[ProductModel, World]:
     own forehead); worlds are all bit tuples, m_<child> true where the
     child's coordinate is 1.
     """
-    if not 1 <= n <= 6:
-        raise ValueError("supported range is 1..6 children")
+    _check_children(n)
     names = CHILD_NAMES[:n]
     muddy = frozenset(muddy)
     unknown = muddy - set(names)
     if unknown:
         raise ValueError(f"unknown children {sorted(unknown)}, have {list(names)}")
     indiscrete = Topology((0, 1), (0b11, 0b11))
-    factors = (indiscrete,) * n
-    model = ProductModel.full(factors)
-    worlds = model.worlds
+    worlds = frozenset(cartesian((0, 1), repeat=n))
     valuation = {
         f"m_{name}": frozenset(w for w in worlds if w[i] == 1)
         for i, name in enumerate(names)
     }
     actual = tuple(1 if name in muddy else 0 for name in names)
-    return ProductModel(factors, worlds, valuation), actual
+    return ProductModel((indiscrete,) * n, worlds, valuation), actual
+
+
+def _check_children(n: int):
+    if not 1 <= n <= len(CHILD_NAMES):
+        raise ValueError(f"supported range is 1..{len(CHILD_NAMES)} children")
 
 
 _KNOWS_MUDDY = "knows-muddy"
@@ -294,8 +298,7 @@ def kripke_oracle(n: int, muddy: Iterable[str]) -> OracleTrace:
     i; announcements delete worlds.  Used purely as a differential oracle
     for the product-topological run.
     """
-    if not 1 <= n <= 6:
-        raise ValueError("supported range is 1..6 children")
+    _check_children(n)
     muddy = frozenset(muddy)
     names = CHILD_NAMES[:n]
     if not muddy:

@@ -21,10 +21,28 @@ are int masks.  Bit i stands for the i-th listed world of the root model
 root's fields and index and is told apart by its carrier, the mask of its
 surviving worlds (`formula.Model.updated`), so an announcement's body needs
 no lifting and an atom is a root mask `& carrier`.  Only listed worlds are
-indexed, never the full cartesian product.  K_i reads a per-agent table,
-built once per root model from its lines (the worlds that agree on every
-coordinate but the agent's): for each world, the mask of listed variants
-inside its coordinate's minimal open.
+indexed, and how K_i reads the index depends on whether the root lists the
+whole cartesian product.
+
+When it does, the index is mixed radix.  Each factor's labels are ranked
+(sorted, or in factor order for every factor when the labels of some
+factor do not compare), and a world's bit is the sum over factors j of its
+j-th coordinate's rank times `place_j`, the product of the sizes of the
+factors after j; this is the sorted order whenever each factor's labels
+compare.  The worlds whose coordinate i has rank r are a block of
+`place_i` ones repeated every `size_i * place_i` bits, shifted up by
+`r * place_i`, so moving coordinate i from point b to point a shifts a
+mask by `(rank a - rank b) * place_i`.  K_i is then whole-int arithmetic
+with no loop over worlds, the shift-and-mask form of symbolic DEL model
+checking (van Benthem, van Eijck, Gattinger & Su, LORI 2015): a surviving
+world outside the area is ignorant, and so is its variant at every point a
+whose minimal open holds its coordinate; the moves are grouped by length,
+one AND and one shift per length.  A root listing only part of the product
+would need an index exponential in the number of factors for that form, so
+its K_i reads a per-agent table built from its lines (the worlds that agree
+on every coordinate but the agent's): for each world, the mask of listed
+variants inside its coordinate's minimal open.  Either table is built once
+per root model and handed to its updates.
 """
 
 from __future__ import annotations
@@ -32,8 +50,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as cartesian
+from math import prod
 from random import Random
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .formula import (
     Atom,
@@ -83,7 +102,8 @@ class ProductModel(Model):
         for world in self.worlds:
             if len(world) != n:
                 raise ValueError(f"world {world!r} has wrong arity")
-            for factor, label in zip(self.factors, world):
+        for factor, labels in zip(self.factors, zip(*self.worlds)):
+            for label in set(labels):
                 factor.index(label)
         for atom, area in self.valuation.items():
             if not area <= self.worlds:
@@ -108,11 +128,18 @@ class ProductModel(Model):
     # The index, built on first use and handed to every update (`_shared`).
     # Equality and repr see only the fields, and __getstate__ keeps it out
     # of pickles.
-    _shared = ("_order", "_bit", "_atoms", "_lines")
+    _shared = ("_order", "_bit", "_atoms", "_radix", "_knowledge")
 
     @cached_property
     def _order(self) -> tuple[World, ...]:
-        """The world at each mask bit: the listed worlds, sorted."""
+        """The world at each mask bit: the listed worlds, sorted.  The whole
+        product is listed in mixed-radix order (`_radix`), which is its
+        sorted order whenever the labels of each factor compare."""
+        if self._radix is not None:
+            # The listed tuples themselves: valuation worlds then find their
+            # bits by identity, and labels read out as the model lists them.
+            listed = {world: world for world in self.worlds}
+            return tuple(map(listed.__getitem__, cartesian(*(labels for labels, _, _ in self._radix))))
         try:
             return tuple(sorted(self.worlds))
         except TypeError:  # labels of mixed types in one factor: factor order
@@ -125,12 +152,36 @@ class ProductModel(Model):
     @cached_property
     def _atoms(self) -> dict[str, int]:
         """Each atom's mask over the listed worlds."""
-        bit = self._bit
-        return {atom: sum(1 << bit[world] for world in area) for atom, area in self.valuation.items()}
+        return {atom: _mask(self._bit, area) for atom, area in self.valuation.items()}
 
     @cached_property
-    def _lines(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Per agent, `knowledge_interior`'s (need, members) pairs, built on first use."""
+    def _radix(self) -> tuple[tuple[Sequence, int, list[int]], ...] | None:
+        """When the listed worlds are the whole product, per factor: its
+        labels by rank (sorted, or in factor order for every factor when the
+        labels of some factor do not compare), its place value, and each
+        point's shift, its rank times the place.  None when only part of
+        the product is listed."""
+        factors = self.factors
+        if not self.worlds or len(self.worlds) != prod([len(factor.points) for factor in factors]):
+            return None
+        try:
+            ranked = [sorted(factor.points) for factor in factors]
+        except TypeError:  # labels of mixed types in one factor
+            ranked = [factor.points for factor in factors]
+        place = len(self.worlds)
+        radix = []
+        for factor, labels in zip(factors, ranked):
+            place //= len(labels)
+            shifts = [0] * len(labels)
+            for rank, label in enumerate(labels):
+                shifts[factor.index(label)] = rank * place
+            radix.append((labels, place, shifts))
+        return tuple(radix)
+
+    @cached_property
+    def _knowledge(self) -> dict[int, tuple]:
+        """Per agent, `knowledge_interior`'s table, built on first use: shift
+        triples when `_radix` is set, (need, members) pairs otherwise."""
         return {}
 
     # The benchmark harness under bench/ traces and patches `table` and
@@ -256,37 +307,74 @@ def knowledge_interior(model: ProductModel, area: int, agent: int) -> int:
     A world qualifies when some factor-i open around its i-th coordinate
     keeps every surviving variant along that coordinate inside the area.
     The condition is monotone in the open, so the minimal open of that
-    coordinate decides it: the world's `need` mask, its listed variants in
-    that open, must meet no surviving world outside the area.
+    coordinate decides it: its variants in that open must include no
+    surviving world outside the area.  On a root listing the whole product
+    this is read by shifts (`_shift_table`), otherwise from each world's
+    `need` mask, its listed variants in that open (`_knowledge_table`).
+    The table is built once per root model and kept in `_knowledge`.
     """
     worlds = model._all
     outside = worlds & ~area
-    known = 0
-    for need, members in _knowledge_table(model, agent):
-        if not need & outside:
-            known |= members
-    return known & worlds
+    table = model._knowledge.get(agent)
+    if table is None:
+        build = _knowledge_table if model._radix is None else _shift_table
+        table = model._knowledge[agent] = build(model, agent)
+    if model._radix is None:
+        known = 0
+        for need, members in table:
+            if not need & outside:
+                known |= members
+        return known & worlds
+    unknown = outside
+    for mask, up, down in table:
+        unknown |= (outside & mask) << up >> down
+    return worlds & ~unknown
 
 
 def _knowledge_table(model: ProductModel, agent: int) -> tuple[tuple[int, int], ...]:
     """(need, members) pairs over the root's worlds: `members` is every world
     whose listed variants inside its coordinate's minimal open are `need`."""
-    table = model._lines.get(agent)
-    if table is None:
-        axis = agent - 1
-        factor = model.factors[axis]
-        lines = {}
-        for i, world in enumerate(model._order):
-            line = lines.setdefault(world[:axis] + world[agent:], [])
-            line.append((factor.index(world[axis]), 1 << i))
-        groups = {}
-        for line in lines.values():
-            for position, bit in line:
-                minimal = factor.minimal[position]
-                need = sum(other_bit for other, other_bit in line if minimal >> other & 1)
-                groups[need] = groups.get(need, 0) | bit
-        table = model._lines[agent] = tuple(groups.items())
-    return table
+    axis = agent - 1
+    factor = model.factors[axis]
+    lines = {}
+    for i, world in enumerate(model._order):
+        line = lines.setdefault(world[:axis] + world[agent:], [])
+        line.append((factor.index(world[axis]), 1 << i))
+    groups = {}
+    for line in lines.values():
+        for position, bit in line:
+            minimal = factor.minimal[position]
+            need = sum(other_bit for other, other_bit in line if minimal >> other & 1)
+            groups[need] = groups.get(need, 0) | bit
+    return tuple(groups.items())
+
+
+def _shift_table(model: ProductModel, agent: int) -> tuple[tuple[int, int, int], ...]:
+    """(mask, up, down) triples over the root's worlds: a world outside the
+    area whose coordinate b lies in the minimal open of another point a
+    makes its variant at a ignorant, and that variant's bit is the world's
+    moved up or down by the difference of their shifts.  Moves of equal
+    length share a triple, `mask` the worlds they start from.  A world
+    outside the area is itself ignorant (b = a), which is no move."""
+    factor = model.factors[agent - 1]
+    _, place, shifts = model._radix[agent - 1]
+    period = len(factor.points) * place
+    first = ((1 << place) - 1) * (((1 << len(model._order)) - 1) // ((1 << period) - 1))
+    moves = {}
+    for point, minimal in enumerate(factor.minimal):
+        for other in bits(minimal & ~(1 << point)):
+            length = shifts[point] - shifts[other]
+            moves[length] = moves.get(length, 0) | first << shifts[other]
+    return tuple((mask, max(length, 0), max(-length, 0)) for length, mask in moves.items())
+
+
+def _mask(bit: dict[World, int], worlds: Iterable[World]) -> int:
+    """The mask of the worlds' bits, set in a byte buffer: linear in the index."""
+    buffer = bytearray((len(bit) + 7) // 8)
+    for world in worlds:
+        i = bit[world]
+        buffer[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buffer, "little")
 
 
 def fmt_world(world: World) -> str:
@@ -307,8 +395,7 @@ def h_open(model: ProductModel, area: Iterable[World], axis: int) -> bool:
     full = ProductModel.full(model.factors)
     if not area <= full.worlds:
         raise ValueError("area is not a subset of the full product")
-    bit = full._bit
-    mask = sum(1 << bit[world] for world in area)
+    mask = _mask(full._bit, area)
     return not mask & ~knowledge_interior(full, mask, axis)
 
 

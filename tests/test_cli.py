@@ -149,6 +149,11 @@ def test_entry_point_exit_codes_in_a_process(argv, expected_code):
         assert result.stderr.startswith(b"error: ") and not result.stdout
 
 
+def test_muddy_children_beyond_the_alphabet_exit_2():
+    code, text = invoke(["muddy", "--children", "27", "--muddy", "a"])
+    assert (code, text) == (2, "error: supported range is 1..26 children\n")
+
+
 def test_parse_error_reports_position():
     code, text = invoke(
         ["check", "--model", str(DATA / "sier.topo.json"), "--at", "0", "--formula", "K ((p"]

@@ -1,6 +1,7 @@
 """Announcement limits, common knowledge, muddy children."""
 
 from itertools import combinations
+from math import comb
 from random import Random
 
 import pytest
@@ -178,17 +179,40 @@ def test_muddy_rejects_empty_muddy_set():
 
 
 def test_product_run_matches_kripke_oracle():
-    for n in range(1, 5):
-        names = CHILD_NAMES[:n]
-        for size in range(1, n + 1):
-            for muddy in combinations(names, size):
-                scenario = muddy_scenario(n, muddy)
-                oracle = kripke_oracle(n, muddy)
-                assert scenario.rounds == oracle.rounds, (n, muddy)
-                assert scenario.knowledge == oracle.knowledge, (n, muddy)
-                assert scenario.ignorance_rounds == oracle.ignorance_rounds
-                assert scenario.unpointed_sizes == oracle.unpointed_sizes
-                assert scenario.unpointed_outcome == oracle.unpointed_outcome
+    cases = [
+        (n, muddy) for n in range(1, 5) for size in range(1, n + 1) for muddy in combinations(CHILD_NAMES[:n], size)
+    ]
+    cases += [(n, muddy) for n in (8, 10) for muddy in ("a", "abc", "bdfh", CHILD_NAMES[:n])]
+    for n, muddy in cases:
+        scenario = muddy_scenario(n, muddy)
+        oracle = kripke_oracle(n, muddy)
+        assert scenario.rounds == oracle.rounds, (n, muddy)
+        assert scenario.knowledge == oracle.knowledge, (n, muddy)
+        assert scenario.ignorance_rounds == oracle.ignorance_rounds
+        assert scenario.unpointed_sizes == oracle.unpointed_sizes
+        assert scenario.unpointed_outcome == oracle.unpointed_outcome
+
+
+def test_sixteen_children_follow_the_closed_form():
+    # After the father and r ignorance rounds, the worlds with at most r
+    # muddy children are gone; with three muddy, they know after round 2.
+    n = 16
+    remaining = [2**n - sum(comb(n, j) for j in range(r + 1)) for r in range(n + 1)]
+    scenario = muddy_scenario(n, "abc")
+    assert scenario.sizes == (2**n, *remaining[:3]) == (65_536, 65_535, 65_519, 65_399)
+    assert scenario.ignorance_rounds == 2 and scenario.stop_reason == "halted-at-locus"
+    final = {name: "knows-muddy" if name in "abc" else "unknown" for name in CHILD_NAMES[:n]}
+    assert scenario.knowledge[-1] == final
+    assert scenario.unpointed_sizes == tuple(remaining) and scenario.unpointed_outcome == "empty"
+
+
+def test_children_range():
+    for n in (0, len(CHILD_NAMES) + 1):
+        with pytest.raises(ValueError, match="1..26 children"):
+            muddy_model(n, "a")
+        with pytest.raises(ValueError, match="1..26 children"):
+            kripke_oracle(n, "a")
+    assert CHILD_NAMES[:6] == "abcdef" and len(CHILD_NAMES) == 26
 
 
 def test_muddy_run_finds_its_formulas_in_the_memo_by_identity(monkeypatch):

@@ -217,14 +217,16 @@ def test_h_open_matches_the_variant_scan():
 
 def _scrambled_model(rng):
     """Factors of unequal sizes with string labels listed out of sorted order,
-    a random part of their product as worlds, and a random valuation."""
+    a random part of their product (or all of it) as worlds, and a random
+    valuation."""
     factors = []
     for size in rng.sample([1, 2, 3, 4], rng.randint(2, 3)):
         labels = rng.sample("zyxwvu", size)
         subbasis = [rng.sample(labels, rng.randint(0, size)) for _ in range(2)]
         factors.append(generate_from_subbasis(labels, subbasis))
     full = ProductModel.full(factors).loci()
-    worlds = frozenset(w for w in full if rng.random() < 0.7)
+    density = rng.choice([0.7, 1.0])
+    worlds = frozenset(w for w in full if rng.random() < density)
     valuation = {atom: frozenset(w for w in worlds if rng.random() < 0.5) for atom in ("p", "q")}
     return ProductModel(tuple(factors), worlds, valuation)
 
@@ -246,8 +248,10 @@ def _knowledge_reference(model, area, agent):
 
 def test_masks_on_unsorted_labels_and_partial_worlds():
     rng = Random(33)
+    paths = Counter()
     for seed in range(150):
         model = _scrambled_model(rng)
+        paths["table" if model._radix is None else "shift"] += 1
         assert model.loci() == sorted(model.worlds)
         f = random_formula(rng, max_depth=4, agents=model.agent_count, announce_depth=2)
         holds = model.truth(f)
@@ -260,6 +264,62 @@ def test_masks_on_unsorted_labels_and_partial_worlds():
                 mask = sum(1 << stage._bit[w] for w in area)
                 known = product.knowledge_interior(stage, mask, agent)
                 assert stage._read(known) == _knowledge_reference(stage, area, agent), (seed, agent)
+    assert paths["shift"] > 30 and paths["table"] > 30, paths
+
+
+def _knowledge_by_lines(model, area, agent):
+    """K_i read from the per-line (need, members) table, whatever the worlds."""
+    outside = model._all & ~area
+    table = product._knowledge_table(model, agent)
+    return model._all & sum(members for need, members in table if not need & outside)
+
+
+def _factor(rng, size, labels):
+    """A one-point, discrete, indiscrete, chain or random topology on the labels."""
+    shape = "one-point" if size == 1 else rng.choice(["discrete", "indiscrete", "chain", "random"])
+    subbasis = {
+        "one-point": [],
+        "discrete": [[label] for label in labels],
+        "indiscrete": [],
+        "chain": [labels[:k] for k in range(1, size)],
+        "random": [rng.sample(labels, rng.randint(0, size)) for _ in range(2)],
+    }[shape]
+    return generate_from_subbasis(labels, subbasis)
+
+
+def test_shift_knowledge_matches_the_line_table_on_full_products():
+    # On a model listing the whole product, K_i is read by shifts over the
+    # mixed-radix index; it must agree with the line table and the variant
+    # scan on the root and on two updates.  Labels: ints, strings listed out
+    # of order, mixed types (factor order), and frozensets, whose `<` is not
+    # a total order.
+    rng = Random(34)
+    paths = Counter()
+    for seed in range(200):
+        label_kind = rng.choice(["int", "str", "mixed", "set"])
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            size = rng.randint(1, 4)
+            labels = {
+                "int": rng.sample(range(10), size),
+                "str": rng.sample("zyxwvu", size),
+                "mixed": rng.sample([0, "x", 1, "y"], size),
+                "set": [frozenset({i, 9 - i}) for i in rng.sample(range(5), size)],
+            }[label_kind]
+            factors.append(_factor(rng, size, labels))
+        full = ProductModel.full(factors)
+        valuation = {atom: frozenset(w for w in full.worlds if rng.random() < 0.5) for atom in ("p", "q")}
+        model = ProductModel(tuple(factors), full.worlds, valuation)
+        paths[label_kind, model._radix is not None] += 1
+        f = random_formula(rng, max_depth=3, agents=model.agent_count, announce_depth=1)
+        for stage in (model, model.update(parse("p | q")), model.update(f)):
+            for agent in range(1, model.agent_count + 1):
+                area = frozenset(w for w in stage.loci() if rng.random() < 0.6)
+                mask = sum(1 << stage._bit[w] for w in area)
+                known = product.knowledge_interior(stage, mask, agent)
+                assert known == _knowledge_by_lines(stage, mask, agent), (seed, agent)
+                assert stage._read(known) == _knowledge_reference(stage, area, agent), (seed, agent)
+    assert all(paths[kind, True] > 30 for kind in ("int", "str", "mixed", "set")), paths
 
 
 def test_mixed_label_types_in_one_factor(tmp_path):
