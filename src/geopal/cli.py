@@ -17,13 +17,20 @@ Topologies are verified on load (an ssl "sets" family is unconstrained).
 Exit codes: 0 success, 1 a checked property failed (axiom counterexample,
 persistence witness, induction mismatch), 2 bad input or any other error.
 A crash never exits 1, since 1 reads as "counterexample found".
+
+`run(argv, out, err)` writes every line to the streams it is given: results
+and `--help` to `out`; `error:` lines and argparse's `usage:` lines to `err`.
+The argument parser is built once per process, on the first call, and each
+call looks its subcommand's handler up by name when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from .dynamics import (
     LimitTrace,
@@ -203,6 +210,15 @@ def _cmd_bi(args, out) -> int:
 def _cmd_persistent(args, out) -> int:
     model = _load(args.model, "persistent", SSLModel)
     f = _parse_formula(args.formula)
+    announcements = None
+    if args.announcements is not None:
+        announcements = [
+            _parse_formula(part.strip())
+            for part in args.announcements.split(";")
+            if part.strip()
+        ]
+        if not announcements:
+            raise ValueError("--announcements lists no formula")
     witness = is_persistent(model, f)
     if witness is not None:
         print(
@@ -212,12 +228,7 @@ def _cmd_persistent(args, out) -> int:
         )
         return 1
     print("persistent: confirmed", file=out)
-    if args.announcements:
-        announcements = [
-            _parse_formula(part.strip())
-            for part in args.announcements.split(";")
-            if part.strip()
-        ]
+    if announcements is not None:
         report = persistence_immunity_check(model, f, announcements)
         if report.immune:
             print(f"immunity: {report.checks} checks, no violations", file=out)
@@ -242,6 +253,7 @@ def _cmd_example_intervals(args, out) -> int:
 # Argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geopal",
@@ -253,13 +265,11 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--model", required=True)
     check.add_argument("--at", required=True, help="point | w1,w2 | point@member,member")
     check.add_argument("--formula", required=True)
-    check.set_defaults(handler=_cmd_check)
 
     upd = sub.add_parser("update", help="announce a formula once")
     upd.add_argument("--model", required=True)
     upd.add_argument("--formula", required=True)
     upd.add_argument("--emit", help="write the updated model to this path")
-    upd.set_defaults(handler=_cmd_update)
 
     red = sub.add_parser("reduce", help="eliminate announcements", description=(
         "Print an announcement-free formula equivalent to --formula. For ssl it is equivalent only"
@@ -268,43 +278,35 @@ def _build_parser() -> argparse.ArgumentParser:
         " occurrences as a tree is not printed (exit 2)."))
     red.add_argument("--semantics", required=True, choices=SEMANTICS)
     red.add_argument("--formula", required=True)
-    red.set_defaults(handler=_cmd_reduce)
 
     lim = sub.add_parser("limit", help="announce repeatedly until stable")
     lim.add_argument("--model", required=True)
     lim.add_argument("--formula", required=True)
     lim.add_argument("--emit", help="write the limit model to this path")
-    lim.set_defaults(handler=_cmd_limit)
 
     ck = sub.add_parser("ck", help="greatest-fixpoint common knowledge extension")
     ck.add_argument("--model", required=True)
     ck.add_argument("--formula", required=True)
-    ck.set_defaults(handler=_cmd_ck)
 
     muddy = sub.add_parser("muddy", help="run the muddy children protocol")
     muddy.add_argument("--children", type=int, required=True)
     muddy.add_argument("--muddy", required=True, help="comma-separated child letters, e.g. a,b")
-    muddy.set_defaults(handler=_cmd_muddy)
 
     bi = sub.add_parser("bi", help="backward induction vs rationality announcements")
     bi.add_argument("--game", required=True)
-    bi.set_defaults(handler=_cmd_bi)
 
     pers = sub.add_parser("persistent", help="persistence check with optional immunity run")
     pers.add_argument("--model", required=True)
     pers.add_argument("--formula", required=True)
     pers.add_argument("--announcements", help="semicolon-separated announcement formulas")
-    pers.set_defaults(handler=_cmd_persistent)
 
     ax = sub.add_parser("axioms", help="probe one reduction axiom on random models")
     ax.add_argument("--semantics", required=True, choices=SEMANTICS)
     ax.add_argument("--axiom", type=int, required=True)
     ax.add_argument("--models", type=int, default=300)
     ax.add_argument("--seed", type=int, required=True)
-    ax.set_defaults(handler=_cmd_axioms)
 
-    ivl = sub.add_parser("example-intervals", help="interior vs infinite intersection demo")
-    ivl.set_defaults(handler=_cmd_example_intervals)
+    sub.add_parser("example-intervals", help="interior vs infinite intersection demo")
 
     return parser
 
@@ -312,13 +314,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str], out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
+    # argparse prints help and usage errors to sys.stdout and sys.stderr.
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exit_:
         return 0 if exit_.code in (0, None) else 2
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args, out)
+        return handler(args, out)
     except Exception as error:  # any failure is reported as exit 2, never 1
         print(f"error: {str(error) or type(error).__name__}", file=err)
         return 2

@@ -54,11 +54,72 @@ CASES = [
 ]
 
 
+def _golden(name):
+    return (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name, argv, expected_code", CASES, ids=[c[0] for c in CASES])
 def test_golden(name, argv, expected_code):
     code, text = invoke(argv)
     assert code == expected_code
-    assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert text == _golden(name)
+
+
+def test_goldens_in_one_process_build_the_parser_once():
+    cli._build_parser.cache_clear()
+    for name, argv, expected_code in CASES:
+        assert invoke(argv) == (expected_code, _golden(name)), name
+    assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("usage_error", [
+    ["check"],
+    ["check", "--model"],
+    ["frobnicate", "--emit", "x"],
+    ["muddy", "--children", "three", "--muddy", "a"],
+    ["reduce", "--semantics", "kripke", "--formula", "p"],
+    ["update", "--model", str(DATA / "sier.topo.json"), "--formula", "p", "--emit"],
+    ["example-intervals", "extra"],
+], ids=["no-options", "no-value", "unknown-command", "bad-int", "bad-choice", "emit-no-value", "extra-argument"])
+def test_usage_error_leaves_the_next_call_unchanged(usage_error):
+    assert invoke(usage_error)[0] == 2
+    for name, argv, expected_code in (CASES[4], CASES[7], CASES[24]):
+        assert invoke(argv) == (expected_code, _golden(name)), name
+
+
+def test_emit_is_not_carried_to_the_next_call(tmp_path):
+    target = tmp_path / "updated.json"
+    argv = ["update", "--model", str(DATA / "sier.topo.json"), "--formula", "p"]
+    code, text = invoke([*argv, "--emit", str(target)])
+    assert code == 0 and text.endswith(f"written: {target}\n")
+    target.unlink()
+    assert invoke(argv) == (0, _golden("update_topo_atom"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_alternating_subcommands_keep_their_goldens():
+    rotation = (CASES[0], CASES[15], CASES[7], CASES[12])
+    for _ in range(3):
+        for name, argv, expected_code in rotation:
+            assert invoke(argv) == (expected_code, _golden(name)), name
+
+
+@pytest.mark.parametrize("argv, expected_code, stream, start", [
+    (["check"], 2, "err", "usage: geopal check [-h] --model MODEL"),
+    (["frobnicate"], 2, "err", "usage: geopal [-h]"),
+    (["example-intervals", "extra"], 2, "err", "usage: geopal [-h]"),
+    (["--help"], 0, "out", "usage: geopal [-h]"),
+    (["persistent", "--help"], 0, "out", "usage: geopal persistent [-h]"),
+], ids=["missing-options", "unknown-command", "extra-argument", "help", "subcommand-help"])
+def test_argparse_writes_to_the_given_streams(capsys, argv, expected_code, stream, start):
+    streams = {"out": io.StringIO(), "err": io.StringIO()}
+    assert run(argv, **streams) == expected_code
+    written = {name: buffer.getvalue() for name, buffer in streams.items()}
+    text = written.pop(stream)
+    assert text.startswith(start) and list(written.values()) == [""]
+    if expected_code == 2:
+        assert ": error: " in text.splitlines()[-1]
+    assert capsys.readouterr() == ("", "")
 
 
 def test_output_is_byte_identical_across_runs():
@@ -132,21 +193,34 @@ def test_missing_file_exits_2():
     assert "cannot read" in text
 
 
+def _run_module(argv):
+    # The module run as a program, through `main` and `sys.exit`.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "geopal.cli", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
 @pytest.mark.parametrize("argv, expected_code", [
     (["example-intervals"], 0),
     (["persistent", "--model", str(DATA / "lp.ssl.json"), "--formula", "L p"], 1),
     (["check", "--model", str(DATA / "no-such.json"), "--at", "0", "--formula", "p"], 2),
 ], ids=["success", "property-failed", "bad-input"])
 def test_entry_point_exit_codes_in_a_process(argv, expected_code):
-    # The module run as a program, through `main` and `sys.exit`.
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-m", "geopal.cli", *argv], capture_output=True,
-                            env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    result = _run_module(argv)
     assert result.returncode == expected_code, result.stderr
     if expected_code == 0:
         assert result.stdout == (GOLDEN / "intervals_demo.txt").read_bytes()
     if expected_code == 2:
         assert result.stderr.startswith(b"error: ") and not result.stdout
+
+
+def test_usage_error_and_help_in_a_process():
+    result = _run_module(["check"])
+    assert result.returncode == 2 and not result.stdout
+    assert result.stderr.startswith(b"usage: geopal check ")
+    result = _run_module(["--help"])
+    assert result.returncode == 0 and not result.stderr
+    assert result.stdout.startswith(b"usage: geopal ")
 
 
 def test_muddy_children_beyond_the_alphabet_exit_2():
@@ -197,6 +271,15 @@ def test_model_to_json_is_loadable_inverse(tmp_path):
 def test_invalid_axiom_index_exits_2(axiom, models):
     code, _ = invoke(["axioms", "--semantics", "topo", "--axiom", axiom, "--models", models, "--seed", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("announcements", ["", ";", " ; ;  "], ids=["empty", "separator", "blanks"])
+def test_persistent_announcements_without_a_formula_exit_2(announcements):
+    # Given but empty, the option would pass an immunity run of zero checks.
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["persistent", "--model", str(DATA / "pair.ssl.json"), "--formula", "p", "--announcements", announcements]
+    assert run(argv, out=out, err=err) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", "error: --announcements lists no formula\n")
 
 
 def test_unexpected_error_exits_2_not_1():
