@@ -26,6 +26,14 @@ empirically on random models and reports re-verified counterexamples.  Its
 instantiation pool is deliberately small: the atoms p and q, one boolean
 layer over them, one modal layer over them, and boolean combinations of the
 two layers (these last are what catch the effort schema).
+
+Modal truth is invariant under disjoint unions, and the announcement update
+of a union is the union of the updates, so `check_axiom` tabulates each
+instance's two sides once per run of sampled models, on their disjoint
+union, where each model's loci form its block.  Only a model whose block of
+the two sides' difference is nonzero is checked again, on its own and
+through the pointwise evaluators, so a report is what checking every model
+by itself would give.
 """
 
 from __future__ import annotations
@@ -302,11 +310,21 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
     per-agent product schema), each body and each pushed [phi] g as one
     shared node, so every model's memo finds repeated subterms by identity;
     each right side is still `_single_step`, the step `reduce` applies.
-    Nothing is kept between calls.  The two sides' masks are compared; the
-    loci where they differ are re-verified, in `loci()` order, through the
-    pointwise evaluators before being recorded; the report keeps one
-    counterexample per (model, instantiation) pair.  Models are visited in
-    seed order, so reports are reproducible.
+    Nothing is kept between calls.
+
+    Both sides of each instance are tabulated once per run of models, on
+    their disjoint union (`disjoint_union` of the model kind): modal truth
+    is invariant under disjoint unions, so the union's table is, in each
+    model's block of loci, that model's own.  A run is consecutive models
+    in seed order, of one agent count for products, whose sizes sum to at
+    most `UNION_SIZE`; a model larger than that is a run of its own.  Only
+    a model whose block of the two sides' difference is nonzero is checked
+    again, for that instance alone and on the model itself: the loci where
+    its own two masks differ are re-verified, in `loci()` order, through the
+    pointwise evaluators before being recorded, and the report keeps one
+    counterexample per (model, instantiation) pair.  Models are drawn in
+    seed order and the counterexamples reported in that order, so reports
+    are reproducible; only the models of the runs still open are held.
     """
     if sample_size < 1:
         raise ValueError(f"sample size must be at least 1, got {sample_size}")
@@ -315,28 +333,72 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
     per_agent = axiom.semantics == "product" and axiom.index == 4
     nodes = {f: f for pool in pools.values() for f in pool}
     by_agents: dict[int, list[tuple]] = {}
-    counterexamples = []
-    for offset in range(sample_size):
-        model = sampler(seed + offset)
-        agent_count = model.agent_count if per_agent else 1
+    found = []
+    models = ((offset, sampler(seed + offset)) for offset in range(sample_size))
+    for run in _runs(models, axiom.semantics):
+        agent_count = run[0][1].agent_count if per_agent else 1
         instances = by_agents.get(agent_count)
         if instances is None:
             instances = by_agents[agent_count] = _instances(axiom, pools, agent_count, nodes)
-        for phi, psi, chi, agent, lhs, rhs in instances:
-            lhs_holds = model.table(lhs)
-            for i in bits(lhs_holds ^ model.table(rhs)):
-                locus = model._order[i]
-                lhs_value = bool(lhs_holds >> i & 1)
-                rhs_value = not lhs_value
-                # Re-verify through the single-locus path before recording.
-                if model.satisfies(locus, lhs) != lhs_value or model.satisfies(locus, rhs) != rhs_value:
-                    continue
-                # A fresh equal model: the report must not keep this one's memo alive.
-                counterexamples.append(
-                    Counterexample(replace(model), locus, phi, psi, chi, lhs, rhs, lhs_value, rhs_value)
-                )
-                break
-    return ValidityReport(axiom, sample_size, seed, tuple(counterexamples))
+        union, blocks = type(run[0][1]).disjoint_union([model for _, model in run])
+        flagged = [[] for _ in run]
+        for number, (*_, lhs, rhs) in enumerate(instances):
+            differ = union.table(lhs) ^ union.table(rhs)
+            if differ:
+                for numbers, block in zip(flagged, blocks):
+                    if block & differ:
+                        numbers.append(number)
+        for (offset, model), numbers in zip(run, flagged):
+            for number in numbers:
+                counterexample = _counterexample(model, instances[number])
+                if counterexample is not None:
+                    found.append((offset, number, counterexample))
+    # Runs of different agent counts interleave in seed order.
+    found.sort(key=lambda entry: entry[:2])
+    return ValidityReport(axiom, sample_size, seed, tuple(entry[2] for entry in found))
+
+
+def _counterexample(model, instance: tuple) -> Counterexample | None:
+    """The first locus, in `loci()` order, where the instance's two sides
+    differ on the model by its tables and by the pointwise evaluators."""
+    phi, psi, chi, agent, lhs, rhs = instance
+    lhs_holds = model.table(lhs)
+    for i in bits(lhs_holds ^ model.table(rhs)):
+        locus = model._order[i]
+        lhs_value = bool(lhs_holds >> i & 1)
+        rhs_value = not lhs_value
+        # Re-verify through the single-locus path before recording.
+        if model.satisfies(locus, lhs) != lhs_value or model.satisfies(locus, rhs) != rhs_value:
+            continue
+        # A fresh equal model: the report must not keep this one's memo alive.
+        return Counterexample(replace(model), locus, phi, psi, chi, lhs, rhs, lhs_value, rhs_value)
+    return None
+
+
+# The largest size (loci; on subset spaces, points plus situations) of one
+# disjoint union in `check_axiom`.  Each modal clause reads masks as wide as
+# the union, at most once per locus, so a union costs more per locus the
+# larger it grows; this bound was chosen from a sweep of sample sizes.
+UNION_SIZE = 512
+
+
+def _runs(models, semantics: str):
+    """The (offset, model) pairs, drawn in seed order, in runs for
+    `check_axiom`: consecutive among the product models of one agent count,
+    or among all models of the other kinds, with sizes summing to at most
+    `UNION_SIZE` unless one model alone exceeds it.  A run is yielded once
+    it is full, so only the open runs are held."""
+    open_runs: dict[int, tuple[list, int]] = {}
+    for offset, model in models:
+        key = model.agent_count if semantics == "product" else 1
+        run, size = open_runs.get(key, ([], 0))
+        if run and size + model.size > UNION_SIZE:
+            yield run
+            run, size = [], 0
+        run.append((offset, model))
+        open_runs[key] = run, size + model.size
+    for run, _ in open_runs.values():
+        yield run
 
 
 def _instantiations(axiom: AxiomId, pools, agent_count: int):

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
-from typing import Hashable, Iterable, Mapping, NamedTuple
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .formula import (
     Announce,
@@ -102,6 +102,32 @@ class SSLModel(Model):
             {atom: frozenset(area) for atom, area in dict(valuation).items()},
         )
 
+    @classmethod
+    def disjoint_union(cls, models: Sequence["SSLModel"]) -> tuple["SSLModel", tuple[int, ...]]:
+        """The disjoint union of the models, point x of the i-th labelled
+        (i, x), and each model's block: the mask of its situations in the
+        union, which are its own in its own order.
+
+        No member meets two models, so knowledge and effort at a situation
+        read only its model's block, and the update of the union is the
+        union of the updates: a formula's table on the union is, block by
+        block, its table on each model.  The union of one model is that
+        model."""
+        if len(models) == 1:
+            return models[0], (models[0]._all,)
+        points, sigma, valuation, blocks = [], [], {}, []
+        start = 0
+        for i, model in enumerate(models):
+            points += ((i, point) for point in model.points)
+            sigma += (frozenset((i, point) for point in member) for member in model.sigma)
+            for atom, area in model.valuation.items():
+                valuation.setdefault(atom, set()).update((i, point) for point in area)
+            count = sum(map(len, model.sigma))
+            blocks.append(((1 << count) - 1) << start)
+            start += count
+        union = cls(tuple(points), tuple(sigma), {atom: frozenset(area) for atom, area in valuation.items()})
+        return union, tuple(blocks)
+
     def atom_set(self, name: str) -> frozenset:
         return self.valuation.get(name, frozenset())
 
@@ -117,13 +143,20 @@ class SSLModel(Model):
     # Derived state, built on first use.  Equality and repr see only the
     # fields, and __getstate__ keeps it out of pickles.
     @cached_property
+    def _around(self) -> dict[Hashable, list[frozenset]]:
+        """The sigma members around each point, in sigma order: one pass
+        over the members, where testing every member at every point would
+        be quadratic on a disjoint union."""
+        around = {point: [] for point in self.points}
+        for member in self.sigma:
+            for point in member:
+                around[point].append(member)
+        return around
+
+    @cached_property
     def _situations(self) -> tuple["Situation", ...]:
-        return tuple(
-            Situation(point, member)
-            for point in self.points
-            for member in self.sigma
-            if point in member
-        )
+        around = self._around
+        return tuple(Situation(point, member) for point in self.points for member in around[point])
 
     @cached_property
     def _all(self) -> int:
@@ -140,12 +173,18 @@ class SSLModel(Model):
 
     @cached_property
     def _refinement_masks(self) -> tuple[int, ...]:
-        """For each situation (x, U), the situations (x, V) with V within U."""
-        bit = {situation: i for i, situation in enumerate(self._situations)}
-        return tuple(
-            sum(1 << bit[point, smaller] for smaller in self.sigma if point in smaller and smaller <= member)
-            for point, member in self._situations
-        )
+        """For each situation (x, U), the situations (x, V) with V within U.
+
+        The situations of a point are consecutive, one per member around
+        it, so each mask is read off that point's members and shifted to
+        where its situations start."""
+        masks = []
+        for point in self.points:
+            members = self._around[point]
+            start = len(masks)
+            for member in members:
+                masks.append(sum(1 << k for k, smaller in enumerate(members) if smaller <= member) << start)
+        return tuple(masks)
 
     @property
     def _order(self) -> tuple["Situation", ...]:
@@ -177,11 +216,13 @@ class SSLModel(Model):
                 area = self.atom_set(name)
                 return sum(1 << i for i, (point, _) in enumerate(self._situations) if point in area)
             case Know():
-                return sum(m for m in self._member_masks if not m & ~tb)
+                outside = ~tb
+                return sum(m for m in self._member_masks if not m & outside)
             case Possible():
                 return sum(m for m in self._member_masks if m & tb)
             case Effort():
-                return sum(1 << i for i, r in enumerate(self._refinement_masks) if not r & ~tb)
+                outside = ~tb
+                return sum(1 << i for i, r in enumerate(self._refinement_masks) if not r & outside)
             case EffortDual():
                 return sum(1 << i for i, r in enumerate(self._refinement_masks) if r & tb)
         check_fragment(f, "ssl")  # raises: every modal node of the fragment is matched above

@@ -1,11 +1,12 @@
 """Finite topological spaces stored as minimal neighbourhoods.
 
-A space carries an indexed tuple of point labels (at most 64) and, for each
-point x, the bitmask of its minimal open U_x: the intersection of every open
+A space carries an indexed tuple of point labels and, for each point x,
+the bitmask of its minimal open U_x: the intersection of every open
 around x.  Every finite space is Alexandrov, so these masks fix the
 topology: a set is open exactly when it contains U_x for each of its points,
 and the interior of A is {x : U_x within A}.  The enumerated family of opens
-is derived on demand, for output and for the quantifier-form oracles.
+is derived on demand, for output and for the quantifier-form oracles; it
+can be exponential in the number of points, so nothing else reads it.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
-from typing import Hashable, Iterable
-
-MAX_POINTS = 64
+from typing import Hashable, Iterable, Sequence
 
 
 class TopologyError(ValueError):
@@ -23,13 +22,24 @@ class TopologyError(ValueError):
 
 
 def bits(mask: int):
-    """Indices of the set bits, ascending."""
-    index = 0
-    while mask:
-        if mask & 1:
+    """Indices of the set bits, ascending.
+
+    A mask of at most 64 bits drops its lowest set bit at each step.  A
+    wider one is read from its binary digits, reversed so that index i is
+    bit i, with `str.find` skipping the zeros: linear in the width, where
+    dropping bits one by one from a wide int is quadratic.
+    """
+    if mask >> 64:
+        digits = bin(mask)[:1:-1]
+        index = digits.find("1")
+        while index >= 0:
             yield index
-        mask >>= 1
-        index += 1
+            index = digits.find("1", index + 1)
+        return
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -52,8 +62,6 @@ class Topology:
     minimal: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.points) > MAX_POINTS:
-            raise TopologyError(f"at most {MAX_POINTS} points supported, got {len(self.points)}")
         if len(set(self.points)) != len(self.points):
             raise TopologyError("duplicate point labels")
         if len(self.minimal) != len(self.points):
@@ -143,6 +151,19 @@ class Topology:
         points = tuple(self.points[i] for i in bits(carrier))
         minimal = tuple(compress_mask(self.minimal[i] & carrier, carrier) for i in bits(carrier))
         return Topology(points, minimal)
+
+
+def topological_sum(spaces: Sequence[Topology]) -> tuple[Topology, tuple[int, ...]]:
+    """The disjoint union of the spaces, point x of the i-th labelled (i, x),
+    and each space's offset: its bit j is bit offset + j of the sum, whose
+    minimal opens are each space's shifted up by its offset."""
+    points, minimal, offsets = [], [], []
+    for i, space in enumerate(spaces):
+        offset = len(points)
+        offsets.append(offset)
+        minimal += (nbhd << offset for nbhd in space.minimal)
+        points += ((i, point) for point in space.points)
+    return Topology(tuple(points), tuple(minimal)), tuple(offsets)
 
 
 def compress_mask(mask: int, carrier: int) -> int:

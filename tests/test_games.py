@@ -120,6 +120,22 @@ def test_tree_topology_always_verifies():
         assert verify_topology(space.points, space.opens) == []
 
 
+def test_tree_topology_builds_for_an_eighty_one_node_comb():
+    # Node 2k decides between leaf 2k + 1 and the rest of the comb; the
+    # last node, 80, is a leaf.
+    comb = GameNode.leaf(40, -40)
+    for k in range(39, -1, -1):
+        comb = GameNode.decision(1 + k % 2, [GameNode.leaf(k, -k), comb])
+    space = tree_topology(GameTree(comb))
+    assert len(space.points) == 81
+    for nid in range(0, 80, 2):
+        assert space.minimal[nid] == space.full_mask >> nid << nid
+        assert space.minimal[nid + 1] == 1 << nid + 1
+    # Every decision node's subtree holds leaf 80: without it only the
+    # other leaves are left open.
+    assert space.interior(space.full_mask >> 1) == sum(1 << nid for nid in range(1, 80, 2))
+
+
 def test_tree_topology_minimal_opens_are_subtrees():
     wide = GameTree(
         GameNode.decision(1, [

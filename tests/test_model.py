@@ -1,22 +1,24 @@
 """The model protocol the three kinds share through `formula.Model`: the
-memos, what pickles and copies carry, tables computed once and updates
-built once per truth mask."""
+memos, what pickles and copies carry, tables computed once, updates built
+once per truth mask, and tables on disjoint unions."""
 
 import dataclasses
 import gc
 import pickle
 import weakref
 from collections import Counter
+from itertools import count
+from random import Random
 
 import pytest
 
 import geopal.formula as formula
 import geopal.sslmodel as sslmodel
 from geopal.dynamics import limit_model
-from geopal.formula import parse
-from geopal.product import ProductModel
-from geopal.sslmodel import SSLModel
-from geopal.topology import Topology
+from geopal.formula import Announce, Atom, parse, random_formula
+from geopal.product import ProductModel, random_product_model
+from geopal.sslmodel import SSLModel, random_ssl_model
+from geopal.topology import Topology, compress_mask
 from geopal.topomodel import TopoModel, random_topomodel
 
 
@@ -182,3 +184,46 @@ def test_update_on_a_fresh_model_tabulates_once_and_builds_once(kind, builds, mo
     model.update(f)
     assert tabulated == [f]
     assert len(builds) == 1
+
+
+def _sample(draw, size: int, agent_count: int | None = None) -> list:
+    """`size` models from consecutive seeds, of one agent count if given;
+    every third is replaced by its update by p, so carriers vary too."""
+    models = (draw(seed) for seed in count())
+    if agent_count is not None:
+        models = (model for model in models if model.agent_count == agent_count)
+    return [model.update(Atom("p")) if i % 3 == 2 else model for i, model in zip(range(size), models)]
+
+
+# Per kind: a sample of the given size, and the repertoire of its formulas.
+UNION_KINDS = {
+    "topo": (lambda size: _sample(lambda seed: random_topomodel(seed, 4, 3), size), {"modal": "IC"}),
+    "ssl": (lambda size: _sample(random_ssl_model, size), {"modal": "KLED"}),
+    "product-2": (lambda size: _sample(random_product_model, size, 2), {"agents": 2}),
+    "product-3": (lambda size: _sample(random_product_model, size, 3), {"agents": 3}),
+}
+
+
+@pytest.mark.parametrize("size", [1, 2, 25, 300])
+@pytest.mark.parametrize("kind", UNION_KINDS)
+def test_disjoint_union_tables_are_each_models_table_in_its_block(kind, size):
+    sample, repertoire = UNION_KINDS[kind]
+    models = sample(size)
+    union, blocks = type(models[0]).disjoint_union(models)
+    if size == 1:
+        assert union is models[0]
+    assert len(blocks) == size and sum(blocks) == union._all
+    assert all(not a & b for a, b in zip(blocks, blocks[1:]))
+    assert union.size == sum(model.size for model in models)
+    rng = Random(size)
+
+    def sub(depth):
+        return random_formula(rng, depth, announce_depth=1, **repertoire)
+
+    # Each block packed in the union's order against each model's loci
+    # packed in its own order: the same bits, so the orders agree too.
+    for _ in range(6):
+        f = Announce(sub(2), Announce(sub(2), sub(3)))  # two nested announcements
+        table = union.table(f)
+        for model, block in zip(models, blocks):
+            assert compress_mask(table & block, block) == compress_mask(model.table(f), model._all), (kind, str(f))

@@ -47,7 +47,7 @@ from geopal.rewrite import (
 )
 from geopal.sslmodel import SSLModel, random_ssl_model, situations
 from geopal.product import random_product_model
-from geopal.topology import compress_mask
+from geopal.topology import bits, compress_mask
 from geopal.topomodel import random_topomodel
 
 
@@ -353,6 +353,67 @@ def test_check_axiom_builds_each_instance_once_per_agent_count(axiom, monkeypatc
     pools = schema_pool(axiom.semantics)
     expected = sum(len(list(rewrite._instantiations(axiom, pools, n))) for n in counts)
     assert len(steps) == expected
+
+
+def _per_model_check(axiom, sample_size, seed):
+    """The validity report tabulated model by model, with no union: the
+    reference `check_axiom` must equal."""
+    pools = schema_pool(axiom.semantics)
+    per_agent = (axiom.semantics, axiom.index) == ("product", 4)
+    counterexamples = []
+    for offset in range(sample_size):
+        model = rewrite._SAMPLERS[axiom.semantics](seed + offset)
+        nodes = {f: f for pool in pools.values() for f in pool}
+        agent_count = model.agent_count if per_agent else 1
+        for phi, psi, chi, agent, lhs, rhs in rewrite._instances(axiom, pools, agent_count, nodes):
+            lhs_holds = model.table(lhs)
+            for i in bits(lhs_holds ^ model.table(rhs)):
+                locus = model._order[i]
+                lhs_value = bool(lhs_holds >> i & 1)
+                if model.satisfies(locus, lhs) != lhs_value or model.satisfies(locus, rhs) == lhs_value:
+                    continue
+                counterexamples.append(rewrite.Counterexample(
+                    dataclasses.replace(model), locus, phi, psi, chi, lhs, rhs, lhs_value, not lhs_value
+                ))
+                break
+    return rewrite.ValidityReport(axiom, sample_size, seed, tuple(counterexamples))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("axiom", ALL_SCHEMAS, ids=str)
+def test_check_axiom_on_unions_equals_the_per_model_check(axiom, seed):
+    report, reference = check_axiom(axiom, 60, seed), _per_model_check(axiom, 60, seed)
+    for field in dataclasses.fields(rewrite.ValidityReport):
+        if field.name != "counterexamples":
+            assert getattr(report, field.name) == getattr(reference, field.name)
+    assert len(report.counterexamples) == len(reference.counterexamples)
+    for found, expected in zip(report.counterexamples, reference.counterexamples):
+        for field in dataclasses.fields(rewrite.Counterexample):
+            assert getattr(found, field.name) == getattr(expected, field.name), field.name
+    assert report.render() == reference.render()
+
+
+def test_check_axiom_reports_in_seed_order_across_agent_counts(monkeypatch):
+    # A negated right side breaks the schema on every product model, so
+    # both agent counts' runs find counterexamples, interleaved in seed order.
+    original = rewrite._single_step
+    monkeypatch.setattr(rewrite, "_single_step", lambda *args: Not(original(*args)))
+    axiom = AxiomId("product", 2)
+    report, reference = check_axiom(axiom, 12, 0), _per_model_check(axiom, 12, 0)
+    counts = [c.model.agent_count for c in report.counterexamples]
+    assert counts != sorted(counts)
+    assert report == reference
+
+
+def test_check_axiom_runs_respect_the_size_bound_and_agent_counts():
+    models = [rewrite._SAMPLERS["product"](seed) for seed in range(300)]
+    runs = [[offset for offset, _ in run] for run in rewrite._runs(enumerate(models), "product")]
+    assert sorted(offset for run in runs for offset in run) == list(range(300))
+    assert len(runs) > 2
+    for run in runs:
+        assert run == sorted(run)
+        assert len({models[offset].agent_count for offset in run}) == 1
+        assert len(run) == 1 or sum(models[offset].size for offset in run) <= rewrite.UNION_SIZE
 
 
 @pytest.mark.parametrize("axiom", [AxiomId("ssl", 3), AxiomId("product", 4)], ids=str)

@@ -293,3 +293,20 @@ def test_persistence_witness_matches_the_direct_scan():
             assert witness == _persistence_reference(model, f), (seed, str(f))
             outcomes[witness is None] += 1
     assert outcomes[True] > 100 and outcomes[False] > 50, outcomes
+
+
+def test_situations_and_refinements_keep_the_scan_order():
+    # Read off each point's members; the order is still that of testing
+    # every member at every point, on models and on disjoint unions.
+    samples = [random_ssl_model(seed, max_points=6, max_sets=8) for seed in range(200)]
+    samples.append(SSLModel.disjoint_union(samples[:20])[0])
+    for model in samples:
+        scanned = tuple(
+            Situation(point, member) for point in model.points for member in model.sigma if point in member
+        )
+        assert model._situations == scanned
+        bit = {situation: i for i, situation in enumerate(scanned)}
+        assert model._refinement_masks == tuple(
+            sum(1 << bit[point, smaller] for smaller in model.sigma if point in smaller and smaller <= member)
+            for point, member in scanned
+        )

@@ -7,9 +7,11 @@ import pytest
 from geopal.topology import (
     Topology,
     TopologyError,
+    bits,
     compress_mask,
     generate_from_subbasis,
     random_topology,
+    topological_sum,
     verify_topology,
 )
 
@@ -182,6 +184,22 @@ def test_interior_is_largest_contained_open():
                     assert open_ & ~interior == 0
 
 
-def test_too_many_points_rejected():
-    with pytest.raises(TopologyError):
-        Topology(tuple(range(65)), (0,))
+def test_bits_reads_narrow_and_wide_masks():
+    rng = Random(8)
+    for width in (1, 2, 8, 63, 64, 65, 66, 130, 1000, 20000):
+        for mask in (rng.getrandbits(width), 1 << width - 1, (1 << width - 1) | 1, (1 << width) - 1):
+            assert list(bits(mask)) == [i for i in range(width) if mask >> i & 1], width
+    assert list(bits(0)) == []
+
+
+def test_a_sum_of_spaces_beyond_sixty_four_points():
+    spaces = [random_topology(seed, 12, 3) for seed in range(8)]
+    total, offsets = topological_sum(spaces)
+    assert len(total.points) == 96 and offsets == tuple(range(0, 96, 12))
+    assert total.points[13] == (1, 1)
+    rng = Random(9)
+    for _ in range(50):
+        areas = [rng.randrange(1 << 12) for _ in spaces]
+        area = sum(part << offset for part, offset in zip(areas, offsets))
+        assert total.interior(area) == sum(s.interior(a) << o for s, a, o in zip(spaces, areas, offsets))
+        assert total.closure(area) == sum(s.closure(a) << o for s, a, o in zip(spaces, areas, offsets))
