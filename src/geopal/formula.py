@@ -464,16 +464,15 @@ class Model:
     f's truth mask memoized in `_tables`, and reads truth and updates
     through it.
 
-    A topological or product model is its root's fields (the root is the
-    model no announcement produced) plus `carrier`, the mask of its loci
-    over the root's index; its constructor calls `_default_carrier`.  For
-    these kinds the base states the rest: `updated(mask)`, the same fields
-    with the mask as carrier, memoized in `_updates` by that mask and
-    handed the derived state the kind names in `_shared`; `_announce`,
-    which reads the body's table on it with no re-indexing; the oracle's
-    `_announced`, which finds the surviving loci one by one; `size` and
-    `is_empty`.  A subset-space update merges situations, so `SSLModel`
-    states these itself.
+    A model is its root's fields (the root is the model no announcement
+    produced) plus `carrier`, the mask of its loci over the root's index;
+    its constructor calls `_default_carrier`.  The base states the rest:
+    `updated(mask)`, the same fields with the mask as carrier, memoized in
+    `_updates` by that mask and handed the derived state the kind names in
+    `_shared`; `_announce`, which reads the body's table on it with no
+    re-indexing; the oracle's `_announced`, which finds the surviving loci
+    one by one; `size` and `is_empty`.  Two bits of a subset-space model
+    can be one situation, so `SSLModel` states its own `size` and `_loci`.
 
     The memos are built on first use; equality and repr see only the
     fields, the carrier included, and `__getstate__` keeps the memos out
@@ -516,7 +515,7 @@ class Model:
 
     @property
     def is_empty(self) -> bool:
-        return not self._all
+        return not self.size
 
     def updated(self, carrier: int) -> "Model":
         """The update to the loci of the carrier mask, built once per mask:
@@ -536,14 +535,19 @@ class Model:
         return (self._all - announced) | (announced & self.updated(announced).table(f.body))
 
     def _announced(self, locus, a: Formula) -> tuple["Model", object]:
-        """The update to the loci where a holds, found one by one."""
+        """The update to the loci where a holds, found one by one, and the locus in it."""
         order = self._order
-        return self.updated(sum(1 << i for i in bits(self._all) if holds(self, order[i], a))), locus
+        holding = sum(1 << i for i in bits(self._all) if holds(self, order[i], a))
+        return self.updated(holding), self.track(locus, self._read(holding))
 
     def loci(self) -> list:
-        """The loci in mask order."""
+        """The loci, in mask order on topological and product models."""
+        return self._loci(self._all)
+
+    def _loci(self, mask: int) -> list:
+        """The loci at the bits of the mask, in mask order."""
         order = self._order
-        return [order[i] for i in bits(self._all)]
+        return [order[i] for i in bits(mask)]
 
     def _read(self, mask: int) -> frozenset:
         """The loci at the bits of the mask."""
@@ -570,7 +574,7 @@ class Model:
         """Truth at one checked locus through the quantifier clauses.
 
         A differential oracle for `truth`: it reads no table, and announces
-        through the kind's `_announced`, locus by locus.
+        through `_announced`, locus by locus.
         """
         locus = self.locus(locus)
         check_fragment(f, self.fragment)

@@ -431,4 +431,4 @@ def equivalent_on(model, f: Formula, g: Formula) -> EquivalenceResult:
     differ = model.table(f) ^ model.table(g)
     if not differ:
         return EquivalenceResult(True)
-    return EquivalenceResult(False, model._order[next(bits(differ))])
+    return EquivalenceResult(False, model._loci(differ)[0])

@@ -2,27 +2,24 @@
 update and persistence checking.
 
 Truth lives on neighbourhood situations (s, U) with s in U in sigma.  The
-collection sigma is any family of nonempty subsets of the carrier; it need
+collection sigma is any family of nonempty subsets of the points; it need
 not be a topology.  Knowledge quantifies inside the current neighbourhood,
-effort quantifies over its refinements in sigma.
-
-The announcement update shrinks every neighbourhood individually:
-U_f = {t in U : (t, U) satisfies f}, empty results dropped, and the carrier
-becomes the set of points that still occur in a satisfying situation.  Two
-neighbourhoods that shrink to the same point set merge, since the semantics
-only ever consults the point set.  The oracle `satisfies` is `formula.holds`
-over the model's own clauses: atoms, K/L, E/D, and that update spelled out.
+effort quantifies over its refinements in sigma.  The announcement update
+shrinks every neighbourhood individually: U_f = {t in U : (t, U) satisfies
+f}, empty results dropped, and only the points of surviving situations stay.
 
 A model is its own truth-set evaluator, like the other two kinds: it
-states its atoms, K/L and E/D (`_modal`) and its announcement
-(`_announce`) for `formula.tabulate`.  Truth tables are int masks whose bit
-i is the i-th situation in `loci()` order.  K/L read one mask per sigma
-member (its situations), E/D one mask per situation (its refinements
-around the point), and `apply_update` returns, with the updated model, each
-new situation's mask of the old situations that shrink to it.  The update
-memo keeps the two together, so an announcement's body, read through the
-updated model's `table`, is lifted back bit by bit, merged neighbourhoods
-included.
+states its atoms, K/L and E/D (`_modal`) for `formula.tabulate`, over int
+masks of the root model's situations, by point, then by set in sigma order.
+An update is the root's fields plus its carrier, the mask of its surviving
+situations (`formula.Model.updated`): set U becomes {y : (y, U) in the
+carrier}, an announcement's body needs no lifting, and atoms and K/L read
+root masks `& carrier`.  Two sets that shrink to the same set stay two bits
+of equal truth, read out once.  Effort is not inherited: (x, V) refines
+(x, U) when V's surviving points lie within U's, which can hold when V is
+not within U, so each model compiles its own relation, and E and D are one
+AND and one shift per signed distance between bits.  The oracle `satisfies`
+is `formula.holds` over the model's quantifier clauses.
 """
 
 from __future__ import annotations
@@ -57,9 +54,11 @@ class Situation(NamedTuple):
 
 @dataclass(frozen=True)
 class SSLModel(Model):
-    """Carrier, collection of observation sets, and valuation.
+    """Points, collection of observation sets, valuation, and the carrier:
+    a mask with a bit per situation, and one past them while the points in
+    no set survive (default: all of them; an update drops those points).
 
-    sigma members must be nonempty subsets of the carrier; they are stored
+    sigma members must be nonempty subsets of the points; they are stored
     deduplicated in a canonical order (by size, then by point index).
     Treat instances as immutable: each model memoizes its truth masks and
     announcement updates (see `formula.Model`), so a mutated model would
@@ -69,6 +68,7 @@ class SSLModel(Model):
     points: tuple[Hashable, ...]
     sigma: tuple[frozenset, ...]
     valuation: dict[str, frozenset] = field(default_factory=dict)
+    carrier: int | None = None
     fragment = "ssl"
 
     def __post_init__(self):
@@ -80,14 +80,11 @@ class SSLModel(Model):
                 raise ValueError("sigma members must be nonempty")
             if not all(p in index for p in member):
                 raise ValueError(f"sigma member {set(member)!r} not within the carrier")
-        canonical = sorted(
-            {frozenset(m) for m in self.sigma},
-            key=lambda m: (len(m), sorted(index[p] for p in m)),
-        )
-        object.__setattr__(self, "sigma", tuple(canonical))
+        object.__setattr__(self, "sigma", _canonical({frozenset(m) for m in self.sigma}, index))
         for atom, area in self.valuation.items():
             if not all(p in index for p in area):
                 raise ValueError(f"valuation of {atom!r} not within the carrier")
+        self._default_carrier(self._listed)
 
     @classmethod
     def from_sets(
@@ -105,163 +102,174 @@ class SSLModel(Model):
     @classmethod
     def disjoint_union(cls, models: Sequence["SSLModel"]) -> tuple["SSLModel", tuple[int, ...]]:
         """The disjoint union of the models, point x of the i-th labelled
-        (i, x), and each model's block: the mask of its situations in the
-        union, which are its own in its own order.
-
-        No member meets two models, so knowledge and effort at a situation
-        read only its model's block, and the update of the union is the
-        union of the updates: a formula's table on the union is, block by
-        block, its table on each model.  The union of one model is that
-        model."""
+        (i, x), and each model's block: the mask of its surviving situations
+        in the union, which are its own in its own order.  No member meets
+        two models, so knowledge and effort at a situation read only its
+        model's block, and the update of the union is the union of the
+        updates: a formula's table on the union is, block by block, its
+        table on each model.  The union of one model is that model."""
         if len(models) == 1:
             return models[0], (models[0]._all,)
         points, sigma, valuation, blocks = [], [], {}, []
-        start = 0
+        start = strays = 0
         for i, model in enumerate(models):
-            points += ((i, point) for point in model.points)
+            kept = model.carrier >> len(model._situations)  # 1 while its points in no set survive
+            dropped = set() if kept else set(model.points).difference(*model.sigma)
+            points += ((i, point) for point in model.points if point not in dropped)
             sigma += (frozenset((i, point) for point in member) for member in model.sigma)
             for atom, area in model.valuation.items():
-                valuation.setdefault(atom, set()).update((i, point) for point in area)
-            count = sum(map(len, model.sigma))
-            blocks.append(((1 << count) - 1) << start)
-            start += count
-        union = cls(tuple(points), tuple(sigma), {atom: frozenset(area) for atom, area in valuation.items()})
-        return union, tuple(blocks)
+                valuation.setdefault(atom, set()).update((i, point) for point in area - dropped)
+            blocks.append(model._all << start)
+            start += len(model._situations)
+            strays |= kept
+        valuation = {atom: frozenset(area) for atom, area in valuation.items()}
+        return cls(tuple(points), tuple(sigma), valuation, sum(blocks) | strays << start), tuple(blocks)
 
-    def atom_set(self, name: str) -> frozenset:
-        return self.valuation.get(name, frozenset())
+    # Derived state, built on first use; the root's index is handed to its updates.
+    _shared = ("_situations", "_member_masks", "_atoms", "_listed")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.points
-
-    @property
-    def size(self) -> int:
-        """Points plus set sizes: strictly decreases under any update that changes the model."""
-        return len(self.points) + sum(len(u) for u in self.sigma)
-
-    # Derived state, built on first use.  Equality and repr see only the
-    # fields, and __getstate__ keeps it out of pickles.
     @cached_property
-    def _around(self) -> dict[Hashable, list[frozenset]]:
-        """The sigma members around each point, in sigma order: one pass
-        over the members, where testing every member at every point would
-        be quadratic on a disjoint union."""
+    def _situations(self) -> tuple["Situation", ...]:
+        """The root's situation at each bit: by point, then by set in sigma
+        order, in one pass over the members."""
         around = {point: [] for point in self.points}
         for member in self.sigma:
             for point in member:
                 around[point].append(member)
-        return around
-
-    @cached_property
-    def _situations(self) -> tuple["Situation", ...]:
-        around = self._around
-        return tuple(Situation(point, member) for point in self.points for member in around[point])
-
-    @cached_property
-    def _all(self) -> int:
-        return (1 << len(self._situations)) - 1
+        return tuple(Situation(point, member) for point, members in around.items() for member in members)
 
     @cached_property
     def _member_masks(self) -> tuple[int, ...]:
-        """The situations of each sigma member, in sigma order."""
-        position = {member: k for k, member in enumerate(self.sigma)}
-        masks = [0] * len(self.sigma)
+        """The root's situations of each sigma member, in sigma order."""
+        masks = dict.fromkeys(self.sigma, 0)
         for i, (_, member) in enumerate(self._situations):
-            masks[position[member]] |= 1 << i
-        return tuple(masks)
+            masks[member] |= 1 << i
+        return tuple(masks.values())
 
     @cached_property
-    def _refinement_masks(self) -> tuple[int, ...]:
-        """For each situation (x, U), the situations (x, V) with V within U.
+    def _atoms(self) -> dict[str, int]:
+        """Each atom's mask over the root's situations."""
+        situations = self._situations
+        return {
+            atom: sum(1 << i for i, (point, _) in enumerate(situations) if point in area)
+            for atom, area in self.valuation.items()
+        }
 
-        The situations of a point are consecutive, one per member around
-        it, so each mask is read off that point's members and shifted to
-        where its situations start."""
-        masks = []
-        for point in self.points:
-            members = self._around[point]
-            start = len(masks)
-            for member in members:
-                masks.append(sum(1 << k for k, smaller in enumerate(members) if smaller <= member) << start)
-        return tuple(masks)
+    @cached_property
+    def _listed(self) -> int:
+        """Every situation, and the bit past them if some point is in no set."""
+        count = sum(map(len, self.sigma))
+        return (1 << count) - 1 | (len(set().union(*self.sigma)) < len(self.points)) << count
+
+    @cached_property
+    def _all(self) -> int:
+        """The surviving situations: the carrier without its stray-point bit."""
+        return self.carrier & (1 << len(self._situations)) - 1
+
+    @cached_property
+    def _effort(self) -> tuple[tuple[int, int, int], ...]:
+        """The refinement relation as (mask, up, down) moves, one per signed
+        distance between bits: each carries the situations (x, V) in its mask
+        to (x, U), for V's surviving points within U's."""
+        situations, shrunk = self._situations, self._shrunk
+        rows, moves = {}, {}
+        for i in bits(self._all):
+            point, member = situations[i]
+            rows.setdefault(point, []).append((i, shrunk[member]))
+        for row in rows.values():
+            for at, smaller in row:
+                for to, larger in row:
+                    if to != at and smaller <= larger:
+                        moves[to - at] = moves.get(to - at, 0) | 1 << at
+        return tuple((mask, max(d, 0), max(-d, 0)) for d, mask in moves.items())
+
+    @cached_property
+    def _shrunk(self) -> dict[frozenset, frozenset]:
+        """Each sigma member's surviving points."""
+        situations, everything = self._situations, self._all
+        return {
+            member: frozenset(situations[i].point for i in bits(mask & everything)) if mask & ~everything else member
+            for member, mask in zip(self.sigma, self._member_masks)
+        }
+
+    @cached_property
+    def _contents(self) -> tuple[tuple, tuple[frozenset, ...], dict[str, frozenset]]:
+        """The points, sets and valuation as a fresh model of this one lists
+        them: the sets shrunk to their surviving points, equal sets once, and
+        the points in them (and in no set, while the carrier keeps those)."""
+        if self.carrier == self._listed:
+            return self.points, self.sigma, self.valuation
+        surviving = set().union(*self._shrunk.values())
+        if self.carrier >> len(self._situations):
+            surviving.update(set(self.points).difference(*self.sigma))
+        points = tuple(p for p in self.points if p in surviving)
+        sigma = _canonical({member for member in self._shrunk.values() if member}, self._index)
+        return points, sigma, {atom: area & surviving for atom, area in self.valuation.items()}
+
+    @cached_property
+    def _index(self) -> dict[Hashable, int]:
+        return {label: i for i, label in enumerate(self.points)}
+
+    @cached_property
+    def _order(self) -> tuple["Situation", ...]:
+        """The situation at each bit: its point and its set's surviving points."""
+        if self.carrier == self._listed:
+            return self._situations
+        shrunk = self._shrunk
+        return tuple(Situation(point, shrunk[member]) for point, member in self._situations)
+
+    def _loci(self, mask: int) -> list["Situation"]:
+        """The situations at the bits of the mask, as a fresh model lists them."""
+        index, rank = self._index, {member: k for k, member in enumerate(self._contents[1])}
+        return sorted(self._read(mask), key=lambda s: (index[s.point], rank[s.nbhd]))
 
     @property
-    def _order(self) -> tuple["Situation", ...]:
-        """The situation at each mask bit."""
-        return self._situations
+    def size(self) -> int:
+        """Points plus set sizes: strictly decreases under any update that changes the model."""
+        points, sigma, _ = self._contents
+        return len(points) + sum(map(len, sigma))
 
-    # The benchmark harness under bench/ traces and patches `table` in this
-    # class's own namespace.
+    # The benchmark harness under bench/ traces and patches `table` and
+    # `updated` in this class's own namespace.
     table = Model.table
+    updated = Model.updated
 
-    def updated(self, satisfying: int) -> "SSLModel":
-        """The update to the situations of the mask, built once per mask."""
-        return self._pulled(satisfying)[0]
-
-    def _pulled(self, satisfying: int) -> tuple["SSLModel", tuple[int, ...]]:
-        """The update to the mask with its pull table (see `apply_update`),
-        memoized together."""
-        cached = self._updates.get(satisfying)
-        if cached is None:
-            cached = self._updates[satisfying] = apply_update(self, satisfying)
-        return cached
-
-    # Each `sum` below adds masks with no bit in common: single situations,
-    # or sigma members, which partition the situations.
+    # Each `sum` below adds masks with no bit in common: sigma members,
+    # which partition the situations.
     def _modal(self, f: Formula, tb: int | None) -> int:
         """The mask of an atom, or of K/L/E/D over the body's mask."""
+        everything = self._all
         match f:
             case Atom(name):
-                area = self.atom_set(name)
-                return sum(1 << i for i, (point, _) in enumerate(self._situations) if point in area)
+                return self._atoms.get(name, 0) & everything
             case Know():
-                outside = ~tb
-                return sum(m for m in self._member_masks if not m & outside)
+                outside = everything - tb
+                return everything & sum(m for m in self._member_masks if not m & outside)
             case Possible():
-                return sum(m for m in self._member_masks if m & tb)
+                return everything & sum(m for m in self._member_masks if m & tb)
             case Effort():
-                outside = ~tb
-                return sum(1 << i for i, r in enumerate(self._refinement_masks) if not r & outside)
+                return everything - _refined(everything - tb, self._effort)
             case EffortDual():
-                return sum(1 << i for i, r in enumerate(self._refinement_masks) if r & tb)
+                return _refined(tb, self._effort)
         check_fragment(f, "ssl")  # raises: every modal node of the fragment is matched above
-
-    def _announce(self, f: Formula, ta: int) -> int:
-        """Situations failing the announcement satisfy it vacuously; the
-        body's table on the update is lifted back through the pull table."""
-        inner, pull = self._pulled(ta)
-        return (self._all - ta) | sum(pull[j] for j in bits(inner.table(f.body)))
 
     def _holds(self, situation: "Situation", f: Formula) -> bool:
         """Atoms, K/L over the current set, E/D over its refinements around the point."""
         point, nbhd = situation
         match f:
             case Atom(name):
-                return point in self.atom_set(name)
+                return point in self.valuation.get(name, ())
             case Know(b) | Possible(b):
                 return _QUANTIFIER[type(f)](holds(self, Situation(t, nbhd), b) for t in nbhd)
             case Effort(b) | EffortDual(b):
-                refinements = (v for v in self.sigma if point in v and v <= nbhd)
+                refinements = (v for v in self._contents[1] if point in v and v <= nbhd)
                 return _QUANTIFIER[type(f)](holds(self, Situation(point, v), b) for v in refinements)
-
-    def _announced(self, situation: "Situation", a: Formula) -> tuple["SSLModel", "Situation"]:
-        """The update by a, spelled out situation by situation, and the situation in it."""
-        point, nbhd = situation
-        shrunk = {u: frozenset(t for t in u if holds(self, Situation(t, u), a)) for u in self.sigma}
-        surviving = frozenset().union(*shrunk.values())
-        updated = SSLModel(
-            tuple(p for p in self.points if p in surviving),
-            tuple(u for u in shrunk.values() if u),
-            {atom: area & surviving for atom, area in self.valuation.items()},
-        )
-        return updated, Situation(point, shrunk[nbhd])
 
     def locus(self, situation) -> "Situation":
         """The (point, set) pair as a situation, checked to be one of this model's."""
         point, nbhd = situation
         nbhd = frozenset(nbhd)
-        if nbhd not in self.sigma or point not in nbhd:
+        if nbhd not in self._contents[1] or point not in nbhd:
             raise ValueError(f"({point!r}, {set(nbhd)!r}) is not a neighbourhood situation of this model")
         return Situation(point, nbhd)
 
@@ -288,32 +296,44 @@ class SSLModel(Model):
         )
 
     def to_json(self) -> dict:
-        order = {label: i for i, label in enumerate(self.points)}
+        points, sigma, valuation = self._contents
         return {
             "kind": "ssl",
-            "points": list(self.points),
-            "sets": [sorted(member, key=order.get) for member in self.sigma],
-            "valuation": {
-                atom: sorted(area, key=order.get) for atom, area in sorted(self.valuation.items())
-            },
+            "points": list(points),
+            "sets": [sorted(member, key=self._index.get) for member in sigma],
+            "valuation": {atom: sorted(area, key=self._index.get) for atom, area in sorted(valuation.items())},
         }
 
     def describe(self) -> str:
-        sigma = " ".join(fmt_set(u) for u in self.sigma)
-        val = " ".join(f"v({a})={fmt_set(s)}" for a, s in sorted(self.valuation.items()))
-        return f"ssl points={list(self.points)} sigma=[{sigma}] {val}"
+        points, sigma, valuation = self._contents
+        val = " ".join(f"v({a})={fmt_set(s)}" for a, s in sorted(valuation.items()))
+        return f"ssl points={list(points)} sigma=[{' '.join(map(fmt_set, sigma))}] {val}"
 
     def summary(self) -> list[str]:
+        points, sigma, _ = self._contents
         return [
             "kind: ssl",
-            f"points: {' '.join(map(str, self.points)) or '(none)'}",
-            f"sets: {' '.join(fmt_set(m) for m in self.sigma) or '(none)'}",
+            f"points: {' '.join(map(str, points)) or '(none)'}",
+            f"sets: {' '.join(map(fmt_set, sigma)) or '(none)'}",
         ]
 
 
 def situations(model: SSLModel) -> list[Situation]:
     """All neighbourhood situations, ordered by point then by sigma position."""
     return model.loci()
+
+
+def _canonical(sets: Iterable[frozenset], index: Mapping[Hashable, int]) -> tuple[frozenset, ...]:
+    """The sets by size, then by the indices of their points."""
+    return tuple(sorted(sets, key=lambda m: (len(m), sorted(index[p] for p in m))))
+
+
+def _refined(mask: int, moves: tuple[tuple[int, int, int], ...]) -> int:
+    """The situations with a refinement in the mask, itself included."""
+    refined = mask
+    for source, up, down in moves:
+        refined |= (mask & source) << up >> down
+    return refined
 
 
 # Each dual pair differs only in its quantifier: "for every" or "for some".
@@ -323,31 +343,6 @@ _QUANTIFIER = {Know: all, Possible: any, Effort: all, EffortDual: any}
 # Read by the benchmark harness under bench/, which still names the
 # evaluator class.
 SslEvaluator = SSLModel
-
-
-def apply_update(model: SSLModel, satisfying: int) -> tuple[SSLModel, tuple[int, ...]]:
-    """Update from a precomputed mask of satisfying situations.
-
-    Returns the new model and its pull table: for each new situation, in
-    `loci()` order, the mask of the old situations that shrink to it.  Two
-    members that shrink to the same set merge, so a new situation can pull
-    from several old ones.
-    """
-    situations = model._situations
-    shrunk = {}
-    for member, mask in zip(model.sigma, model._member_masks):
-        kept = mask & satisfying
-        if kept:
-            shrunk[member] = frozenset(situations[i].point for i in bits(kept))
-    surviving = {situations[i].point for i in bits(satisfying)}
-    new_points = tuple(p for p in model.points if p in surviving)
-    new_valuation = {atom: area & surviving for atom, area in model.valuation.items()}
-    updated = SSLModel(new_points, tuple(shrunk.values()), new_valuation)
-    pull = dict.fromkeys(updated._situations, 0)
-    for i in bits(satisfying):
-        point, member = situations[i]
-        pull[point, shrunk[member]] |= 1 << i
-    return updated, tuple(pull.values())
 
 
 @dataclass(frozen=True)
@@ -361,15 +356,15 @@ class PersistenceWitness:
 
 def is_persistent(model: SSLModel, f: Formula) -> PersistenceWitness | None:
     """None when truth of f survives every neighbourhood shrink (f -> E f is
-    valid), else a witness: at the first situation where f holds and E f
-    fails, the first refinement in sigma order that fails f."""
+    valid), else a witness: at the first situation, in `loci()` order, where
+    f holds and E f fails, the first refinement in sigma order that fails f."""
     table = model.table(f)
     lost = table & ~model.table(Effort(f))
     if not lost:
         return None
-    i = next(bits(lost))
-    point, larger = model._situations[i]
-    smaller = model._situations[next(bits(model._refinement_masks[i] & ~table))].nbhd
+    point, larger = model._loci(lost)[0]
+    failing = model._read(model._all - table)
+    smaller = next(v for v in model._contents[1] if v <= larger and Situation(point, v) in failing)
     return PersistenceWitness(point, larger, smaller)
 
 
@@ -398,8 +393,8 @@ def persistence_immunity_check(
     checks = 0
     violations = []
     for chi in announcements:
-        checks += table.bit_count()
-        violations += ((model._situations[i], chi) for i in bits(table & ~model.table(Announce(chi, f))))
+        checks += len(model._read(table))
+        violations += ((situation, chi) for situation in model._loci(table & ~model.table(Announce(chi, f))))
     return ImmunityReport(checks, tuple(violations))
 
 

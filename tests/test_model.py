@@ -13,7 +13,6 @@ from random import Random
 import pytest
 
 import geopal.formula as formula
-import geopal.sslmodel as sslmodel
 from geopal.dynamics import limit_model
 from geopal.formula import Announce, Atom, parse, random_formula
 from geopal.product import ProductModel, random_product_model
@@ -40,13 +39,9 @@ TWICE = {
     "ssl": "[!p] K q & E [!p] (K q | D p)",
     "product": "[!p] K1 q & K2 [!p] (K1 q | p)",
 }
-# Per kind: what builds an updated model, as (owner, attribute).  Topological
-# and product updates are built by the one `Model.updated`, on a memo miss.
-BUILDERS = {
-    "topo": (TopoModel, "updated"),
-    "ssl": (sslmodel, "apply_update"),
-    "product": (ProductModel, "updated"),
-}
+# Per kind: the class whose `updated` builds an updated model.  Updates of
+# every kind are built by the one `Model.updated`, on a memo miss.
+BUILDERS = {"topo": TopoModel, "ssl": SSLModel, "product": ProductModel}
 MEMO = {"_tables", "_truths", "_updates"}
 each_kind = pytest.mark.parametrize("build, text", KINDS.values(), ids=KINDS)
 by_name = pytest.mark.parametrize("kind", KINDS)
@@ -137,16 +132,16 @@ def test_truth_computes_each_table_once(kind, monkeypatch):
 @pytest.fixture
 def builds(request, monkeypatch):
     """The arguments of each call that builds an updated model of the kind."""
-    owner, name = BUILDERS[request.getfixturevalue("kind")]
+    owner = BUILDERS[request.getfixturevalue("kind")]
     calls = []
-    build = getattr(owner, name)
+    build = owner.updated
 
     def counting(*args):
-        if owner is sslmodel or args[1] not in args[0]._updates:
+        if args[1] not in args[0]._updates:
             calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(owner, name, counting)
+    monkeypatch.setattr(owner, "updated", counting)
     return calls
 
 

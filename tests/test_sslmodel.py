@@ -2,13 +2,16 @@
 
 import dataclasses
 from collections import Counter
+from pathlib import Path
 from random import Random
 
 import pytest
 
 import geopal.sslmodel as sslmodel
+from geopal.cli import load_model
+from geopal.dynamics import limit_model
 from geopal.formula import Announce, Effort, UnsupportedOperator, parse, random_formula
-from geopal.rewrite import AxiomId, check_axiom
+from geopal.rewrite import AxiomId, check_axiom, equivalent_on
 from geopal.sslmodel import (
     SSLModel,
     Situation,
@@ -17,6 +20,9 @@ from geopal.sslmodel import (
     random_ssl_model,
     situations,
 )
+from geopal.topology import bits
+
+MERGE = Path(__file__).parent / "data" / "merge.ssl.json"
 
 
 def pair_model(p_at=("s",)):
@@ -25,6 +31,24 @@ def pair_model(p_at=("s",)):
 
 def sit(point, *members):
     return Situation(point, frozenset(members))
+
+
+def rebuilt(model, holding):
+    """The update of a fresh model to the situations in `holding`, built as
+    a fresh model of the shrunk sets: the reference for updates, which keep
+    their root's fields and a carrier mask."""
+    assert model.carrier == model._listed, "a fresh model"
+    shrunk = [frozenset(t for t in u if Situation(t, u) in holding) for u in model.sigma]
+    surviving = frozenset().union(*shrunk)
+    return SSLModel(
+        tuple(p for p in model.points if p in surviving),
+        tuple(u for u in shrunk if u),
+        {atom: area & surviving for atom, area in model.valuation.items()},
+    )
+
+
+def oracle_truth(model, f):
+    return frozenset(s for s in model.loci() if model.satisfies(s, f))
 
 
 def test_situations_enumeration_and_order():
@@ -57,9 +81,7 @@ def test_announcement_agrees_with_knowledge_reduction_here():
 def test_update_shrinks_each_neighbourhood():
     model = pair_model()
     updated = model.update(parse("p"))
-    assert updated.points == ("s",)
-    assert set(updated.sigma) == {frozenset({"s"})}
-    assert updated.valuation["p"] == frozenset({"s"})
+    assert updated.to_json() == {"kind": "ssl", "points": ["s"], "sets": [["s"]], "valuation": {"p": ["s"]}}
 
 
 def test_update_by_truth_is_identity():
@@ -79,17 +101,22 @@ def test_update_monotone():
     for seed in range(200):
         model = random_ssl_model(seed)
         f = random_formula(rng, max_depth=4, modal="KLED", announce_depth=1)
-        updated = model.update(f)
-        assert set(updated.points) <= set(model.points)
-        for member in updated.sigma:
-            assert any(member <= original for original in model.sigma)
+        listed = model.update(f).to_json()
+        assert set(listed["points"]) <= set(model.points)
+        for member in listed["sets"]:
+            assert any(set(member) <= original for original in model.sigma)
 
 
 def test_stray_points_drop_on_any_update():
     # A point in no observation set can never occur in a situation.
     model = SSLModel.from_sets(["s", "t", "u"], [["s", "t"]], {"p": ["s", "t", "u"]})
-    updated = model.update(parse("p"))
-    assert updated.points == ("s", "t")
+    updated = model.update(parse("p"))  # p holds at every situation
+    assert updated.to_json()["points"] == ["s", "t"]
+    assert updated != model and updated.size == model.size - 1
+    assert limit_model(model, parse("p")).sizes == (model.size, updated.size)
+    # A disjoint union keeps the points in no set of a fresh model only.
+    union, _ = SSLModel.disjoint_union([model, updated])
+    assert union.size == model.size + updated.size
 
 
 def test_persistence_boolean_confirmed():
@@ -184,18 +211,22 @@ def test_merging_neighbourhoods_collapse():
         ["s", "t", "u"], [["s", "t"], ["s", "u"]], {"p": ["s"]}
     )
     updated = model.update(parse("p"))
-    assert updated.sigma == (frozenset({"s"}),)
+    assert updated.to_json()["sets"] == [["s"]]
+    # The two sets stay two bits, and read out as one situation.
+    assert updated._all.bit_count() == 2 and updated.loci() == [sit("s", "s")]
+    for text in ("K p", "E p", "~D ~p", "L q"):
+        assert updated.truth(parse(text)) == oracle_truth(updated, parse(text)), text
 
 
-def test_merged_neighbourhoods_pull_every_old_situation():
+def test_merged_neighbourhoods_keep_every_old_situation():
     # s, t, u: three sets that all shrink to {s} when p (true only at s) is
-    # announced, so the one new situation (s, {s}) pulls three old ones.
+    # announced, so the one new situation (s, {s}) is three old ones' bits.
     model = SSLModel.from_sets(
         ["s", "t", "u"], [["s", "t"], ["s", "u"], ["s", "t", "u"]], {"p": ["s"], "q": ["s", "u"]}
     )
-    updated, pull = sslmodel.apply_update(model, model.table(parse("p")))
-    assert updated.sigma == (frozenset({"s"}),)
-    assert [model._situations[i] for i in range(len(model._situations)) if pull[0] >> i & 1] == [
+    updated = model.update(parse("p"))
+    assert updated.to_json()["sets"] == [["s"]] and updated.loci() == [sit("s", "s")]
+    assert [model._situations[i] for i in bits(updated._all)] == [
         sit("s", "s", "t"), sit("s", "s", "u"), sit("s", "s", "t", "u")
     ]
     for text in ("[!p] K q", "[!p] E q", "[!q] L ~p", "[!q] D K p", "[![!q] L p] E K q"):
@@ -210,12 +241,11 @@ def test_truth_through_merging_updates_on_random_models():
     for seed in range(1000):
         model = random_ssl_model(seed, max_points=4, max_sets=6)
         announced = random_formula(rng, max_depth=2, modal="KLED")
-        updated, pull = sslmodel.apply_update(model, model.table(announced))
-        kept = sum(1 for m in model._member_masks if m & model.table(announced))
-        if len(updated.sigma) == kept:
+        updated = model.update(announced)
+        if updated._all.bit_count() == len(updated.loci()):
             continue  # no two sets merged
         merges += 1
-        assert len(pull) == len(updated.loci())
+        assert updated.loci() == rebuilt(model, model.truth(announced)).loci()
         body = random_formula(rng, max_depth=3, modal="KLED", announce_depth=1)
         f = Announce(announced, body)
         holds = model.truth(f)
@@ -297,7 +327,8 @@ def test_persistence_witness_matches_the_direct_scan():
 
 def test_situations_and_refinements_keep_the_scan_order():
     # Read off each point's members; the order is still that of testing
-    # every member at every point, on models and on disjoint unions.
+    # every member at every point, on models and on disjoint unions.  The
+    # compiled refinement relation is that of testing every pair of sets.
     samples = [random_ssl_model(seed, max_points=6, max_sets=8) for seed in range(200)]
     samples.append(SSLModel.disjoint_union(samples[:20])[0])
     for model in samples:
@@ -306,7 +337,53 @@ def test_situations_and_refinements_keep_the_scan_order():
         )
         assert model._situations == scanned
         bit = {situation: i for i, situation in enumerate(scanned)}
-        assert model._refinement_masks == tuple(
-            sum(1 << bit[point, smaller] for smaller in model.sigma if point in smaller and smaller <= member)
-            for point, member in scanned
-        )
+        for point, smaller in scanned:
+            assert sslmodel._refined(1 << bit[point, smaller], model._effort) == sum(
+                1 << bit[point, member] for member in model.sigma if point in member and smaller <= member
+            )
+
+
+def test_updates_read_out_like_rebuilt_models():
+    # An update, and an update of it, against the fresh models of their
+    # shrunk sets: truth (nested announcements included), every read-out,
+    # the limit, and the first-locus read-outs.
+    rng = Random(43)
+    merges = 0
+    for seed in range(1000):
+        model = reference = random_ssl_model(seed, max_points=4, max_sets=6)
+        for _ in range(2):
+            announced = random_formula(rng, max_depth=2, modal="KLED")
+            holding = oracle_truth(reference, announced)
+            assert model.truth(announced) == holding, (seed, str(announced))
+            assert {model.track(s, holding) for s in holding} == set(rebuilt(reference, holding).loci())
+            model, reference = model.update(announced), rebuilt(reference, holding)
+            merges += model._all.bit_count() > len(model.loci())
+            assert model.loci() == reference.loci(), seed
+            assert model.to_json() == reference.to_json(), seed
+            assert model.describe() == reference.describe() and model.summary() == reference.summary()
+            assert (model.size, model.is_empty) == (reference.size, reference.is_empty)
+            for _ in range(2):
+                f = random_formula(rng, max_depth=3, modal="KLED", announce_depth=2)
+                g = random_formula(rng, max_depth=2, modal="KLED")
+                assert model.truth(f) == reference.truth(f), (seed, str(f))
+                assert equivalent_on(model, f, g) == equivalent_on(reference, f, g), (seed, str(f), str(g))
+                assert is_persistent(model, g) == is_persistent(reference, g), (seed, str(g))
+            trace, expected = limit_model(model, announced), limit_model(reference, announced)
+            assert trace.sizes == expected.sizes and trace.limit.to_json() == expected.limit.to_json()
+    assert merges >= 50, merges
+
+
+def test_first_loci_follow_loci_order_on_a_merging_update():
+    # At v the shrunk sets {v}, {s,v}, {u,v} come from sets whose bits are
+    # in the order {u,v}, {v}, {s,v}; the witnesses follow loci().
+    updated = load_model(str(MERGE)).update(parse("p"))
+    by_bit = list(dict.fromkeys(updated._order[i] for i in bits(updated._all)))
+    assert set(by_bit) == set(updated.loci()) and by_bit != updated.loci()
+    fresh = SSLModel.from_json(updated.to_json())
+    q, known = parse("q"), parse("K q")  # differ at (v, {s,v}) and (v, {u,v})
+    assert equivalent_on(updated, q, known).witness == sit("v", "s", "v") == equivalent_on(fresh, q, known).witness
+    witness = sslmodel.PersistenceWitness("v", frozenset({"s", "v"}), frozenset({"v"}))
+    assert is_persistent(updated, parse("L ~q")) == witness == is_persistent(fresh, parse("L ~q"))
+    report = persistence_immunity_check(updated, parse("p"), [q, known])
+    assert report == persistence_immunity_check(fresh, parse("p"), [q, known])
+    assert report.checks == 2 * len(updated.loci()) < 2 * updated._all.bit_count()
