@@ -26,8 +26,9 @@ so formula-keyed memos hash one node per lookup.  Parsing, `walk`,
 `fold`, `repr`, pickling and both evaluation loops are iterative:
 `tabulate` computes truth sets for every model kind, and `holds` recurses
 only through a model's modal clauses.  `Model` is the half of the model
-protocol the three kinds share: the memoized truth table, the read-out of
-a mask as loci, the update by a formula and the oracle's entry point.
+protocol the three kinds share: the memoized truth table, each box and
+diamond as a preimage over the kind's relation, the read-out of a mask as
+loci, the update by a formula and the oracle's entry point.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from random import Random
 
-from .topology import bits
+from .topology import bits, preimage
 
 
 class FormulaError(Exception):
@@ -351,6 +352,9 @@ FRAGMENTS = {
     "product": _BOOLEAN | {KnowI},
 }
 
+# Each diamond and its box, of which it is the dual ~B~.
+DUALS = {Closure: Interior, Possible: Know, EffortDual: Effort}
+
 
 def check_fragment(f: Formula, semantics: str):
     """Raise UnsupportedOperator at the first node outside the semantics' fragment."""
@@ -404,7 +408,7 @@ def tabulate(model, f: Formula):
 
     The model supplies `_all`, the mask of every locus; `_tables`, a
     formula-keyed memo; `_modal(node, body_mask)` for atoms (`body_mask`
-    None) and modalities; and `_announce(node, announced_mask)` for
+    None) and modalities (`Model._modal`); and `_announce(node, mask)` for
     `[!a] b`, which reads b's table on the updated model.  The connectives
     use only `everything - x`, `&` and `|`.
 
@@ -459,10 +463,10 @@ class Model:
     product models share; each kind is a frozen dataclass deriving from it.
 
     A kind supplies `fragment`, its key in `FRAGMENTS`; `_order`, the locus
-    at each mask bit; its atoms and modalities for `tabulate` (`_modal`)
-    and for `holds` (`_holds`); and `locus`.  The base states `table(f)`,
-    f's truth mask memoized in `_tables`, and reads truth and updates
-    through it.
+    at each mask bit; `_atoms` and `_relation(f)`, its atom masks and the
+    relation of a modal node, for `_modal`; `_holds`, its clauses for
+    `holds`; and `locus`.  The base states `_modal` and `table(f)`, f's
+    truth mask memoized in `_tables`, and reads truth and updates through it.
 
     A model is its root's fields (the root is the model no announcement
     produced) plus `carrier`, the mask of its loci over the root's index;
@@ -528,6 +532,16 @@ class Model:
                 self.__getstate__(), carrier=carrier, **{name: getattr(self, name) for name in self._shared}
             )
         return model
+
+    def _modal(self, f: Formula, body: int | None) -> int:
+        """The mask of an atom, or of a box or diamond over f's relation."""
+        everything = self._all
+        if type(f) is Atom:
+            return self._atoms.get(f.name, 0) & everything
+        relation = self._relation(f)
+        if type(f) in DUALS:
+            return everything & preimage(relation, body)
+        return everything & ~preimage(relation, everything & ~body)
 
     def _announce(self, f: Formula, announced: int) -> int:
         """Loci failing the announcement satisfy it vacuously; the update

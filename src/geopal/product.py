@@ -15,14 +15,14 @@ worlds.  The oracle `satisfies` is `formula.holds` over the model's own
 clauses: atoms, K_i over the factor opens, and announcements world by world.
 
 A model is its own truth-set evaluator, like the other two kinds: it
-states its atoms and K_i (`_modal`) for `formula.tabulate`.  Truth tables
-are int masks.  Bit i stands for the i-th listed world of the root model
-(the model no announcement produced) in sorted order.  An update keeps the
-root's fields and index and is told apart by its carrier, the mask of its
-surviving worlds (`formula.Model.updated`), so an announcement's body needs
-no lifting and an atom is a root mask `& carrier`.  Only listed worlds are
-indexed, and how K_i reads the index depends on whether the root lists the
-whole cartesian product.
+states its atom masks and the relation K_i is a box over (`_relation`).
+Truth tables are int masks.  Bit i stands for the i-th listed world of the
+root model (the model no announcement produced) in sorted order.  An
+update keeps the root's fields and index and is told apart by its carrier,
+the mask of its surviving worlds (`formula.Model.updated`), so an
+announcement's body needs no lifting and an atom is a root mask
+`& carrier`.  Only listed worlds are indexed, and the form of K_i's
+relation depends on whether the root lists the whole cartesian product.
 
 When it does, the index is mixed radix.  Each factor's labels are ranked
 (sorted, or in factor order for every factor when the labels of some
@@ -32,17 +32,15 @@ factors after j; this is the sorted order whenever each factor's labels
 compare.  The worlds whose coordinate i has rank r are a block of
 `place_i` ones repeated every `size_i * place_i` bits, shifted up by
 `r * place_i`, so moving coordinate i from point b to point a shifts a
-mask by `(rank a - rank b) * place_i`.  K_i is then whole-int arithmetic
-with no loop over worlds, the shift-and-mask form of symbolic DEL model
-checking (van Benthem, van Eijck, Gattinger & Su, LORI 2015): a surviving
-world outside the area is ignorant, and so is its variant at every point a
-whose minimal open holds its coordinate; the moves are grouped by length,
-one AND and one shift per length.  A root listing only part of the product
-would need an index exponential in the number of factors for that form, so
-its K_i reads a per-agent table built from its lines (the worlds that agree
-on every coordinate but the agent's): for each world, the mask of listed
-variants inside its coordinate's minimal open.  Either table is built once
-per root model and handed to its updates.
+mask by `(rank a - rank b) * place_i`.  K_i's relation is then moves, one
+per length, with no loop over worlds: the variant at every point a whose
+minimal open holds a world's coordinate.  A root listing only part of the
+product would need an index exponential in the number of factors for
+that, so its relation is pairs built from its lines (the worlds that
+agree on every coordinate but the agent's): each world's listed variants
+inside its coordinate's minimal open.  Either is built once per root
+model and handed to its updates; both are the set encodings of symbolic
+DEL model checking (van Benthem, van Eijck, Gattinger & Su, LORI 2015).
 """
 
 from __future__ import annotations
@@ -73,6 +71,7 @@ from .topology import (
     json_list,
     json_valuation,
     parse_label,
+    preimage,
     random_topology,
     topological_sum,
 )
@@ -209,8 +208,7 @@ class ProductModel(Model):
 
     @cached_property
     def _knowledge(self) -> dict[int, tuple]:
-        """Per agent, `knowledge_interior`'s table, built on first use: shift
-        triples when `_radix` is set, (need, members) pairs otherwise."""
+        """Per agent, K_i's relation, built on first use (`_agent_relation`)."""
         return {}
 
     # The benchmark harness under bench/ traces and patches `table` and
@@ -218,15 +216,20 @@ class ProductModel(Model):
     table = Model.table
     updated = Model.updated
 
-    def _modal(self, f: Formula, tb: int | None) -> int:
-        """The mask of an atom, or of K_i over the body's mask."""
-        match f:
-            case Atom(name):
-                return self._atoms.get(name, 0) & self.carrier
-            case KnowI(agent):
-                _check_agent(self, agent)
-                return knowledge_interior(self, tb, agent)
+    def _relation(self, f: Formula) -> tuple:
+        """K_i: the variants inside coordinate i's minimal open."""
+        if type(f) is KnowI:
+            return self._agent_relation(f.agent)
         check_fragment(f, "product")  # raises: every modal node of the fragment is matched above
+
+    def _agent_relation(self, agent: int) -> tuple:
+        """The agent's relation, checked to name a factor and built once per
+        root: moves when `_radix` is set (`_shift_table`), else pairs."""
+        _check_agent(self, agent)
+        if agent not in self._knowledge:
+            build = _knowledge_table if self._radix is None else _shift_table
+            self._knowledge[agent] = build(self, agent)
+        return self._knowledge[agent]
 
     def satisfies(self, world, f: Formula) -> bool:
         """The shared oracle, after checking that every K_i names a factor;
@@ -326,7 +329,7 @@ ProductEvaluator = ProductModel
 
 def _check_agent(model: ProductModel, agent: int):
     """Raise UnsupportedOperator unless the model has a factor for the agent."""
-    if agent > model.agent_count:
+    if not 1 <= agent <= model.agent_count:
         raise UnsupportedOperator(f"agent {agent} out of range for {model.agent_count} factors")
 
 
@@ -337,31 +340,15 @@ def knowledge_interior(model: ProductModel, area: int, agent: int) -> int:
     keeps every surviving variant along that coordinate inside the area.
     The condition is monotone in the open, so the minimal open of that
     coordinate decides it: its variants in that open must include no
-    surviving world outside the area.  On a root listing the whole product
-    this is read by shifts (`_shift_table`), otherwise from each world's
-    `need` mask, its listed variants in that open (`_knowledge_table`).
-    The table is built once per root model and kept in `_knowledge`.
+    surviving world outside the area.  That is the box over the agent's
+    relation (`ProductModel._agent_relation`).
     """
     worlds = model._all
-    outside = worlds & ~area
-    table = model._knowledge.get(agent)
-    if table is None:
-        build = _knowledge_table if model._radix is None else _shift_table
-        table = model._knowledge[agent] = build(model, agent)
-    if model._radix is None:
-        known = 0
-        for need, members in table:
-            if not need & outside:
-                known |= members
-        return known & worlds
-    unknown = outside
-    for mask, up, down in table:
-        unknown |= (outside & mask) << up >> down
-    return worlds & ~unknown
+    return worlds & ~preimage(model._agent_relation(agent), worlds & ~area)
 
 
-def _knowledge_table(model: ProductModel, agent: int) -> tuple[tuple[int, int], ...]:
-    """(need, members) pairs over the root's worlds: `members` is every world
+def _knowledge_table(model: ProductModel, agent: int) -> tuple:
+    """`preimage` pairs over the root's worlds: `members` is every world
     whose listed variants inside its coordinate's minimal open are `need`."""
     axis = agent - 1
     factor = model.factors[axis]
@@ -375,16 +362,16 @@ def _knowledge_table(model: ProductModel, agent: int) -> tuple[tuple[int, int], 
             minimal = factor.minimal[position]
             need = sum(other_bit for other, other_bit in line if minimal >> other & 1)
             groups[need] = groups.get(need, 0) | bit
-    return tuple(groups.items())
+    return tuple(groups.items()), ()
 
 
-def _shift_table(model: ProductModel, agent: int) -> tuple[tuple[int, int, int], ...]:
-    """(mask, up, down) triples over the root's worlds: a world outside the
-    area whose coordinate b lies in the minimal open of another point a
-    makes its variant at a ignorant, and that variant's bit is the world's
-    moved up or down by the difference of their shifts.  Moves of equal
-    length share a triple, `mask` the worlds they start from.  A world
-    outside the area is itself ignorant (b = a), which is no move."""
+def _shift_table(model: ProductModel, agent: int) -> tuple:
+    """`preimage` moves over the root's worlds: a world outside the area
+    whose coordinate b lies in the minimal open of another point a makes
+    its variant at a ignorant, and that variant's bit is the world's moved
+    up or down by the difference of their shifts.  Moves of equal length
+    share a triple, its mask the worlds they start from.  A world outside
+    the area is itself ignorant (b = a), which is no move."""
     factor = model.factors[agent - 1]
     _, place, shifts = model._radix[agent - 1]
     period = len(factor.points) * place
@@ -394,7 +381,7 @@ def _shift_table(model: ProductModel, agent: int) -> tuple[tuple[int, int, int],
         for other in bits(minimal & ~(1 << point)):
             length = shifts[point] - shifts[other]
             moves[length] = moves.get(length, 0) | first << shifts[other]
-    return tuple((mask, max(length, 0), max(-length, 0)) for length, mask in moves.items())
+    return (), tuple((mask, max(length, 0), max(-length, 0)) for length, mask in moves.items())
 
 
 def _mask(bit: dict[World, int], worlds: Iterable[World]) -> int:

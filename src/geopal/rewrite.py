@@ -44,6 +44,7 @@ from functools import partial
 from typing import Callable
 
 from .formula import (
+    DUALS,
     FRAGMENTS,
     And,
     Announce,
@@ -81,16 +82,13 @@ def _check_semantics(semantics: str):
         raise ValueError(f"unknown semantics {semantics!r}, expected one of {SEMANTICS}")
 
 
-_DUALS = {Closure: Interior, Possible: Know, EffortDual: Effort}
-
-
 def normalize_duals(f: Formula) -> Formula:
     """Rewrite C, L, D into ~I~, ~K~, ~E~ form, bottom-up."""
     return fold(f, _dual_step)
 
 
 def _dual_step(f: Formula, kids) -> Formula:
-    dual = _DUALS.get(type(f))
+    dual = DUALS.get(type(f))
     return rebuild(f, kids) if dual is None else Not(dual(Not(kids[0])))
 
 

@@ -9,17 +9,17 @@ shrinks every neighbourhood individually: U_f = {t in U : (t, U) satisfies
 f}, empty results dropped, and only the points of surviving situations stay.
 
 A model is its own truth-set evaluator, like the other two kinds: it
-states its atoms, K/L and E/D (`_modal`) for `formula.tabulate`, over int
-masks of the root model's situations, by point, then by set in sigma order.
-An update is the root's fields plus its carrier, the mask of its surviving
-situations (`formula.Model.updated`): set U becomes {y : (y, U) in the
-carrier}, an announcement's body needs no lifting, and atoms and K/L read
-root masks `& carrier`.  Two sets that shrink to the same set stay two bits
-of equal truth, read out once.  Effort is not inherited: (x, V) refines
-(x, U) when V's surviving points lie within U's, which can hold when V is
-not within U, so each model compiles its own relation, and E and D are one
-AND and one shift per signed distance between bits.  The oracle `satisfies`
-is `formula.holds` over the model's quantifier clauses.
+states its atom masks and the relations of K/L and E/D (`_relation`) over
+int masks of the root model's situations, by point, then by set in sigma
+order.  An update is the root's fields plus its carrier, the mask of its
+surviving situations (`formula.Model.updated`): set U becomes
+{y : (y, U) in the carrier}, an announcement's body needs no lifting, and
+atoms and K/L read the root's masks.  Two sets that shrink to the same set
+stay two bits of equal truth, read out once.  Effort is not inherited:
+(x, V) refines (x, U) when V's surviving points lie within U's, which can
+hold when V is not within U, so each model compiles its own relation, one
+shift per signed distance between bits.  The oracle `satisfies` is
+`formula.holds` over the model's quantifier clauses.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class SSLModel(Model):
         return cls(tuple(points), tuple(sigma), valuation, sum(blocks) | strays << start), tuple(blocks)
 
     # Derived state, built on first use; the root's index is handed to its updates.
-    _shared = ("_situations", "_member_masks", "_atoms", "_listed")
+    _shared = ("_situations", "_members", "_atoms", "_listed")
 
     @cached_property
     def _situations(self) -> tuple["Situation", ...]:
@@ -139,12 +139,13 @@ class SSLModel(Model):
         return tuple(Situation(point, member) for point, members in around.items() for member in members)
 
     @cached_property
-    def _member_masks(self) -> tuple[int, ...]:
-        """The root's situations of each sigma member, in sigma order."""
+    def _members(self) -> tuple:
+        """K and L's relation: the root's situations of each sigma member, in
+        sigma order, as `preimage` pairs, each member needing itself."""
         masks = dict.fromkeys(self.sigma, 0)
         for i, (_, member) in enumerate(self._situations):
             masks[member] |= 1 << i
-        return tuple(masks.values())
+        return tuple(zip(masks.values(), masks.values())), ()
 
     @cached_property
     def _atoms(self) -> dict[str, int]:
@@ -167,8 +168,8 @@ class SSLModel(Model):
         return self.carrier & (1 << len(self._situations)) - 1
 
     @cached_property
-    def _effort(self) -> tuple[tuple[int, int, int], ...]:
-        """The refinement relation as (mask, up, down) moves, one per signed
+    def _effort(self) -> tuple:
+        """E and D's relation, refinement, as `preimage` moves, one per signed
         distance between bits: each carries the situations (x, V) in its mask
         to (x, U), for V's surviving points within U's."""
         situations, shrunk = self._situations, self._shrunk
@@ -181,7 +182,7 @@ class SSLModel(Model):
                 for to, larger in row:
                     if to != at and smaller <= larger:
                         moves[to - at] = moves.get(to - at, 0) | 1 << at
-        return tuple((mask, max(d, 0), max(-d, 0)) for d, mask in moves.items())
+        return (), tuple((mask, max(d, 0), max(-d, 0)) for d, mask in moves.items())
 
     @cached_property
     def _shrunk(self) -> dict[frozenset, frozenset]:
@@ -189,7 +190,7 @@ class SSLModel(Model):
         situations, everything = self._situations, self._all
         return {
             member: frozenset(situations[i].point for i in bits(mask & everything)) if mask & ~everything else member
-            for member, mask in zip(self.sigma, self._member_masks)
+            for member, (mask, _) in zip(self.sigma, self._members[0])
         }
 
     @cached_property
@@ -234,23 +235,13 @@ class SSLModel(Model):
     table = Model.table
     updated = Model.updated
 
-    # Each `sum` below adds masks with no bit in common: sigma members,
-    # which partition the situations.
-    def _modal(self, f: Formula, tb: int | None) -> int:
-        """The mask of an atom, or of K/L/E/D over the body's mask."""
-        everything = self._all
-        match f:
-            case Atom(name):
-                return self._atoms.get(name, 0) & everything
-            case Know():
-                outside = everything - tb
-                return everything & sum(m for m in self._member_masks if not m & outside)
-            case Possible():
-                return everything & sum(m for m in self._member_masks if m & tb)
-            case Effort():
-                return everything - _refined(everything - tb, self._effort)
-            case EffortDual():
-                return _refined(tb, self._effort)
+    def _relation(self, f: Formula) -> tuple:
+        """K/L: the current set's situations; E/D: refinements around the point."""
+        kind = type(f)
+        if kind is Know or kind is Possible:
+            return self._members
+        if kind is Effort or kind is EffortDual:
+            return self._effort
         check_fragment(f, "ssl")  # raises: every modal node of the fragment is matched above
 
     def _holds(self, situation: "Situation", f: Formula) -> bool:
@@ -326,14 +317,6 @@ def situations(model: SSLModel) -> list[Situation]:
 def _canonical(sets: Iterable[frozenset], index: Mapping[Hashable, int]) -> tuple[frozenset, ...]:
     """The sets by size, then by the indices of their points."""
     return tuple(sorted(sets, key=lambda m: (len(m), sorted(index[p] for p in m))))
-
-
-def _refined(mask: int, moves: tuple[tuple[int, int, int], ...]) -> int:
-    """The situations with a refinement in the mask, itself included."""
-    refined = mask
-    for source, up, down in moves:
-        refined |= (mask & source) << up >> down
-    return refined
 
 
 # Each dual pair differs only in its quantifier: "for every" or "for some".

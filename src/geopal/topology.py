@@ -42,6 +42,21 @@ def bits(mask: int):
         mask ^= low
 
 
+def preimage(relation: tuple, mask: int) -> int:
+    """The loci related to some locus of the mask, itself included (every
+    relation here is reflexive).  A relation is `(pairs, moves)`: a pair
+    `(need, members)` adds the members when the mask meets `need`, a move
+    `(source, up, down)` the mask's bits in `source` shifted up or down."""
+    pairs, moves = relation
+    result = mask
+    for need, members in pairs:
+        if need & mask:
+            result |= members
+    for source, up, down in moves:
+        result |= (mask & source) << up >> down
+    return result
+
+
 @dataclass(frozen=True)
 class Violation:
     """One failed axiom, with the offending sets as label frozensets."""
@@ -117,22 +132,26 @@ class Topology:
     def labels(self, mask: int) -> frozenset:
         return frozenset(self.points[i] for i in bits(mask))
 
+    @cached_property
+    def relation(self) -> tuple:
+        """Each minimal open with the points it is minimal for, as `preimage`
+        pairs: the interior is the box over this relation, the closure its diamond."""
+        groups = {}
+        for i, nbhd in enumerate(self.minimal):
+            groups[nbhd] = groups.get(nbhd, 0) | 1 << i
+        return tuple(groups.items()), ()
+
     def interior(self, area: int) -> int:
-        """Union of the minimal opens inside the area: the largest open inside it."""
+        """The points whose minimal open is inside the area: the largest open inside it."""
         if area & ~self.full_mask:
             raise TopologyError("area not within the carrier")
-        outside = ~area
-        result = 0
-        for nbhd in self.minimal:
-            if not nbhd & outside:
-                result |= nbhd
-        return result
+        return self.full_mask & ~preimage(self.relation, self.full_mask & ~area)
 
     def closure(self, area: int) -> int:
-        """Complement of the interior of the complement."""
+        """The points whose minimal open meets the area."""
         if area & ~self.full_mask:
             raise TopologyError("area not within the carrier")
-        return self.full_mask & ~self.interior(self.full_mask & ~area)
+        return preimage(self.relation, area)
 
     @classmethod
     def from_json(cls, data) -> "Topology":

@@ -1,16 +1,17 @@
 """Single-agent topological models and their announcement update.
 
 A model is its own truth-set evaluator, like the other two kinds: it
-states its atoms and `I`/`C` (`_modal`), and `formula.Model.table` runs
-`formula.tabulate` over them, so the depth of Python recursion is the depth
-of announcement nesting.  `extension(model, f)` is that table as a
-function.
+states its atom masks and the relation `I` and `C` are a box and a
+diamond over (`_relation`: the space's minimal opens), and
+`formula.Model.table` runs `formula.tabulate` over them, so Python
+recursion is only as deep as announcement nesting.  `extension(model, f)`
+is that table as a function.
 
 The update by an announcement is the subspace on its truth set.  It keeps
-the root's space and valuation and is told apart by its carrier, the mask
-of its points (`formula.Model.updated`), so nothing is re-indexed: atoms
-are root masks `& carrier`, and the subspace's interior and closure are
-expressions over the root's, `I_S(A) = S & I((X - S) | A)` and
+the root's space and valuation and is told apart by its carrier S, the
+mask of its points (`formula.Model.updated`), so nothing is re-indexed:
+atoms are root masks `& S`, and the box and diamond cut to S are the
+subspace's interior and closure, `I_S(A) = S & I((X - S) | A)` and
 `C_S(A) = S & C(A)`.  Only the output (`to_json`, `describe`, `summary`)
 builds the subspace as a space of its own (`Topology.restrict`).
 
@@ -124,16 +125,14 @@ class TopoModel(Model):
                     for open_ in space.opens if open_ >> s & 1
                 )
 
-    def _modal(self, f: Formula, body: int | None) -> int:
-        """The mask of an atom, or of I/C over the body's mask, in the subspace."""
-        kind = type(f)
-        carrier = self.carrier
-        if kind is Atom:
-            return self.valuation.get(f.name, 0) & carrier
-        if kind is Interior:
-            return carrier & self.space.interior((self.space.full_mask - carrier) | body)
-        if kind is Closure:
-            return carrier & self.space.closure(body)
+    @property
+    def _atoms(self) -> dict[str, int]:
+        return self.valuation
+
+    def _relation(self, f: Formula) -> tuple:
+        """I and C: the space's minimal opens."""
+        if type(f) is Interior or type(f) is Closure:
+            return self.space.relation
         check_fragment(f, "topo")  # raises: every modal node of the fragment is matched above
 
     def locus(self, point: Hashable) -> Hashable:

@@ -222,3 +222,39 @@ def test_disjoint_union_tables_are_each_models_table_in_its_block(kind, size):
         table = union.table(f)
         for model, block in zip(models, blocks):
             assert compress_mask(table & block, block) == compress_mask(model.table(f), model._all), (kind, str(f))
+
+
+# Per kind: a sample to join, and formulas nesting announcements under every
+# modality of the kind.  The oracle enumerates the opens of a topological
+# sum, exponential in its model count, so topo and product unions join three
+# models; the ssl union joins 25, and its masks are wider than 64 bits.
+ORACLE_UNIONS = {
+    "topo": (
+        lambda: _sample(lambda seed: random_topomodel(seed, 3, 2), 3),
+        ["[!q] C p", "[!C p] I [!q] C ~p", "C [!I p] I (q | [!~q] C p)"],
+    ),
+    "ssl": (
+        lambda: _sample(random_ssl_model, 25),
+        ["[!p] K [!L q] E [!D ~p] D q", "D K [!p | q] E ~q", "D ~L [![!q] K p] E L q"],
+    ),
+    "product": (
+        lambda: _sample(random_product_model, 3, 2),
+        ["[!p] K1 [!q] K2 ~p", "K2 [!K1 p | q] K1 [!~q] p", "[![!q] K1 p] K2 [!p] K1 q"],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ORACLE_UNIONS)
+def test_kernel_tables_match_the_oracle_on_disjoint_unions(kind):
+    sample, texts = ORACLE_UNIONS[kind]
+    models = sample()
+    union, _ = type(models[0]).disjoint_union(models)
+    assert kind != "ssl" or union._all.bit_length() > 64
+    verdicts = set()
+    for text in texts:
+        f = parse(text)
+        holds = union.truth(f)
+        for locus in union.loci():
+            verdicts.add(locus in holds)
+            assert union.satisfies(locus, f) == (locus in holds), (text, locus)
+    assert verdicts == {True, False}

@@ -130,6 +130,17 @@ def test_world_and_agent_validation():
             model.satisfies((1, 0), parse(text))
 
 
+def test_knowledge_interior_refuses_agents_without_a_factor():
+    # Agent 0 would read factor -1 (agent 2 here) and -1 factor -2 (agent
+    # 1); agent 3 has no factor.  None of them builds or caches a relation.
+    model = indiscrete_pair()
+    for agent in (0, -1, model.agent_count + 1):
+        with pytest.raises(UnsupportedOperator, match=f"agent {agent} out of range for 2 factors"):
+            product.knowledge_interior(model, model._all, agent)
+    assert model._knowledge == {}
+    assert product.knowledge_interior(model, model._all, 2) == model._all
+
+
 def test_fresh_model_has_full_product():
     model = random_product_model(77)
     expected = 1
@@ -270,8 +281,8 @@ def test_masks_on_unsorted_labels_and_partial_worlds():
 def _knowledge_by_lines(model, area, agent):
     """K_i read from the per-line (need, members) table, whatever the worlds."""
     outside = model._all & ~area
-    table = product._knowledge_table(model, agent)
-    return model._all & sum(members for need, members in table if not need & outside)
+    pairs, _ = product._knowledge_table(model, agent)
+    return model._all & sum(members for need, members in pairs if not need & outside)
 
 
 def _factor(rng, size, labels):

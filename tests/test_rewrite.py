@@ -33,7 +33,7 @@ from geopal.formula import (
     render,
     walk,
 )
-from geopal import product, rewrite, sslmodel, topomodel
+from geopal import formula, product, rewrite, sslmodel, topology, topomodel
 from geopal.rewrite import (
     SEMANTICS,
     AxiomId,
@@ -154,15 +154,18 @@ def test_oracle_is_independent_of_the_fast_paths(monkeypatch):
     def fast_path(*args):
         raise AssertionError("the oracle reached a fast path")
 
-    monkeypatch.setattr(sslmodel.SSLModel, "_effort", property(fast_path))  # the compiled E/D relation
-    monkeypatch.setattr(product, "knowledge_interior", fast_path)
+    for module in (topology, formula, product):  # the modal kernel, under each name it is called by
+        monkeypatch.setattr(module, "preimage", fast_path)
     for kind in (topomodel.TopoModel, sslmodel.SSLModel, product.ProductModel):
         monkeypatch.setattr(kind, "table", fast_path)
+    modal = {"topo": "C p", "ssl": "E p", "product": "K1 p"}
     for fresh in (random_topomodel(99, 3, 2), random_ssl_model(99), random_product_model(99)):
         with pytest.raises(AssertionError, match="fast path"):  # the patches are live
             fresh.truth(parse("p"))
+        with pytest.raises(AssertionError, match="fast path"):
+            fresh._modal(parse(modal[fresh.fragment]), fresh._all)
     with pytest.raises(AssertionError, match="fast path"):
-        random_ssl_model(99)._effort
+        product.knowledge_interior(random_product_model(99), 0, 1)
     assert sum(any(isinstance(n, Announce) for n in walk(f)) for _, f, _ in cases) > 100
     for model, f, holds in cases:
         for locus in model.loci():

@@ -20,7 +20,7 @@ from geopal.sslmodel import (
     random_ssl_model,
     situations,
 )
-from geopal.topology import bits
+from geopal.topology import bits, preimage
 
 MERGE = Path(__file__).parent / "data" / "merge.ssl.json"
 
@@ -338,7 +338,7 @@ def test_situations_and_refinements_keep_the_scan_order():
         assert model._situations == scanned
         bit = {situation: i for i, situation in enumerate(scanned)}
         for point, smaller in scanned:
-            assert sslmodel._refined(1 << bit[point, smaller], model._effort) == sum(
+            assert preimage(model._effort, 1 << bit[point, smaller]) == sum(
                 1 << bit[point, member] for member in model.sigma if point in member and smaller <= member
             )
 

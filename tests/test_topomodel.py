@@ -22,10 +22,10 @@ from geopal.formula import (
     rebuild,
     walk,
 )
-from geopal import rewrite
+from geopal import formula, rewrite
 from geopal.product import ProductModel
 from geopal.rewrite import equivalent_on, reduce
-from geopal.topology import Topology, TopologyError, compress_mask, verify_topology
+from geopal.topology import TopologyError, compress_mask, verify_topology
 from geopal.topomodel import TopoModel, extension, random_topomodel, satisfies, update
 
 
@@ -271,26 +271,26 @@ def test_chain_reduces_in_time_linear_in_its_dag(monkeypatch):
 
 
 @pytest.fixture
-def interior_calls(monkeypatch):
-    """The areas passed to Topology.interior (closure calls it too)."""
+def kernel_calls(monkeypatch):
+    """The masks passed to the modal kernel, one per I or C node evaluated."""
     calls = []
-    interior = Topology.interior
+    kernel = formula.preimage
 
-    def counting(self, area):
-        calls.append(area)
-        return interior(self, area)
+    def counting(relation, mask):
+        calls.append(mask)
+        return kernel(relation, mask)
 
-    monkeypatch.setattr(Topology, "interior", counting)
+    monkeypatch.setattr(formula, "preimage", counting)
     return calls
 
 
-def test_each_shared_interior_is_computed_once(interior_calls):
+def test_each_shared_interior_is_computed_once(kernel_calls):
     model = random_topomodel(0, 6, 3)
     reduced = reduce(chained(3), "topo")
     kinds = [type(node) for node in walk(reduced)]
     assert Announce not in kinds and Closure not in kinds
     model.truth(reduced)
-    assert len(interior_calls) == kinds.count(Interior)
+    assert len(kernel_calls) == kinds.count(Interior)
 
 
 def test_deep_negation_chain_evaluates_and_updates():
@@ -305,12 +305,12 @@ def test_deep_negation_chain_evaluates_and_updates():
 # -- the per-model memo -----------------------------------------------------
 
 
-def test_truth_evaluates_each_node_object_once_per_model(interior_calls):
-    calls = interior_calls
+def test_truth_evaluates_each_node_object_once_per_model(kernel_calls):
+    calls = kernel_calls
     model = random_topomodel(3, 5, 3)
     shared = parse("I (p | C q)")
     first = model.truth(shared)
-    assert len(calls) == 2  # closure is the dual interior
+    assert len(calls) == 2  # one for I, one for C
     calls.clear()
     model.truth(Or(shared, Interior(Atom("q"))))
     assert len(calls) == 1  # only the new Interior
