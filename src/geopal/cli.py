@@ -38,7 +38,7 @@ from .dynamics import (
     limit_model,
     muddy_scenario,
 )
-from .formula import FormulaError, Model, complexity, parse, render, walk
+from .formula import FormulaError, Model, check_fragment, complexity, parse, render, walk
 from .games import GameTree, bi_via_announcements
 from .intervals import divergence_report
 from .product import ProductModel, fmt_world
@@ -117,10 +117,11 @@ def _cmd_check(args, out) -> int:
 def _cmd_update(args, out) -> int:
     model = _load(args.model, "update", Model)
     updated = model.update(_parse_formula(args.formula))
+    if args.emit:  # before any output, so a failed write prints nothing
+        dump_model(updated, args.emit)
     for line in updated.summary():
         print(line, file=out)
     if args.emit:
-        dump_model(updated, args.emit)
         print(f"written: {args.emit}", file=out)
     return 0
 
@@ -147,9 +148,10 @@ def _cmd_reduce(args, out) -> int:
 def _cmd_limit(args, out) -> int:
     model = _load(args.model, "limit", Model)
     trace = limit_model(model, _parse_formula(args.formula))
+    if args.emit:  # before any output, so a failed write prints nothing
+        dump_model(trace.limit, args.emit)
     _print_trace(trace, out)
     if args.emit:
-        dump_model(trace.limit, args.emit)
         print(f"written: {args.emit}", file=out)
     return 0
 
@@ -219,6 +221,8 @@ def _cmd_persistent(args, out) -> int:
         ]
         if not announcements:
             raise ValueError("--announcements lists no formula")
+        for announcement in announcements:  # refused before any output
+            check_fragment(announcement, "ssl")
     witness = is_persistent(model, f)
     if witness is not None:
         print(

@@ -408,8 +408,8 @@ def tabulate(model, f: Formula):
 
     The model supplies `_all`, the mask of every locus; `_tables`, a
     formula-keyed memo; `_modal(node, body_mask)` for atoms (`body_mask`
-    None) and modalities (`Model._modal`); and `_announce(node, mask)` for
-    `[!a] b`, which reads b's table on the updated model.  The connectives
+    None) and modalities (`Model._modal`); and `_announce(body, mask)` for
+    `[!a] b`, which reads b's table on the update to a's mask.  The connectives
     use only `everything - x`, `&` and `|`.
 
     Postfix order over two explicit stacks: `todo` holds nodes, a `None`
@@ -446,7 +446,7 @@ def tabulate(model, f: Formula):
             right = done.pop()
             value = (everything - done.pop()) | right
         elif kind is Announce:
-            value = model._announce(node, done.pop())
+            value = model._announce(node.body, done.pop())
         elif kind is Top:
             value = everything
         elif kind is Bot:
@@ -473,10 +473,11 @@ class Model:
     its constructor calls `_default_carrier`.  The base states the rest:
     `updated(mask)`, the same fields with the mask as carrier, memoized in
     `_updates` by that mask and handed the derived state the kind names in
-    `_shared`; `_announce`, which reads the body's table on it with no
-    re-indexing; the oracle's `_announced`, which finds the surviving loci
-    one by one; `size` and `is_empty`.  Two bits of a subset-space model
-    can be one situation, so `SSLModel` states its own `size` and `_loci`.
+    `_shared`; `_announce(body, mask)`, which reads the body's table on
+    the update to the announced mask with no re-indexing; the oracle's
+    `_announced`, which finds the surviving loci one by one; `size` and
+    `is_empty`.  Two bits of a subset-space model can be one situation, so
+    `SSLModel` states its own `size` and `_loci`.
 
     The memos are built on first use; equality and repr see only the
     fields, the carrier included, and `__getstate__` keeps the memos out
@@ -543,10 +544,11 @@ class Model:
             return everything & preimage(relation, body)
         return everything & ~preimage(relation, everything & ~body)
 
-    def _announce(self, f: Formula, announced: int) -> int:
-        """Loci failing the announcement satisfy it vacuously; the update
-        indexes the same loci, so its table needs no lifting."""
-        return (self._all - announced) | (announced & self.updated(announced).table(f.body))
+    def _announce(self, body: Formula, announced: int) -> int:
+        """The mask of [a] body, where a holds on the announced mask: loci
+        failing the announcement satisfy it vacuously, and the update indexes
+        the same loci, so the body's table on it needs no lifting."""
+        return (self._all - announced) | (announced & self.updated(announced).table(body))
 
     def _announced(self, locus, a: Formula) -> tuple["Model", object]:
         """The update to the loci where a holds, found one by one, and the locus in it."""

@@ -17,8 +17,10 @@ schemas.  `reduce` is one `formula.fold`: at each announcement it folds
 `_single_step` over the already eliminated body, so each node of that body
 is pushed once.  `axiom_instance`, and the instances `check_axiom` shares
 across its models, build every right side from it, so `check_axiom` probes
-the rules `reduce` applies.  Every step strictly decreases
-`formula.complexity`, so elimination terminates.
+the rules `reduce` applies.  A left side [f] g is the schema's definition:
+`check_axiom` reads it as the update step `Model._announce(g, mask of f)`
+and builds it as a node only for a counterexample it reports.  Every step
+strictly decreases `formula.complexity`, so elimination terminates.
 
 The effort schema is the one member of the set whose soundness is not
 guaranteed by the update semantics; `check_axiom` probes each schema
@@ -183,26 +185,28 @@ def _schema_body(axiom: AxiomId, psi, chi, agent: int) -> Formula:
 
 
 def _instances(axiom: AxiomId, pools, agent_count: int, nodes: dict) -> list[tuple]:
-    """(phi, psi, chi, agent, lhs, rhs) for every instantiation of the schema
-    over agents 1..agent_count, equal to what `axiom_instance` builds.
+    """(phi, psi, chi, agent, body, rhs) for every instantiation of the
+    schema over agents 1..agent_count, in `_instantiations` order: the left
+    side is [phi] body, and `axiom_instance` builds the same two sides.  No
+    left side is built; `check_axiom` reads it as `_announce(body, mask)`.
 
-    Each body and each [phi] g, left side or pushed, is built once per
+    Each body is resolved once per call, and equal bodies are one object
+    per `nodes`, which maps formulas to themselves: a body equal to a pool
+    formula is that formula.  Each pushed [phi] g is built once per
     `nodes`, keyed by the identities of its children, so repeated subterms
-    are one object.  A stored node holds its children, and the pools outlive
-    the dict, so no identity in a key is reused while it is in use.  `nodes`
-    may also map formulas to themselves: a body equal to one of them is
-    that object."""
-    instances = []
-    for phi, psi, chi, agent in _instantiations(axiom, pools, agent_count):
-        key = (id(psi), id(chi), agent)
-        body = nodes.get(key)
-        if body is None:
-            body = _schema_body(axiom, psi, chi, agent)
-            body = nodes[key] = nodes.setdefault(body, body)
-        pushed = [_announcement(nodes, phi, kid) for kid in children(body)]
-        lhs = _announcement(nodes, phi, body)
-        instances.append((phi, psi, chi, agent, lhs, _single_step(phi, body, pushed)))
-    return instances
+    are one object.  A stored node holds its children, and the pools
+    outlive the dict, so no identity in a key is reused while it is in
+    use."""
+    bodies = []
+    for psi, chi, agent in itertools.product(*_body_choices(axiom, pools, agent_count)):
+        body = _schema_body(axiom, psi, chi, agent)
+        body = nodes.setdefault(body, body)
+        bodies.append((psi, chi, agent, body, children(body)))
+    return [
+        (phi, psi, chi, agent, body, _single_step(phi, body, [_announcement(nodes, phi, kid) for kid in kids]))
+        for phi in pools["phi"]
+        for psi, chi, agent, body, kids in bodies
+    ]
 
 
 def _announcement(nodes: dict, announced: Formula, body: Formula) -> Announce:
@@ -305,10 +309,14 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
     """Evaluate both sides of the axiom at every locus of random models.
 
     The instances are built once per call (once per agent count for the
-    per-agent product schema), each body and each pushed [phi] g as one
-    shared node, so every model's memo finds repeated subterms by identity;
-    each right side is still `_single_step`, the step `reduce` applies.
-    Nothing is kept between calls.
+    per-agent product schema) as (phi, psi, chi, agent, body, rhs), each
+    body and each pushed [phi] g as one shared node, so every model's memo
+    finds repeated subterms by identity; each right side is still
+    `_single_step`, the step `reduce` applies.  No left side [phi] body is
+    built: its table is `_announce(body, table(phi))`, the step `tabulate`
+    takes at an announcement node, and `_counterexample` builds the node
+    only for a flagged (model, instance) pair.  Nothing is kept between
+    calls.
 
     Both sides of each instance are tabulated once per run of models, on
     their disjoint union (`disjoint_union` of the model kind): modal truth
@@ -340,8 +348,8 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
             instances = by_agents[agent_count] = _instances(axiom, pools, agent_count, nodes)
         union, blocks = type(run[0][1]).disjoint_union([model for _, model in run])
         flagged = [[] for _ in run]
-        for number, (*_, lhs, rhs) in enumerate(instances):
-            differ = union.table(lhs) ^ union.table(rhs)
+        for number, (phi, *_, body, rhs) in enumerate(instances):
+            differ = union._announce(body, union.table(phi)) ^ union.table(rhs)
             if differ:
                 for numbers, block in zip(flagged, blocks):
                     if block & differ:
@@ -358,8 +366,10 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
 
 def _counterexample(model, instance: tuple) -> Counterexample | None:
     """The first locus, in `loci()` order, where the instance's two sides
-    differ on the model by its tables and by the pointwise evaluators."""
-    phi, psi, chi, agent, lhs, rhs = instance
+    differ on the model by its tables and by the pointwise evaluators.  The
+    left side [phi] body is built here, for a flagged instance only."""
+    phi, psi, chi, agent, body, rhs = instance
+    lhs = Announce(phi, body)
     lhs_holds = model.table(lhs)
     for i in bits(lhs_holds ^ model.table(rhs)):
         locus = model._order[i]
@@ -402,8 +412,12 @@ def _runs(models, semantics: str):
 def _instantiations(axiom: AxiomId, pools, agent_count: int):
     """Every (phi, psi, chi, agent) of the schema, phi varying slowest, for
     the agents 1..agent_count."""
-    return itertools.product(
-        pools["phi"],
+    return itertools.product(pools["phi"], *_body_choices(axiom, pools, agent_count))
+
+
+def _body_choices(axiom: AxiomId, pools, agent_count: int) -> tuple:
+    """The choices of psi, of chi and of the agent, which fix the body."""
+    return (
         pools["atoms"] if axiom.index == 1 else pools["psi"],
         pools["chi"] if axiom.index == 3 else [None],
         range(1, agent_count + 1),

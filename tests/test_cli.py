@@ -307,6 +307,22 @@ def test_unexpected_error_exits_2_not_1():
     assert text.splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["persistent", "--model", str(DATA / "pair.ssl.json"), "--formula", "p", "--announcements", "K9 p"],
+    ["update", "--model", str(DATA / "sier.topo.json"), "--formula", "p", "--emit", "{missing}"],
+    ["limit", "--model", str(DATA / "tri.topo.json"), "--formula", "I p", "--emit", "{missing}"],
+], ids=["persistent-announcement-outside-ssl", "update-emit-unwritable", "limit-emit-unwritable"])
+def test_bad_input_found_late_prints_no_result(tmp_path, argv):
+    # Exit 2 means bad input, so stdout must not already read as a result.
+    missing = str(tmp_path / "no-such-dir" / "model.json")
+    out, err = io.StringIO(), io.StringIO()
+    assert run([arg.format(missing=missing) for arg in argv], out=out, err=err) == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "formula, operator",
     [("true | K p", "Know"), ("false & K p", "Know"), ("[!false] K p", "Know"), ("p -> K1 p", "KnowI")],

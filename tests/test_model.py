@@ -258,3 +258,30 @@ def test_kernel_tables_match_the_oracle_on_disjoint_unions(kind):
             verdicts.add(locus in holds)
             assert union.satisfies(locus, f) == (locus in holds), (text, locus)
     assert verdicts == {True, False}
+
+
+def _nested_chain(seed: int) -> SSLModel:
+    """Members {0..3} > {0,1,2} > {0,1} > {0} plus {1,2,3}, so most situations
+    have refinements; a seeded valuation of p and q."""
+    rng = Random(seed)
+    valuation = {atom: [x for x in range(4) if rng.random() < 0.5] for atom in "pq"}
+    return SSLModel.from_sets(range(4), [range(4), range(3), range(2), range(1), range(1, 4)], valuation)
+
+
+def test_effort_moves_above_64_bits_match_the_oracle():
+    # Random subset spaces rarely nest members, so their unions carry few
+    # E/D moves; this union's effort relation moves situations past bit 63.
+    models = _sample(_nested_chain, 8)
+    union, _ = SSLModel.disjoint_union(models)
+    assert union._all.bit_length() > 64
+    assert any(source >> 64 for source, _, _ in union._effort[1])
+    verdicts = set()
+    # Truth varies within a point's row only through K and L, so E and D
+    # read K and L.
+    for text in ["E K p", "D L ~q", "E (p | L q)", "[!q | K p] E K p", "[!p | L q] D (K q & E L ~p)"]:
+        f = parse(text)
+        holds = union.truth(f)
+        for locus in union.loci():
+            verdicts.add(locus in holds)
+            assert union.satisfies(locus, f) == (locus in holds), (text, locus)
+    assert verdicts == {True, False}

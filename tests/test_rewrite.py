@@ -1,7 +1,9 @@
 """Announcement elimination, schema validity, extensional equivalence."""
 
 import dataclasses
+import itertools
 import time
+from collections import Counter
 from functools import partial
 from random import Random
 
@@ -323,13 +325,13 @@ def test_shared_instances_equal_axiom_instance(axiom):
     for n in _agent_counts(axiom):
         instances = rewrite._instances(axiom, pools, n, nodes)
         assert [i[:4] for i in instances] == list(rewrite._instantiations(axiom, pools, n))
-        for number, (phi, psi, chi, agent, lhs, rhs) in enumerate(instances):
-            assert (lhs, rhs) == axiom_instance(axiom, phi, psi, chi, agent)
-            for node in (*walk(lhs), *walk(rhs)):
+        for number, (phi, psi, chi, agent, body, rhs) in enumerate(instances):
+            assert (Announce(phi, body), rhs) == axiom_instance(axiom, phi, psi, chi, agent)
+            for node in walk(rhs):
                 if type(node) is Announce:
                     announcements.setdefault(node, {}).setdefault(id(node), set()).add((n, number))
-    # Equal [phi] g, left sides or pushed, are one object wherever they
-    # repeat, also across agent counts and where a body equals a pool formula.
+    # Equal pushed [phi] g are one object wherever they repeat, also across
+    # agent counts and where a body equals a pool formula.
     assert all(len(objects) == 1 for objects in announcements.values())
     if axiom.index == 3 or len(_agent_counts(axiom)) > 1:
         assert max(len(uses) for objects in announcements.values() for uses in objects.values()) > 1
@@ -339,9 +341,9 @@ def test_a_body_equal_to_a_pool_formula_is_that_formula():
     pools = schema_pool("ssl")
     nodes = {f: f for pool in pools.values() for f in pool}
     know_p = next(f for f in pools["psi"] if f == Know(Atom("p")))
-    lhs = rewrite._instances(AxiomId("ssl", 4), pools, 1, nodes)[0][4]
-    assert lhs == Announce(Atom("p"), Know(Atom("p")))
-    assert lhs.body is know_p
+    phi, *_, body, _ = rewrite._instances(AxiomId("ssl", 4), pools, 1, nodes)[0]
+    assert Announce(phi, body) == Announce(Atom("p"), Know(Atom("p")))
+    assert body is know_p
 
 
 @pytest.mark.parametrize("axiom", ALL_SCHEMAS, ids=str)
@@ -360,6 +362,60 @@ def test_check_axiom_builds_each_instance_once_per_agent_count(axiom, monkeypatc
     assert len(steps) == expected
 
 
+def _sampled_unions(semantics, count=25):
+    """(agent count, disjoint union of the first `count` sampled models):
+    one union per agent count 2 and 3 for products, else one union."""
+    for n in (2, 3) if semantics == "product" else (None,):
+        sampled = map(rewrite._SAMPLERS[semantics], itertools.count())
+        models = list(itertools.islice((m for m in sampled if n is None or m.agent_count == n), count))
+        yield n or 1, type(models[0]).disjoint_union(models)[0]
+
+
+@pytest.mark.parametrize("axiom", ALL_SCHEMAS, ids=str)
+def test_left_sides_read_through_announce_equal_their_nodes(axiom):
+    per_agent = (axiom.semantics, axiom.index) == ("product", 4)
+    pools = schema_pool(axiom.semantics)
+    for n, union in _sampled_unions(axiom.semantics):
+        nodes = {f: f for pool in pools.values() for f in pool}
+        for phi, *_, body, _ in rewrite._instances(axiom, pools, n if per_agent else 1, nodes):
+            assert union._announce(body, union.table(phi)) == union.table(Announce(phi, body))
+
+
+def _pushed(axiom, agent_counts):
+    """The distinct pushed [phi] g over the schema's instantiations."""
+    pools = schema_pool(axiom.semantics)
+    return {
+        (phi, kid)
+        for n in agent_counts
+        for phi, psi, chi, agent in rewrite._instantiations(axiom, pools, n)
+        for kid in children(rewrite._schema_body(axiom, psi, chi, agent))
+    }
+
+
+def _record_announcements(monkeypatch):
+    """Every `Announce` node `rewrite` builds from now on, kept alive."""
+    built = []
+
+    def recording(announced, body):
+        built.append(Announce(announced, body))
+        return built[-1]
+
+    monkeypatch.setattr(rewrite, "Announce", recording)
+    return built
+
+
+@pytest.mark.parametrize("axiom", [a for a in ALL_SCHEMAS if str(a) != "ssl-5"], ids=str)
+def test_check_axiom_builds_no_left_side(axiom, monkeypatch):
+    built = _record_announcements(monkeypatch)
+    seed, models = 11, 25
+    assert check_axiom(axiom, models, seed).valid_on_sample
+    counts = {1}
+    if (axiom.semantics, axiom.index) == ("product", 4):
+        counts = {rewrite._SAMPLERS["product"](seed + o).agent_count for o in range(models)}
+    # Only the pushed nodes, each once: no [phi] body is built.
+    assert Counter(built) == Counter(Announce(*pair) for pair in _pushed(axiom, counts))
+
+
 def _per_model_check(axiom, sample_size, seed):
     """The validity report tabulated model by model, with no union: the
     reference `check_axiom` must equal."""
@@ -370,7 +426,8 @@ def _per_model_check(axiom, sample_size, seed):
         model = rewrite._SAMPLERS[axiom.semantics](seed + offset)
         nodes = {f: f for pool in pools.values() for f in pool}
         agent_count = model.agent_count if per_agent else 1
-        for phi, psi, chi, agent, lhs, rhs in rewrite._instances(axiom, pools, agent_count, nodes):
+        for phi, psi, chi, agent, body, rhs in rewrite._instances(axiom, pools, agent_count, nodes):
+            lhs = Announce(phi, body)  # tabulated as a node: the reference for `_announce` reads
             lhs_holds = model.table(lhs)
             for i in bits(lhs_holds ^ model.table(rhs)):
                 locus = model._order[i]
@@ -403,8 +460,14 @@ def test_check_axiom_reports_in_seed_order_across_agent_counts(monkeypatch):
     # both agent counts' runs find counterexamples, interleaved in seed order.
     original = rewrite._single_step
     monkeypatch.setattr(rewrite, "_single_step", lambda *args: Not(original(*args)))
+    built = _record_announcements(monkeypatch)
     axiom = AxiomId("product", 2)
-    report, reference = check_axiom(axiom, 12, 0), _per_model_check(axiom, 12, 0)
+    report = check_axiom(axiom, 12, 0)
+    # After the pushed nodes, one left side per reported pair: the one reported.
+    pushed = len(_pushed(axiom, [1]))
+    assert len(built) == pushed + len(report.counterexamples)
+    assert {id(node) for node in built[pushed:]} == {id(c.lhs) for c in report.counterexamples}
+    reference = _per_model_check(axiom, 12, 0)
     counts = [c.model.agent_count for c in report.counterexamples]
     assert counts != sorted(counts)
     assert report == reference
