@@ -467,6 +467,10 @@ class Model:
     relation of a modal node, for `_modal`; `_holds`, its clauses for
     `holds`; and `locus`.  The base states `_modal` and `table(f)`, f's
     truth mask memoized in `_tables`, and reads truth and updates through it.
+    `_value(node, kid_masks)` is one node's mask from its children's, the
+    reading `rewrite._single_step` is given to build masks instead of nodes;
+    `tabulate` keeps its own inline copy of the connectives, which is
+    faster, and a test pins the two together.
 
     A model is its root's fields (the root is the model no announcement
     produced) plus `carrier`, the mask of its loci over the root's index;
@@ -533,6 +537,28 @@ class Model:
                 self.__getstate__(), carrier=carrier, **{name: getattr(self, name) for name in self._shared}
             )
         return model
+
+    def _value(self, f: Formula, kids) -> int:
+        """The mask of a node of f's kind (and atom or agent) whose children
+        have the masks `kids`: `rebuild` read on this model's masks.  An
+        announcement's one kid is the announced mask, as in `tabulate`."""
+        kind = type(f)
+        everything = self._all
+        if kind is Not:
+            return everything - kids[0]
+        if kind is And:
+            return kids[0] & kids[1]
+        if kind is Or:
+            return kids[0] | kids[1]
+        if kind is Implies:
+            return (everything - kids[0]) | kids[1]
+        if kind is Announce:
+            return self._announce(f.body, kids[0])
+        if kind is Top:
+            return everything
+        if kind is Bot:
+            return everything - everything
+        return self._modal(f, kids[0] if kids else None)
 
     def _modal(self, f: Formula, body: int | None) -> int:
         """The mask of an atom, or of a box or diamond over f's relation."""

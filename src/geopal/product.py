@@ -421,15 +421,17 @@ def random_product_model(
     max_points: int = 4,
     atoms: tuple[str, ...] = ("p", "q"),
 ) -> ProductModel:
-    """Deterministic random model: 2..max_factors factors, full world set."""
+    """Deterministic random model: 2..max_factors factors, full world set.
+    Each atom's worlds are drawn in `loci()` order: the factors' points are
+    0..n-1, so the cartesian order of their tuples is the sorted order."""
     rng = Random(seed)
     count = rng.randint(2, max_factors)
     factors = tuple(
         random_topology(rng.randrange(1 << 30), rng.randint(1, max_points), rng.randint(0, 3))
         for _ in range(count)
     )
-    full = ProductModel.full(factors)
+    worlds = list(cartesian(*(f.points for f in factors)))
     valuation = {
-        atom: frozenset(w for w in full.loci() if rng.random() < 0.5) for atom in atoms
+        atom: frozenset(w for w in worlds if rng.random() < 0.5) for atom in atoms
     }
-    return ProductModel(factors, full.worlds, valuation)
+    return ProductModel(factors, frozenset(worlds), valuation)

@@ -15,11 +15,14 @@ Nested announcements need no composition law: the announced formula and the
 body are eliminated first.  `_single_step` is the one table of these
 schemas.  `reduce` is one `formula.fold`: at each announcement it folds
 `_single_step` over the already eliminated body, so each node of that body
-is pushed once.  `axiom_instance`, and the instances `check_axiom` shares
-across its models, build every right side from it, so `check_axiom` probes
-the rules `reduce` applies.  A left side [f] g is the schema's definition:
-`check_axiom` reads it as the update step `Model._announce(g, mask of f)`
-and builds it as a node only for a counterexample it reports.  Every step
+is pushed once.  `_single_step` builds its result through a `make(node,
+values)` argument, so it has two readings: `reduce` and `axiom_instance`
+read it as formula nodes (`rebuild`), and `check_axiom` reads it on a
+model's masks (`Model._value`), where each pushed [f] g is the update step
+`Model._announce(g, mask of f)`.  So `check_axiom` probes the rules
+`reduce` applies, with no second table.  A left side [f] g is the schema's
+definition, and `check_axiom` reads it as that same update step.  Both
+sides are built as nodes only for a counterexample it reports.  Every step
 strictly decreases `formula.complexity`, so elimination terminates.
 
 The effort schema is the one member of the set whose soundness is not
@@ -30,7 +33,7 @@ layer over them, one modal layer over them, and boolean combinations of the
 two layers (these last are what catch the effort schema).
 
 Modal truth is invariant under disjoint unions, and the announcement update
-of a union is the union of the updates, so `check_axiom` tabulates each
+of a union is the union of the updates, so `check_axiom` reads each
 instance's two sides once per run of sampled models, on their disjoint
 union, where each model's loci form its block.  Only a model whose block of
 the two sides' difference is nonzero is checked again, on its own and
@@ -98,21 +101,27 @@ def _dual_step(f: Formula, kids) -> Formula:
 # where a leaf is guarded with nothing to push: [f] p -> f -> p.
 _DISTRIBUTIVE = frozenset({And, Or, Implies})
 _GUARDED = frozenset({Not, Interior, Know, Effort, KnowI, Atom, Top, Bot})
+# The guard f -> ... of the second shape, read by `make` for its kind only.
+_GUARD = Implies(Top(), Top())
 
 
-def _single_step(announced: Formula, body: Formula, pushed=None) -> Formula:
+def _single_step(announced, body: Formula, pushed=None, make=rebuild):
     """One schema application to [announced] body; body must not be an announcement.
 
     `pushed` lists what stands for [announced] g at each child g of body: the
-    node itself for one step, or, from `reduce`, its elimination.
+    node itself for one step, or, from `reduce`, its elimination.  `make(node,
+    values)` reads a node of `node`'s kind over the values.  With `rebuild`
+    the result is a formula; with a model's `_value` it is a mask, where
+    `announced` is the announced formula's mask and each pushed value the
+    mask `_announce(g, announced)`.  So one table serves both readings.
     """
     if pushed is None:
         pushed = [Announce(announced, kid) for kid in children(body)]
     kind = type(body)
     if kind in _DISTRIBUTIVE:
-        return kind(*pushed)
+        return make(body, pushed)
     if kind in _GUARDED:
-        return Implies(announced, rebuild(body, pushed))
+        return make(_GUARD, (announced, make(body, pushed)))
     raise TypeError(f"no reduction schema for body {kind.__name__}")
 
 
@@ -184,37 +193,20 @@ def _schema_body(axiom: AxiomId, psi, chi, agent: int) -> Formula:
     return Know(psi) if index == 4 else Effort(psi)
 
 
-def _instances(axiom: AxiomId, pools, agent_count: int, nodes: dict) -> list[tuple]:
-    """(phi, psi, chi, agent, body, rhs) for every instantiation of the
-    schema over agents 1..agent_count, in `_instantiations` order: the left
-    side is [phi] body, and `axiom_instance` builds the same two sides.  No
-    left side is built; `check_axiom` reads it as `_announce(body, mask)`.
+def _instances(axiom: AxiomId, pools, agent_count: int) -> list[tuple]:
+    """(phi, psi, chi, agent, body) for every instantiation of the schema
+    over agents 1..agent_count, in `_instantiations` order: the left side is
+    [phi] body, and `axiom_instance` builds its two sides.  No side is built:
+    `check_axiom` reads both on masks.
 
-    Each body is resolved once per call, and equal bodies are one object
-    per `nodes`, which maps formulas to themselves: a body equal to a pool
-    formula is that formula.  Each pushed [phi] g is built once per
-    `nodes`, keyed by the identities of its children, so repeated subterms
-    are one object.  A stored node holds its children, and the pools
-    outlive the dict, so no identity in a key is reused while it is in
-    use."""
+    Each body is resolved once per call, and a body equal to a pool formula
+    is that formula, so the memos find it by identity."""
+    pooled = {f: f for pool in pools.values() for f in pool}
     bodies = []
     for psi, chi, agent in itertools.product(*_body_choices(axiom, pools, agent_count)):
         body = _schema_body(axiom, psi, chi, agent)
-        body = nodes.setdefault(body, body)
-        bodies.append((psi, chi, agent, body, children(body)))
-    return [
-        (phi, psi, chi, agent, body, _single_step(phi, body, [_announcement(nodes, phi, kid) for kid in kids]))
-        for phi in pools["phi"]
-        for psi, chi, agent, body, kids in bodies
-    ]
-
-
-def _announcement(nodes: dict, announced: Formula, body: Formula) -> Announce:
-    key = (id(announced), id(body))
-    node = nodes.get(key)
-    if node is None:
-        node = nodes[key] = Announce(announced, body)
-    return node
+        bodies.append((psi, chi, agent, pooled.get(body, body)))
+    return [(phi, *body) for phi in pools["phi"] for body in bodies]
 
 
 def schema_pool(semantics: str) -> dict[str, list[Formula]]:
@@ -308,25 +300,25 @@ _SAMPLERS: dict[str, Callable[[int], object]] = {
 def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> ValidityReport:
     """Evaluate both sides of the axiom at every locus of random models.
 
-    The instances are built once per call (once per agent count for the
-    per-agent product schema) as (phi, psi, chi, agent, body, rhs), each
-    body and each pushed [phi] g as one shared node, so every model's memo
-    finds repeated subterms by identity; each right side is still
-    `_single_step`, the step `reduce` applies.  No left side [phi] body is
-    built: its table is `_announce(body, table(phi))`, the step `tabulate`
-    takes at an announcement node, and `_counterexample` builds the node
-    only for a flagged (model, instance) pair.  Nothing is kept between
-    calls.
+    The instances are listed once per call (once per agent count for the
+    per-agent product schema) as (phi, psi, chi, agent, body), and both
+    sides of each are read on masks, with no node built.  The left side
+    [phi] body is `_announce(body, table(phi))`, the step `tabulate` takes
+    at an announcement node.  The right side is `_single_step` read through
+    the model's `_value`: each pushed [phi] g is `_announce(g, table(phi))`,
+    and the body's own operator is applied to those masks, so it is the step
+    `reduce` applies.  `_counterexample` builds both sides as nodes only
+    for a flagged (model, instance) pair.  Nothing is kept between calls.
 
-    Both sides of each instance are tabulated once per run of models, on
-    their disjoint union (`disjoint_union` of the model kind): modal truth
-    is invariant under disjoint unions, so the union's table is, in each
+    Both sides of each instance are read once per run of models, on their
+    disjoint union (`disjoint_union` of the model kind): modal truth is
+    invariant under disjoint unions, so the union's table is, in each
     model's block of loci, that model's own.  A run is consecutive models
     in seed order, of one agent count for products, whose sizes sum to at
     most `UNION_SIZE`; a model larger than that is a run of its own.  Only
     a model whose block of the two sides' difference is nonzero is checked
     again, for that instance alone and on the model itself: the loci where
-    its own two masks differ are re-verified, in `loci()` order, through the
+    its own two tables differ are re-verified, in `loci()` order, through the
     pointwise evaluators before being recorded, and the report keeps one
     counterexample per (model, instantiation) pair.  Models are drawn in
     seed order and the counterexamples reported in that order, so reports
@@ -337,7 +329,6 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
     pools = schema_pool(axiom.semantics)
     sampler = _SAMPLERS[axiom.semantics]
     per_agent = axiom.semantics == "product" and axiom.index == 4
-    nodes = {f: f for pool in pools.values() for f in pool}
     by_agents: dict[int, list[tuple]] = {}
     found = []
     models = ((offset, sampler(seed + offset)) for offset in range(sample_size))
@@ -345,11 +336,14 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
         agent_count = run[0][1].agent_count if per_agent else 1
         instances = by_agents.get(agent_count)
         if instances is None:
-            instances = by_agents[agent_count] = _instances(axiom, pools, agent_count, nodes)
+            instances = by_agents[agent_count] = _instances(axiom, pools, agent_count)
         union, blocks = type(run[0][1]).disjoint_union([model for _, model in run])
+        announce, value = union._announce, union._value
         flagged = [[] for _ in run]
-        for number, (phi, *_, body, rhs) in enumerate(instances):
-            differ = union._announce(body, union.table(phi)) ^ union.table(rhs)
+        for number, (phi, *_, body) in enumerate(instances):
+            mask = union.table(phi)
+            pushed = [announce(kid, mask) for kid in children(body)]
+            differ = announce(body, mask) ^ _single_step(mask, body, pushed, value)
             if differ:
                 for numbers, block in zip(flagged, blocks):
                     if block & differ:
@@ -366,10 +360,10 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
 
 def _counterexample(model, instance: tuple) -> Counterexample | None:
     """The first locus, in `loci()` order, where the instance's two sides
-    differ on the model by its tables and by the pointwise evaluators.  The
-    left side [phi] body is built here, for a flagged instance only."""
-    phi, psi, chi, agent, body, rhs = instance
-    lhs = Announce(phi, body)
+    differ on the model by its tables and by the pointwise evaluators.  Both
+    sides are built here as nodes, for a flagged instance only."""
+    phi, psi, chi, agent, body = instance
+    lhs, rhs = Announce(phi, body), _single_step(phi, body)
     lhs_holds = model.table(lhs)
     for i in bits(lhs_holds ^ model.table(rhs)):
         locus = model._order[i]

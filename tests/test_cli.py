@@ -72,6 +72,25 @@ def test_goldens_in_one_process_build_the_parser_once():
     assert cli._build_parser.cache_info().misses == 1
 
 
+def _all_schema_reports():
+    """`geopal axioms` on every schema at seeds 0, 3 and 7 over 300 models,
+    in one process: each invocation, its exit code, then its output."""
+    chunks = []
+    for semantics, top in (("topo", 4), ("ssl", 5), ("product", 4)):
+        for axiom in range(1, top + 1):
+            for seed in (0, 3, 7):
+                argv = ["axioms", "--semantics", semantics, "--axiom", str(axiom), "--models", "300", "--seed", str(seed)]
+                code, text = invoke(argv)
+                chunks.append(f"$ geopal {' '.join(argv)}\nexit {code}\n{text}")
+    return "".join(chunks)
+
+
+def test_axioms_on_every_schema_keep_their_golden():
+    # Every field of every report, the effort schema's counterexamples
+    # included, stays byte-identical through changes to `check_axiom`.
+    assert _all_schema_reports() == _golden("axioms_all_schemas")
+
+
 @pytest.mark.parametrize("usage_error", [
     ["check"],
     ["check", "--model"],

@@ -285,3 +285,22 @@ def test_effort_moves_above_64_bits_match_the_oracle():
             verdicts.add(locus in holds)
             assert union.satisfies(locus, f) == (locus in holds), (text, locus)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("kind", UNION_KINDS)
+def test_value_reads_every_node_as_tabulate_does(kind):
+    # `Model._value` and `tabulate` each state the connectives' meaning on
+    # masks; at every node of random formulas, with announcements, on a
+    # union, the two agree given the same child masks.
+    sample, repertoire = UNION_KINDS[kind]
+    models = sample(25)
+    union, _ = type(models[0]).disjoint_union(models)
+    rng = Random(7)
+    kinds = set()
+    for _ in range(40):
+        f = random_formula(rng, 4, announce_depth=1, **repertoire)
+        for node in formula.walk(f):
+            kids = [node.announced] if type(node) is Announce else formula.children(node)
+            assert union._value(node, [union.table(kid) for kid in kids]) == union.table(node), str(node)
+            kinds.add(type(node))
+    assert kinds >= formula._LEAVES | formula._BINARY | {formula.Not, Announce}

@@ -12,7 +12,7 @@ import geopal.product as product
 from geopal.cli import dump_model, load_model, run
 from geopal.formula import Atom, KnowI, UnsupportedOperator, parse, random_formula
 from geopal.product import ProductModel, h_open, random_product_model
-from geopal.topology import Topology, generate_from_subbasis
+from geopal.topology import Topology, generate_from_subbasis, random_topology
 
 
 def indiscrete_pair():
@@ -357,3 +357,19 @@ def test_mixed_label_types_in_one_factor(tmp_path):
         assert run([*argv, "--model", str(path)], out=out, err=out) == 0, out.getvalue()
     assert load_model(str(emitted)).to_json() == model.update(parse("p")).to_json()
     assert "worlds: (0,0) (0,x) (0,1) (x,0) (x,x) (x,1) (1,0) (1,x) (1,1)" in out.getvalue()
+
+
+def test_random_models_are_drawn_as_over_the_full_product():
+    # The valuation is drawn over the cartesian tuples with no throwaway
+    # `ProductModel.full`; it is the model drawn over that model's loci.
+    for seed in range(200):
+        rng = Random(seed)
+        count = rng.randint(2, 3)
+        factors = tuple(
+            random_topology(rng.randrange(1 << 30), rng.randint(1, 4), rng.randint(0, 3)) for _ in range(count)
+        )
+        full = ProductModel.full(factors)
+        valuation = {atom: frozenset(w for w in full.loci() if rng.random() < 0.5) for atom in ("p", "q")}
+        model = random_product_model(seed)
+        assert model == ProductModel(factors, full.worlds, valuation)
+        assert model.loci() == full.loci()

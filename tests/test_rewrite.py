@@ -320,46 +320,57 @@ def _agent_counts(axiom):
 @pytest.mark.parametrize("axiom", ALL_SCHEMAS, ids=str)
 def test_shared_instances_equal_axiom_instance(axiom):
     pools = schema_pool(axiom.semantics)
-    nodes = {f: f for pool in pools.values() for f in pool}  # as check_axiom seeds it
-    announcements = {}
+    pooled = {id(f) for pool in pools.values() for f in pool}
     for n in _agent_counts(axiom):
-        instances = rewrite._instances(axiom, pools, n, nodes)
+        instances = rewrite._instances(axiom, pools, n)
         assert [i[:4] for i in instances] == list(rewrite._instantiations(axiom, pools, n))
-        for number, (phi, psi, chi, agent, body, rhs) in enumerate(instances):
-            assert (Announce(phi, body), rhs) == axiom_instance(axiom, phi, psi, chi, agent)
-            for node in walk(rhs):
-                if type(node) is Announce:
-                    announcements.setdefault(node, {}).setdefault(id(node), set()).add((n, number))
-    # Equal pushed [phi] g are one object wherever they repeat, also across
-    # agent counts and where a body equals a pool formula.
-    assert all(len(objects) == 1 for objects in announcements.values())
-    if axiom.index == 3 or len(_agent_counts(axiom)) > 1:
-        assert max(len(uses) for objects in announcements.values() for uses in objects.values()) > 1
+        bodies = {}
+        for phi, psi, chi, agent, body in instances:
+            assert (Announce(phi, body), _single_step(phi, body)) == axiom_instance(axiom, phi, psi, chi, agent)
+            assert id(phi) in pooled
+            bodies.setdefault(body, set()).add(id(body))
+        # Each body is one object for every phi it is announced under, and
+        # a pool formula wherever it equals one.
+        assert all(len(objects) == 1 for objects in bodies.values())
+        assert len(instances) == len(pools["phi"]) * len(bodies)
+        assert any(objects <= pooled for objects in bodies.values())
 
 
 def test_a_body_equal_to_a_pool_formula_is_that_formula():
     pools = schema_pool("ssl")
-    nodes = {f: f for pool in pools.values() for f in pool}
     know_p = next(f for f in pools["psi"] if f == Know(Atom("p")))
-    phi, *_, body, _ = rewrite._instances(AxiomId("ssl", 4), pools, 1, nodes)[0]
+    phi, *_, body = rewrite._instances(AxiomId("ssl", 4), pools, 1)[0]
     assert Announce(phi, body) == Announce(Atom("p"), Know(Atom("p")))
     assert body is know_p
 
 
 @pytest.mark.parametrize("axiom", ALL_SCHEMAS, ids=str)
 def test_check_axiom_builds_each_instance_once_per_agent_count(axiom, monkeypatch):
-    steps = []
-    original = rewrite._single_step
-    monkeypatch.setattr(rewrite, "_single_step", lambda *a: steps.append(a) or original(*a))
+    listed, steps = [], []
+    instances, single_step = rewrite._instances, rewrite._single_step
+    monkeypatch.setattr(rewrite, "_instances", lambda *a: listed.append(a[2]) or instances(*a))
+    monkeypatch.setattr(rewrite, "_single_step", lambda *a: steps.append(a) or single_step(*a))
     seed, models = 11, 25
-    check_axiom(axiom, models, seed)
+    assert check_axiom(axiom, models, seed).valid_on_sample == (str(axiom) != "ssl-5")
     counts = {1}
     if (axiom.semantics, axiom.index) == ("product", 4):
         counts = {rewrite._SAMPLERS["product"](seed + o).agent_count for o in range(models)}
         assert len(counts) > 1
+    assert sorted(listed) == sorted(counts)
+    # One schema step per instance and run of models, each read on masks;
+    # only a flagged ssl-5 pair builds its right side as a node.
     pools = schema_pool(axiom.semantics)
-    expected = sum(len(list(rewrite._instantiations(axiom, pools, n))) for n in counts)
-    assert len(steps) == expected
+    sampled = ((o, rewrite._SAMPLERS[axiom.semantics](seed + o)) for o in range(models))
+    runs = list(rewrite._runs(sampled, axiom.semantics))
+    per_agent = len(counts) > 1
+    expected = sum(
+        len(list(rewrite._instantiations(axiom, pools, run[0][1].agent_count if per_agent else 1)))
+        for run in runs
+    )
+    on_masks = [step for step in steps if type(step[0]) is int]
+    assert len(on_masks) == expected
+    assert all(step[3] != rebuild for step in on_masks)
+    assert len(steps) == len(on_masks) or str(axiom) == "ssl-5"
 
 
 def _sampled_unions(semantics, count=25):
@@ -376,20 +387,44 @@ def test_left_sides_read_through_announce_equal_their_nodes(axiom):
     per_agent = (axiom.semantics, axiom.index) == ("product", 4)
     pools = schema_pool(axiom.semantics)
     for n, union in _sampled_unions(axiom.semantics):
-        nodes = {f: f for pool in pools.values() for f in pool}
-        for phi, *_, body, _ in rewrite._instances(axiom, pools, n if per_agent else 1, nodes):
+        for phi, *_, body in rewrite._instances(axiom, pools, n if per_agent else 1):
             assert union._announce(body, union.table(phi)) == union.table(Announce(phi, body))
 
 
-def _pushed(axiom, agent_counts):
-    """The distinct pushed [phi] g over the schema's instantiations."""
+def _mask_read_mismatches(axiom):
+    """(agent count, instance) pairs whose right side read on masks, as
+    `check_axiom` reads it, differs from the table of its node on a union
+    of sampled models."""
+    per_agent = (axiom.semantics, axiom.index) == ("product", 4)
     pools = schema_pool(axiom.semantics)
-    return {
-        (phi, kid)
-        for n in agent_counts
-        for phi, psi, chi, agent in rewrite._instantiations(axiom, pools, n)
-        for kid in children(rewrite._schema_body(axiom, psi, chi, agent))
-    }
+    mismatches = []
+    for n, union in _sampled_unions(axiom.semantics):
+        for instance in rewrite._instances(axiom, pools, n if per_agent else 1):
+            phi, *_, body = instance
+            mask = union.table(phi)
+            pushed = [union._announce(kid, mask) for kid in children(body)]
+            if _single_step(mask, body, pushed, union._value) != union.table(_single_step(phi, body)):
+                mismatches.append((n, instance))
+    return mismatches
+
+
+@pytest.mark.parametrize("axiom", ALL_SCHEMAS, ids=str)
+def test_right_sides_read_on_masks_equal_their_nodes(axiom):
+    assert _mask_read_mismatches(axiom) == []
+
+
+def test_a_fault_in_the_mask_reading_is_caught(monkeypatch):
+    # Implies read as Or on masks breaks the guard of every guarded schema,
+    # but not `tabulate`, which keeps its own copy of the connectives.
+    value = formula.Model._value
+
+    def faulty(self, f, kids):
+        return kids[0] | kids[1] if type(f) is Implies else value(self, f, kids)
+
+    monkeypatch.setattr(formula.Model, "_value", faulty)
+    for axiom in (AxiomId("topo", 2), AxiomId("ssl", 4), AxiomId("product", 4)):
+        assert _mask_read_mismatches(axiom), axiom
+    assert _mask_read_mismatches(AxiomId("topo", 3)) == []  # distributive: no guard
 
 
 def _record_announcements(monkeypatch):
@@ -406,14 +441,20 @@ def _record_announcements(monkeypatch):
 
 @pytest.mark.parametrize("axiom", [a for a in ALL_SCHEMAS if str(a) != "ssl-5"], ids=str)
 def test_check_axiom_builds_no_left_side(axiom, monkeypatch):
-    built = _record_announcements(monkeypatch)
-    seed, models = 11, 25
-    assert check_axiom(axiom, models, seed).valid_on_sample
-    counts = {1}
-    if (axiom.semantics, axiom.index) == ("product", 4):
-        counts = {rewrite._SAMPLERS["product"](seed + o).agent_count for o in range(models)}
-    # Only the pushed nodes, each once: no [phi] body is built.
-    assert Counter(built) == Counter(Announce(*pair) for pair in _pushed(axiom, counts))
+    # On a sound schema no side is built at all: no [phi] body, no pushed
+    # [phi] g and no guard phi -> ..., by any constructor call.
+    built = Counter()
+
+    def counting(kind):
+        init = kind.__init__
+        return lambda self, *args: built.update([kind]) or init(self, *args)
+
+    for kind in (Announce, Implies):
+        monkeypatch.setattr(kind, "__init__", counting(kind))
+    assert Implies(Atom("p"), Atom("q")) and built == Counter([Implies])  # the patches are live
+    built.clear()
+    assert check_axiom(axiom, 25, 11).valid_on_sample
+    assert not built
 
 
 def _per_model_check(axiom, sample_size, seed):
@@ -424,10 +465,10 @@ def _per_model_check(axiom, sample_size, seed):
     counterexamples = []
     for offset in range(sample_size):
         model = rewrite._SAMPLERS[axiom.semantics](seed + offset)
-        nodes = {f: f for pool in pools.values() for f in pool}
         agent_count = model.agent_count if per_agent else 1
-        for phi, psi, chi, agent, body, rhs in rewrite._instances(axiom, pools, agent_count, nodes):
-            lhs = Announce(phi, body)  # tabulated as a node: the reference for `_announce` reads
+        for phi, psi, chi, agent in rewrite._instantiations(axiom, pools, agent_count):
+            # Both sides tabulated as nodes: the reference for the mask readings.
+            lhs, rhs = rewrite.axiom_instance(axiom, phi, psi, chi, agent)
             lhs_holds = model.table(lhs)
             for i in bits(lhs_holds ^ model.table(rhs)):
                 locus = model._order[i]
@@ -456,17 +497,25 @@ def test_check_axiom_on_unions_equals_the_per_model_check(axiom, seed):
 
 
 def test_check_axiom_reports_in_seed_order_across_agent_counts(monkeypatch):
-    # A negated right side breaks the schema on every product model, so
-    # both agent counts' runs find counterexamples, interleaved in seed order.
-    original = rewrite._single_step
-    monkeypatch.setattr(rewrite, "_single_step", lambda *args: Not(original(*args)))
+    # A right side negated in both readings breaks the schema on every
+    # product model, so both agent counts' runs find counterexamples,
+    # interleaved in seed order.
+    original, negation = rewrite._single_step, Not(Top())
+    monkeypatch.setattr(
+        rewrite, "_single_step",
+        lambda announced, body, pushed=None, make=rebuild: make(negation, [original(announced, body, pushed, make)]),
+    )
     built = _record_announcements(monkeypatch)
     axiom = AxiomId("product", 2)
     report = check_axiom(axiom, 12, 0)
-    # After the pushed nodes, one left side per reported pair: the one reported.
-    pushed = len(_pushed(axiom, [1]))
-    assert len(built) == pushed + len(report.counterexamples)
-    assert {id(node) for node in built[pushed:]} == {id(c.lhs) for c in report.counterexamples}
+    # Nodes are built only for the reported pairs: each left side, and the
+    # one pushed [phi] psi of its right side.
+    assert len(built) == 2 * len(report.counterexamples)
+    assert {id(node) for node in built} == {
+        id(node) for c in report.counterexamples for side in (c.lhs, c.rhs)
+        for node in walk(side) if type(node) is Announce
+    }
+    # The reference builds its right sides through the patched step too.
     reference = _per_model_check(axiom, 12, 0)
     counts = [c.model.agent_count for c in report.counterexamples]
     assert counts != sorted(counts)
@@ -573,9 +622,9 @@ def _recorded_steps(monkeypatch):
     """The (announced, body) pair of every schema application from now on."""
     steps = []
 
-    def recording(announced, body, pushed=None):
+    def recording(announced, body, pushed=None, make=rebuild):
         steps.append((announced, body))
-        return _single_step(announced, body, pushed)
+        return _single_step(announced, body, pushed, make)
 
     monkeypatch.setattr(rewrite, "_single_step", recording)
     return steps
