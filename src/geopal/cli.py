@@ -38,7 +38,9 @@ from .dynamics import (
     limit_model,
     muddy_scenario,
 )
-from .formula import FormulaError, Model, check_fragment, complexity, parse, render, walk
+from .formula import (
+    Announce, Effort, EffortDual, FormulaError, Model, check_fragment, complexity, fold, parse, render, walk
+)
 from .games import GameTree, bi_via_announcements
 from .intervals import divergence_report
 from .product import ProductModel, fmt_world
@@ -132,8 +134,21 @@ def _cmd_update(args, out) -> int:
 MAX_PRINTED_SIZE = 1_000_000
 
 
+def _effort_in_body(node, kids) -> tuple[bool, bool]:
+    """A `fold` step: whether the node holds an E or D, and whether one lies
+    in the body of an announcement within it."""
+    effort = type(node) in (Effort, EffortDual) or any(kid[0] for kid in kids)
+    return effort, any(kid[1] for kid in kids) or (type(node) is Announce and kids[1][0])
+
+
 def _cmd_reduce(args, out) -> int:
-    reduced = reduce(_parse_formula(args.formula), args.semantics)
+    f = _parse_formula(args.formula)
+    if args.semantics == "ssl" and fold(f, _effort_in_body)[1]:
+        raise ValueError(
+            "an E or D lies in an announcement's body, and reducing it on subset spaces may change"
+            " the meaning (geopal axioms --semantics ssl --axiom 5)"
+        )
+    reduced = reduce(f, args.semantics)
     size = complexity(reduced)
     if size > MAX_PRINTED_SIZE:
         nodes = sum(1 for _ in walk(reduced))
@@ -276,8 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     upd.add_argument("--emit", help="write the updated model to this path")
 
     red = sub.add_parser("reduce", help="eliminate announcements", description=(
-        "Print an announcement-free formula equivalent to --formula. For ssl it is equivalent only"
-        " when no E or D lies under an announcement: the effort schema is unsound there"
+        "Print an announcement-free formula equivalent to --formula. For ssl a formula with an E or D"
+        " in an announcement's body is refused (exit 2): the effort schema is unsound there"
         f" (geopal axioms --semantics ssl --axiom 5). A result of more than {MAX_PRINTED_SIZE:,}"
         " occurrences as a tree is not printed (exit 2)."))
     red.add_argument("--semantics", required=True, choices=SEMANTICS)

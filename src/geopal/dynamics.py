@@ -19,28 +19,32 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from functools import reduce as fold
-from itertools import product as cartesian
+from itertools import islice, product as cartesian
 from typing import Iterable
 
 from .formula import And, Atom, Formula, KnowI, Model, Not, Or
 from .product import ProductModel, World, knowledge_interior
 from .topology import Topology
 
-# How many stages a LimitTrace keeps as full model snapshots.
-SNAPSHOT_CAP = 64
-
-
 # ---------------------------------------------------------------------------
 # Announcement limits
+
+
+def _fixpoint(value, step):
+    """The stages of an iterated run: value, then step of the last stage
+    for as long as step returns neither None (a halt) nor its argument."""
+    yield value
+    while (following := step(value)) is not None and following != value:
+        value = following
+        yield value
 
 
 @dataclass(frozen=True)
 class LimitTrace:
     """Record of an iterated announcement run.
 
-    `sizes` covers every stage; `stages` keeps full snapshots of the first
-    SNAPSHOT_CAP + 1 stages.  `stage_count` is the number of updates that
-    changed the model.  For unpointed runs the outcome is "empty" or
+    `sizes` covers every stage, and `stage_count` is the number of updates
+    that changed the model.  For unpointed runs the outcome is "empty" or
     "stabilized-nonempty"; pointed runs may instead halt with outcome
     "halted-at-locus" when the announcement stops being true at the
     tracked locus.
@@ -52,45 +56,25 @@ class LimitTrace:
     """
 
     sizes: tuple[int, ...]
-    stages: tuple
     outcome: str
     limit: object
-    announcement_valid_in_limit: bool | None = None
     final_locus: object = None
 
     @property
     def stage_count(self) -> int:
         return len(self.sizes) - 1
 
-
-def _stage_loop(model, step):
-    """Apply step until it returns the model unchanged, or None to halt.
-
-    Returns the last model, the size of every stage, snapshots of the first
-    SNAPSHOT_CAP + 1 stages, and whether step halted the run.
-    """
-    sizes = [model.size]
-    stages = [model]
-    while True:
-        updated = step(model)
-        if updated is None or updated == model:
-            return model, tuple(sizes), tuple(stages), updated is None
-        model = updated
-        sizes.append(model.size)
-        if len(stages) <= SNAPSHOT_CAP:
-            stages.append(model)
+    @property
+    def announcement_valid_in_limit(self) -> bool | None:
+        return True if self.outcome == "stabilized-nonempty" else None
 
 
 def limit_model(model: Model, f: Formula) -> LimitTrace:
     """Announce f repeatedly until the model stops changing."""
-    model, sizes, stages, _ = _stage_loop(model, lambda stage: stage.update(f))
-    return LimitTrace(
-        sizes=sizes,
-        stages=stages,
-        outcome="empty" if model.is_empty else "stabilized-nonempty",
-        limit=model,
-        announcement_valid_in_limit=None if model.is_empty else True,
-    )
+    sizes = []
+    for model in _fixpoint(model, lambda stage: stage.update(f)):
+        sizes.append(model.size)
+    return LimitTrace(tuple(sizes), "empty" if model.is_empty else "stabilized-nonempty", model)
 
 
 def announce_while_true(model: Model, locus, f: Formula) -> LimitTrace:
@@ -111,15 +95,11 @@ def announce_while_true(model: Model, locus, f: Formula) -> LimitTrace:
         locus = stage.track(locus, holds)
         return stage.update(f)
 
-    model, sizes, stages, halted = _stage_loop(model, step)
-    return LimitTrace(
-        sizes=sizes,
-        stages=stages,
-        outcome="halted-at-locus" if halted else "stabilized-nonempty",
-        limit=model,
-        announcement_valid_in_limit=None if halted else True,
-        final_locus=locus,
-    )
+    sizes = []
+    for model in _fixpoint(model, step):
+        sizes.append(model.size)
+    halted = locus not in model.truth(f)
+    return LimitTrace(tuple(sizes), "halted-at-locus" if halted else "stabilized-nonempty", model, locus)
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +115,17 @@ class CommonKnowledge:
 def common_knowledge_extension(model: ProductModel, f: Formula) -> CommonKnowledge:
     """Greatest fixpoint of E -> (f) meet every agent's knowledge of E.
 
-    Computed by downward iteration from the extension of f; on a finite
-    model the fixpoint arrives within |worlds| rounds.  `iterations` counts
-    the rounds that strictly shrank the candidate set.
+    Computed by downward iteration from the extension of f, each round one
+    box over the agents' joint relation; on a finite model the fixpoint
+    arrives within |worlds| rounds.  `iterations` counts the rounds that
+    strictly shrank the candidate set.
     """
     if not isinstance(model, ProductModel):
         raise TypeError("common knowledge extension is defined on product models")
     base = model.table(f)
-    current = base
-    iterations = 0
-    while True:
-        refined = base
-        for agent in range(1, model.agent_count + 1):
-            refined &= knowledge_interior(model, current, agent)
-        if refined == current:
-            return CommonKnowledge(model._read(current), iterations)
-        current = refined
-        iterations += 1
+    agents = range(1, model.agent_count + 1)
+    rounds = list(_fixpoint(base, lambda current: base & knowledge_interior(model, current, *agents)))
+    return CommonKnowledge(model._read(rounds[-1]), len(rounds) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +240,10 @@ def muddy_scenario(n: int, muddy: Iterable[str]) -> MuddyScenario:
     checks = _knowledge_checks(n)
     ignorance = _ignorance(checks)
     pointed = announce_while_true(after_father, actual, ignorance)
-    rounds = tuple(frozenset(stage.loci()) for stage in (model, *pointed.stages))
-    knowledge = tuple(_knowledge_states(stage, actual, checks) for stage in pointed.stages)
+    # Each stage read back is a memo hit: the run is not repeated.
+    stages = list(islice(_fixpoint(after_father, lambda stage: stage.update(ignorance)), len(pointed.sizes)))
+    rounds = tuple(frozenset(stage.loci()) for stage in (model, *stages))
+    knowledge = tuple(_knowledge_states(stage, actual, checks) for stage in stages)
     unpointed = limit_model(after_father, ignorance)
     return MuddyScenario(
         n=n,

@@ -30,7 +30,7 @@ from math import lcm
 from random import Random
 from typing import Iterable
 
-from .dynamics import LimitTrace, _stage_loop
+from .dynamics import LimitTrace, _fixpoint
 from .topology import Topology, json_field, json_list
 
 
@@ -245,42 +245,14 @@ def backward_induction(tree: GameTree) -> BIResult:
     )
 
 
-@dataclass(frozen=True)
-class GameModel:
-    """A tree plus the currently surviving node set.
-
-    Survivors are closed toward the root: a node only survives together
-    with its ancestors.
-    """
-
-    tree: GameTree
-    surviving: frozenset[int]
-
-    def __post_init__(self):
-        if 0 not in self.surviving:
-            raise ValueError("the root must survive")
-        for nid in self.surviving:
-            parent = self.tree.parent[nid]
-            if parent is not None and parent not in self.surviving:
-                raise ValueError(f"surviving node {nid} has a removed ancestor")
-
-    @classmethod
-    def fresh(cls, tree: GameTree) -> "GameModel":
-        return cls(tree, frozenset(range(len(tree.nodes))))
-
-    @property
-    def size(self) -> int:
-        return len(self.surviving)
-
-
-def rational_extension(model: GameModel) -> frozenset[int]:
-    """Nodes reached without any strictly dominated move along the way.
+def rational_extension(tree: GameTree, alive: frozenset[int]) -> frozenset[int]:
+    """The surviving nodes reached without any strictly dominated move along
+    the way.  The survivors must be closed toward the root (a node survives
+    only together with its ancestors), as every rationality stage is.
 
     One pass from the leaves up gives each surviving node its span: the
     per-coordinate (min, max) payoff keys of the surviving leaves below it.
     """
-    tree = model.tree
-    alive = model.surviving
     keys = tree._payoff_keys
     nodes = tree.nodes
     children_ids = tree.children_ids
@@ -332,23 +304,15 @@ class BiAnnouncementResult:
 
 def bi_via_announcements(tree: GameTree) -> BiAnnouncementResult:
     """Iterate the rationality announcement to its limit and compare with
-    the backward induction fold."""
-    model, sizes, stages, _ = _stage_loop(
-        GameModel.fresh(tree), lambda stage: GameModel(tree, rational_extension(stage))
-    )
+    the backward induction fold.  Each stage is the survivor set."""
+    sizes = []
+    for surviving in _fixpoint(frozenset(range(len(tree.nodes))), lambda alive: rational_extension(tree, alive)):
+        sizes.append(len(surviving))
     induction = backward_induction(tree)
-    surviving_leaves = model.surviving & tree.leaf_ids
-    matches = surviving_leaves == frozenset((induction.path[-1],))
-    trace = LimitTrace(
-        sizes=sizes,
-        stages=stages,
-        outcome="stabilized-nonempty",
-        limit=model,
-        announcement_valid_in_limit=True,
-    )
+    matches = (surviving & tree.leaf_ids) == frozenset((induction.path[-1],))
     return BiAnnouncementResult(
-        trace=trace,
-        surviving=model.surviving,
+        trace=LimitTrace(tuple(sizes), "stabilized-nonempty", surviving),
+        surviving=surviving,
         induction=induction,
         matches_backward_induction=matches,
         generic=induction.generic,

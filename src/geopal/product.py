@@ -333,18 +333,23 @@ def _check_agent(model: ProductModel, agent: int):
         raise UnsupportedOperator(f"agent {agent} out of range for {model.agent_count} factors")
 
 
-def knowledge_interior(model: ProductModel, area: int, agent: int) -> int:
-    """The mask of the worlds where agent i knows membership in the area mask.
+def knowledge_interior(model: ProductModel, area: int, *agents: int) -> int:
+    """The mask of the worlds where each of the agents knows membership in
+    the area mask.
 
-    A world qualifies when some factor-i open around its i-th coordinate
-    keeps every surviving variant along that coordinate inside the area.
-    The condition is monotone in the open, so the minimal open of that
-    coordinate decides it: its variants in that open must include no
-    surviving world outside the area.  That is the box over the agent's
-    relation (`ProductModel._agent_relation`).
+    A world qualifies for agent i when some factor-i open around its i-th
+    coordinate keeps every surviving variant along that coordinate inside
+    the area.  The condition is monotone in the open, so the minimal open
+    of that coordinate decides it: its variants in that open must include
+    no surviving world outside the area.  That is the box over the agent's
+    relation (`ProductModel._agent_relation`), and `preimage` distributes
+    over concatenated relations, so the agents' boxes meet in one box over
+    their joint relation.
     """
+    relations = [model._agent_relation(agent) for agent in agents]
+    joint = sum((pairs for pairs, _ in relations), ()), sum((moves for _, moves in relations), ())
     worlds = model._all
-    return worlds & ~preimage(model._agent_relation(agent), worlds & ~area)
+    return worlds & ~preimage(joint, worlds & ~area)
 
 
 def _knowledge_table(model: ProductModel, agent: int) -> tuple:

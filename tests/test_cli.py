@@ -330,9 +330,19 @@ def test_unexpected_error_exits_2_not_1():
     ["persistent", "--model", str(DATA / "pair.ssl.json"), "--formula", "p", "--announcements", "K9 p"],
     ["update", "--model", str(DATA / "sier.topo.json"), "--formula", "p", "--emit", "{missing}"],
     ["limit", "--model", str(DATA / "tri.topo.json"), "--formula", "I p", "--emit", "{missing}"],
-], ids=["persistent-announcement-outside-ssl", "update-emit-unwritable", "limit-emit-unwritable"])
+    ["reduce", "--semantics", "ssl", "--formula", "[!p | q] E L q"],
+    ["reduce", "--semantics", "ssl", "--formula", "[!p] D q"],
+    ["reduce", "--semantics", "ssl", "--formula", "[!p] [!E q] r"],
+    ["reduce", "--semantics", "ssl", "--formula", "[!p] " + "~" * 3000 + "E q"],
+], ids=[
+    "persistent-announcement-outside-ssl", "update-emit-unwritable", "limit-emit-unwritable",
+    "reduce-ssl-effort-in-body", "reduce-ssl-dual-in-body", "reduce-ssl-effort-in-nested-body",
+    "reduce-ssl-effort-deep-in-body",
+])
 def test_bad_input_found_late_prints_no_result(tmp_path, argv):
     # Exit 2 means bad input, so stdout must not already read as a result.
+    # On ssl, reducing an E or D in an announcement's body applies the
+    # unsound effort schema, so no printed formula would be equivalent.
     missing = str(tmp_path / "no-such-dir" / "model.json")
     out, err = io.StringIO(), io.StringIO()
     assert run([arg.format(missing=missing) for arg in argv], out=out, err=err) == 2
@@ -365,13 +375,23 @@ MALFORMED = [
     ("ragged-payoffs", "bi", {"kind": "game", "root": {"player": 1, "children": [{"payoff": [1, 0]}, {"payoff": [2]}]}}),
     ("player-without-payoff", "bi", {"kind": "game", "root": {"player": 3, "children": [{"payoff": [1, 0]}, {"payoff": [0, 1]}]}}),
     ("leaf-with-children", "bi", {"kind": "game", "root": {"payoff": [1, 2], "player": 2, "children": [{"payoff": [0, 0]}]}}),
+    ("ssl-duplicate-points", "update", {"kind": "ssl", "points": [0, 0], "sets": [[0]]}),
+    ("ssl-empty-set", "update", {"kind": "ssl", "points": [0], "sets": [[]]}),
+    ("ssl-set-outside-points", "update", {"kind": "ssl", "points": [0], "sets": [[0, 1]]}),
+    ("ssl-valuation-outside-points", "update", {"kind": "ssl", "points": [0], "sets": [[0]], "valuation": {"p": [1]}}),
+    ("json-list", "update", [{"kind": "topo", **FACTOR}]),
+    ("no-kind", "update", {**FACTOR}),
+    ("topo-without-points", "update", {"kind": "topo", "opens": [[]]}),
+    ("valuation-list", "update", {"kind": "topo", **FACTOR, "valuation": [["p", [0]]]}),
+    ("invalid-json", "update", '{"kind": "topo", "points": [0],'),
+    ("unknown-kind", "update", {"kind": "kripke", **FACTOR}),
 ]
 
 
 @pytest.mark.parametrize("command, body", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
 def test_malformed_model_file_exits_2(tmp_path, command, body):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(body))
+    path.write_text(body if isinstance(body, str) else json.dumps(body))  # a string is the file's text
     argv = ["bi", "--game", str(path)] if command == "bi" else [command, "--model", str(path), "--formula", "p"]
     code, text = invoke(argv)
     assert code == 2
@@ -516,6 +536,14 @@ def test_check_reads_deeply_nested_parentheses():
     assert invoke(["check", "--model", str(path), "--at", "0", "--formula", formula]) == (
         0, "true\n" if expected else "false\n"
     )
+
+
+def test_reduce_ssl_keeps_effort_outside_announcement_bodies():
+    # In the announced formula or outside every announcement, E and D are
+    # never pushed through.
+    assert invoke(["reduce", "--semantics", "ssl", "--formula", "[!E p] q"]) == (0, "E p -> q\n")
+    assert invoke(["reduce", "--semantics", "ssl", "--formula", "D [!p] q"]) == (0, "~E ~(p -> q)\n")
+    assert invoke(["reduce", "--semantics", "ssl", "--formula", "[!D p] K q"]) == (0, "~E ~p -> K (~E ~p -> q)\n")
 
 
 def test_reduce_prints_a_long_prefix_run():

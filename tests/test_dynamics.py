@@ -18,7 +18,7 @@ from geopal.dynamics import (
     muddy_scenario,
 )
 from geopal.formula import parse, random_formula
-from geopal.product import ProductModel, random_product_model
+from geopal.product import ProductModel, knowledge_interior, random_product_model
 from geopal.sslmodel import random_ssl_model
 from geopal.topomodel import random_topomodel
 
@@ -134,6 +134,44 @@ def test_nonempty_limits_yield_common_knowledge():
         result = common_knowledge_extension(trace.limit, f)
         assert result.worlds == frozenset(trace.limit.loci())
     assert seen >= 20
+
+
+def _per_agent_common_knowledge(model, f):
+    """Common knowledge round by round as one knowledge interior per agent:
+    each round is the base met with every agent's interior of the last."""
+    base = current = model.table(f)
+    rounds = 0
+    while True:
+        refined = base
+        for agent in range(1, model.agent_count + 1):
+            refined &= knowledge_interior(model, current, agent)
+        if refined == current:
+            return model._read(current), rounds
+        current, rounds = refined, rounds + 1
+
+
+def test_common_knowledge_matches_the_per_agent_loop():
+    # Full products (shift relations) at even seeds, sparse world lists
+    # (pair relations) at odd ones, and three updates of each: one box over
+    # the joint relation per round must give the worlds and round count of
+    # the per-agent meet.
+    rng = Random(29)
+    cases = mismatches = deepest = 0
+    for seed in range(400):
+        model = random_product_model(seed)
+        if seed % 2:
+            listed = frozenset(w for w in model.worlds if rng.random() < 0.7)
+            model = ProductModel(model.factors, listed, {a: area & listed for a, area in model.valuation.items()})
+        agents = model.agent_count
+        for stage in [model] + [model.update(random_formula(rng, 2, agents=agents)) for _ in range(3)]:
+            for _ in range(8):
+                f = random_formula(rng, 3, agents=agents)
+                result = common_knowledge_extension(stage, f)
+                cases += 1
+                mismatches += (result.worlds, result.iterations) != _per_agent_common_knowledge(stage, f)
+                deepest = max(deepest, result.iterations)
+    assert (cases, mismatches) == (400 * 4 * 8, 0)
+    assert deepest >= 2
 
 
 def test_muddy_model_shape():

@@ -8,7 +8,6 @@ import pytest
 
 from geopal.games import (
     BIResult,
-    GameModel,
     GameNode,
     GameTree,
     backward_induction,
@@ -51,15 +50,14 @@ def test_tie_is_flagged():
 
 
 def test_rational_extension_drops_dominated_leaf_first():
-    model = GameModel.fresh(example_tree())
-    survivors = rational_extension(model)
+    tree = example_tree()
+    survivors = rational_extension(tree, frozenset(range(len(tree.nodes))))
     assert survivors == frozenset({0, 1, 2, 3})  # leaf (3,1) is node 4
 
 
 def test_rational_extension_root_and_single_child_safe():
     chain = GameTree(GameNode.decision(1, [GameNode.decision(2, [GameNode.leaf(0, 0)])]))
-    model = GameModel.fresh(chain)
-    assert rational_extension(model) == frozenset({0, 1, 2})
+    assert rational_extension(chain, frozenset({0, 1, 2})) == frozenset({0, 1, 2})
 
 
 def test_announcement_limit_matches_example():
@@ -178,14 +176,6 @@ def test_tree_topology_interior_is_largest_descendant_closed_subset():
             assert space.interior(area) == largest, seed
 
 
-def test_game_model_validation():
-    tree = example_tree()
-    with pytest.raises(ValueError):
-        GameModel(tree, frozenset({1}))  # root missing
-    with pytest.raises(ValueError):
-        GameModel(tree, frozenset({0, 3}))  # parent of 3 missing
-
-
 def test_node_validation():
     with pytest.raises(ValueError):
         GameNode(player=1)  # no children
@@ -248,11 +238,10 @@ def test_deep_chain_indexes_and_solves():
     assert result.trace.sizes == (2003, 2002)
 
 
-def _rational_reference(model):
+def _rational_reference(tree, alive):
     """The path rule: a surviving node is rational when no edge on its root
     path leads to a child whose surviving payoffs for the mover all lie
     below some sibling's."""
-    tree, alive = model.tree, model.surviving
 
     def leaves_below(nid):
         stack, found = [nid], []
@@ -283,13 +272,13 @@ def _rational_reference(model):
 def test_rational_extension_matches_the_path_rule():
     for seed in range(200):
         tree = random_game_tree(seed, max_depth=5, max_branching=3, players=2 + seed % 2)
-        model = GameModel.fresh(tree)
+        alive = frozenset(range(len(tree.nodes)))
         while True:
-            survivors = rational_extension(model)
-            assert survivors == _rational_reference(model), seed
-            if survivors == model.surviving:
+            survivors = rational_extension(tree, alive)
+            assert survivors == _rational_reference(tree, alive), seed
+            if survivors == alive:
                 break
-            model = GameModel(tree, survivors)
+            alive = survivors
 
 
 def test_rationality_stage_is_linear_in_depth():
@@ -297,13 +286,13 @@ def test_rationality_stage_is_linear_in_depth():
     for step in range(4000):
         chain = GameNode.decision(1 + step % 2, [chain])
     tree = GameTree(GameNode.decision(1, [chain, GameNode.leaf(0, 0)]))
-    model = GameModel.fresh(tree)
+    alive = frozenset(range(len(tree.nodes)))
     assert len(tree.nodes) == 4003
     tree.nodes  # index the tree outside the timed stage
     start = time.perf_counter()
-    survivors = rational_extension(model)
+    survivors = rational_extension(tree, alive)
     assert time.perf_counter() - start < 0.2
-    assert survivors == model.surviving - {4002}
+    assert survivors == alive - {4002}
 
 
 def _random_payoff_tree(rng, players):
@@ -326,18 +315,18 @@ def test_rational_stages_match_the_path_rule_on_fraction_payoffs_with_ties():
     rng = Random(13)
     for trial in range(300):
         tree = _random_payoff_tree(rng, players=2 + trial % 2)
-        model = GameModel.fresh(tree)
-        sizes = [model.size]
+        alive = frozenset(range(len(tree.nodes)))
+        sizes = [len(alive)]
         while True:
-            survivors = _rational_reference(model)
-            assert rational_extension(model) == survivors, trial
-            if survivors == model.surviving:
+            survivors = _rational_reference(tree, alive)
+            assert rational_extension(tree, alive) == survivors, trial
+            if survivors == alive:
                 break
-            model = GameModel(tree, survivors)
-            sizes.append(model.size)
+            alive = survivors
+            sizes.append(len(alive))
         result = bi_via_announcements(tree)
         assert result.trace.sizes == tuple(sizes), trial
-        assert result.surviving == model.surviving, trial
+        assert result.surviving == alive, trial
 
 
 def test_rational_extension_on_survivors_without_a_leaf_below():
@@ -350,10 +339,10 @@ def test_rational_extension_on_survivors_without_a_leaf_below():
         GameNode.leaf(Fraction(1, 3), 0),
     ]))
     for surviving in ({0, 1, 3}, {0, 1, 3, 4}, {0, 1, 3, 6}, {0, 1, 3, 4, 6}, {0, 1, 2, 3, 6}):
-        model = GameModel(tree, frozenset(surviving))
-        assert rational_extension(model) == _rational_reference(model), surviving
-    assert rational_extension(GameModel(tree, frozenset({0, 1, 3}))) == {0, 1, 3}
-    assert rational_extension(GameModel(tree, frozenset({0, 1, 3, 6}))) == {0, 6}
+        alive = frozenset(surviving)
+        assert rational_extension(tree, alive) == _rational_reference(tree, alive), surviving
+    assert rational_extension(tree, frozenset({0, 1, 3})) == {0, 1, 3}
+    assert rational_extension(tree, frozenset({0, 1, 3, 6})) == {0, 6}
 
 
 def test_comb_of_three_thousand_decision_nodes_answers_at_once():

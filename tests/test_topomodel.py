@@ -1,7 +1,9 @@
 """Topological models: the two evaluators, the announcement update, the
 visit-once pass and the per-model memo."""
 
+import json
 import time
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -321,3 +323,11 @@ def test_truth_evaluates_each_node_object_once_per_model(kernel_calls):
     assert calls == []
     assert model.truth(parse("I (p | C q)")) == first and calls == []  # an equal new object
     assert random_topomodel(3, 5, 3).truth(announced) == value
+
+
+def test_describe_renders_the_subspace_and_its_valuation():
+    # Counterexample reports render models through `describe`.
+    model = TopoModel.from_json(json.loads((Path(__file__).parent / "data" / "sier.topo.json").read_text()))
+    assert model.describe() == "topo points=[0, 1] opens=[{} {0} {0,1}] v(p)={0}"
+    assert model.update(parse("~p")).describe() == "topo points=[1] opens=[{} {1}] v(p)={}"
+    assert model.update(parse("false")).describe() == "topo points=[] opens=[{}] v(p)={}"
