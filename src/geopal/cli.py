@@ -246,9 +246,10 @@ def _cmd_persistent(args, out) -> int:
             file=out,
         )
         return 1
+    # Run before any output, so an error in it prints no result.
+    report = None if announcements is None else persistence_immunity_check(model, f, announcements)
     print("persistent: confirmed", file=out)
-    if announcements is not None:
-        report = persistence_immunity_check(model, f, announcements)
+    if report is not None:
         if report.immune:
             print(f"immunity: {report.checks} checks, no violations", file=out)
         else:

@@ -33,12 +33,14 @@ layer over them, one modal layer over them, and boolean combinations of the
 two layers (these last are what catch the effort schema).
 
 Modal truth is invariant under disjoint unions, and the announcement update
-of a union is the union of the updates, so `check_axiom` reads each
-instance's two sides once per run of sampled models, on their disjoint
-union, where each model's loci form its block.  Only a model whose block of
-the two sides' difference is nonzero is checked again, on its own and
-through the pointwise evaluators, so a report is what checking every model
-by itself would give.
+of a union is the union of the updates, so `check_axiom` reads both sides
+once per run of sampled models, on their disjoint union, where each model's
+loci form its block.  An update depends only on the announced mask, so on
+each union every body is read once per distinct mask of the announced
+formulas, not once per announced formula.  Only a model whose block of the
+two sides' difference is nonzero is checked again, on its own and through
+the pointwise evaluators, so a report is what checking every model by
+itself would give.
 """
 
 from __future__ import annotations
@@ -310,12 +312,15 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
     `reduce` applies.  `_counterexample` builds both sides as nodes only
     for a flagged (model, instance) pair.  Nothing is kept between calls.
 
-    Both sides of each instance are read once per run of models, on their
-    disjoint union (`disjoint_union` of the model kind): modal truth is
-    invariant under disjoint unions, so the union's table is, in each
-    model's block of loci, that model's own.  A run is consecutive models
-    in seed order, of one agent count for products, whose sizes sum to at
-    most `UNION_SIZE`; a model larger than that is a run of its own.  Only
+    Both sides are read once per run of models, on their disjoint union
+    (`disjoint_union` of the model kind): modal truth is invariant under
+    disjoint unions, so the union's table is, in each model's block of
+    loci, that model's own.  A run is consecutive models in seed order, of
+    one agent count for products, whose sizes sum to at most `UNION_SIZE`;
+    a model larger than that is a run of its own.  Both sides depend on
+    phi only through its mask, so the phis are grouped by their mask on the
+    union, and each body is read once per group, on the group's update; a
+    difference flags the instance of every phi in the group.  Only
     a model whose block of the two sides' difference is nonzero is checked
     again, for that instance alone and on the model itself: the loci where
     its own two tables differ are re-verified, in `loci()` order, through the
@@ -337,17 +342,24 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
         instances = by_agents.get(agent_count)
         if instances is None:
             instances = by_agents[agent_count] = _instances(axiom, pools, agent_count)
+        # `instances` holds the bodies once per phi, phi varying slowest.
+        bodies = [body for *_, body in instances[: len(instances) // len(pools["phi"])]]
         union, blocks = type(run[0][1]).disjoint_union([model for _, model in run])
-        announce, value = union._announce, union._value
+        everything, value = union._all, union._value
+        groups: dict[int, list[int]] = {}
+        for index, phi in enumerate(pools["phi"]):
+            groups.setdefault(union.table(phi), []).append(index)
         flagged = [[] for _ in run]
-        for number, (phi, *_, body) in enumerate(instances):
-            mask = union.table(phi)
-            pushed = [announce(kid, mask) for kid in children(body)]
-            differ = announce(body, mask) ^ _single_step(mask, body, pushed, value)
-            if differ:
-                for numbers, block in zip(flagged, blocks):
-                    if block & differ:
-                        numbers.append(number)
+        for mask, indices in groups.items():
+            # `_announce(g, mask)` for every g, with the update read once.
+            rest, table = everything - mask, union.updated(mask).table
+            for b, body in enumerate(bodies):
+                pushed = [rest | (mask & table(kid)) for kid in children(body)]
+                differ = (rest | (mask & table(body))) ^ _single_step(mask, body, pushed, value)
+                if differ:
+                    for numbers, block in zip(flagged, blocks):
+                        if block & differ:
+                            numbers.extend(p * len(bodies) + b for p in indices)
         for (offset, model), numbers in zip(run, flagged):
             for number in numbers:
                 counterexample = _counterexample(model, instances[number])

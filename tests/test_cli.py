@@ -352,6 +352,21 @@ def test_bad_input_found_late_prints_no_result(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_persistent_immunity_error_prints_no_result(monkeypatch):
+    # The immunity run comes before "persistent: confirmed", so an error in
+    # it leaves stdout empty.
+    def failing(model, f, announcements):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "persistence_immunity_check", failing)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["persistent", "--model", str(DATA / "pair.ssl.json"), "--formula", "p", "--announcements", "q"]
+    assert run(argv, out=out, err=err) == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "formula, operator",
     [("true | K p", "Know"), ("false & K p", "Know"), ("[!false] K p", "Know"), ("p -> K1 p", "KnowI")],

@@ -357,16 +357,20 @@ def test_check_axiom_builds_each_instance_once_per_agent_count(axiom, monkeypatc
         counts = {rewrite._SAMPLERS["product"](seed + o).agent_count for o in range(models)}
         assert len(counts) > 1
     assert sorted(listed) == sorted(counts)
-    # One schema step per instance and run of models, each read on masks;
-    # only a flagged ssl-5 pair builds its right side as a node.
+    # One schema step per body, distinct phi mask on the union and run of
+    # models, each read on masks; only a flagged ssl-5 pair builds its right
+    # side as a node.
     pools = schema_pool(axiom.semantics)
     sampled = ((o, rewrite._SAMPLERS[axiom.semantics](seed + o)) for o in range(models))
     runs = list(rewrite._runs(sampled, axiom.semantics))
     per_agent = len(counts) > 1
-    expected = sum(
-        len(list(rewrite._instantiations(axiom, pools, run[0][1].agent_count if per_agent else 1)))
-        for run in runs
-    )
+    expected = 0
+    for run in runs:
+        union = type(run[0][1]).disjoint_union([model for _, model in run])[0]
+        masks = {union.table(phi) for phi in pools["phi"]}
+        agent_count = run[0][1].agent_count if per_agent else 1
+        bodies = len(list(rewrite._instantiations(axiom, pools, agent_count))) // len(pools["phi"])
+        expected += len(masks) * bodies
     on_masks = [step for step in steps if type(step[0]) is int]
     assert len(on_masks) == expected
     assert all(step[3] != rebuild for step in on_masks)
@@ -496,15 +500,20 @@ def test_check_axiom_on_unions_equals_the_per_model_check(axiom, seed):
     assert report.render() == reference.render()
 
 
-def test_check_axiom_reports_in_seed_order_across_agent_counts(monkeypatch):
-    # A right side negated in both readings breaks the schema on every
-    # product model, so both agent counts' runs find counterexamples,
-    # interleaved in seed order.
+def _negate_right_sides(monkeypatch):
+    """A right side negated in both readings, nodes and masks: the schema
+    then fails on every instance and model."""
     original, negation = rewrite._single_step, Not(Top())
     monkeypatch.setattr(
         rewrite, "_single_step",
         lambda announced, body, pushed=None, make=rebuild: make(negation, [original(announced, body, pushed, make)]),
     )
+
+
+def test_check_axiom_reports_in_seed_order_across_agent_counts(monkeypatch):
+    # Broken on every product model, so both agent counts' runs find
+    # counterexamples, interleaved in seed order.
+    _negate_right_sides(monkeypatch)
     built = _record_announcements(monkeypatch)
     axiom = AxiomId("product", 2)
     report = check_axiom(axiom, 12, 0)
@@ -520,6 +529,36 @@ def test_check_axiom_reports_in_seed_order_across_agent_counts(monkeypatch):
     counts = [c.model.agent_count for c in report.counterexamples]
     assert counts != sorted(counts)
     assert report == reference
+
+
+@pytest.mark.parametrize("axiom", ALL_SCHEMAS, ids=str)
+def test_check_axiom_on_one_model_equals_the_per_model_check(axiom):
+    # The shape the axiom corpus calls, where announced formulas share masks most.
+    for seed in range(100):
+        assert check_axiom(axiom, 1, seed) == _per_model_check(axiom, 1, seed), seed
+    if (axiom.semantics, axiom.index) == ("product", 4):
+        assert {rewrite._SAMPLERS["product"](seed).agent_count for seed in range(100)} == {2, 3}
+
+
+def test_every_formula_announced_on_a_shared_mask_is_reported(monkeypatch):
+    axiom = AxiomId("ssl", 4)
+    phis = schema_pool("ssl")["phi"]
+
+    def largest_group(seed):
+        """The announced formulas sharing the commonest mask on the seed's model."""
+        model = rewrite._SAMPLERS["ssl"](seed)
+        (mask, _), = Counter(model.table(phi) for phi in phis).most_common(1)
+        return [phi for phi in phis if model.table(phi) == mask]
+
+    seed = next(seed for seed in range(100) if len(largest_group(seed)) > 1)
+    group = largest_group(seed)
+    assert len(group) >= 2
+    _negate_right_sides(monkeypatch)
+    report = check_axiom(axiom, 1, seed)
+    reported = [c.phi for c in report.counterexamples]
+    assert all(phi in reported for phi in group)
+    assert len(reported) == len(rewrite._instances(axiom, schema_pool("ssl"), 1))
+    assert report == _per_model_check(axiom, 1, seed)
 
 
 def test_check_axiom_runs_respect_the_size_bound_and_agent_counts():
