@@ -28,7 +28,9 @@ so formula-keyed memos hash one node per lookup.  Parsing, `walk`,
 only through a model's modal clauses.  `Model` is the half of the model
 protocol the three kinds share: the memoized truth table, each box and
 diamond as a preimage over the kind's relation, the read-out of a mask as
-loci, the update by a formula and the oracle's entry point.
+loci, the update by a formula and the oracle's entry point; a `Tile` is
+copies of one model side by side, each with its own carrier, read by the
+same table loop.
 """
 
 from __future__ import annotations
@@ -486,6 +488,11 @@ class Model:
     The memos are built on first use; equality and repr see only the
     fields, the carrier included, and `__getstate__` keeps the memos out
     of pickles and copies.
+
+    `tile(count)` is `count` copies of the model side by side (`Tile`), for
+    any kind: a table there is, copy by copy, the model's own, and the
+    tile's update gives each copy its own carrier, so one `tabulate` pass
+    reads a formula on several updates of one model at once.
     """
 
     fragment: str
@@ -626,6 +633,65 @@ class Model:
         """Where a locus is after the update to `holds`: unchanged, except on
         subset-space models, where a situation's set shrinks."""
         return locus
+
+    def tile(self, count: int) -> "Model":
+        """`count` copies of this model side by side (`Tile`); one copy is
+        the model itself."""
+        return self if count == 1 else Tile((self,) * count, len(self._order))
+
+
+class Tile(Model):
+    """Models that share one root, side by side: copy g's bit i is the
+    tile's bit `g * width + i`, where `width` is the root's index width,
+    and each copy keeps its own carrier.  So the tile is the copies'
+    disjoint union, built by no kind's constructor and with no code per
+    kind, and since modal truth is invariant under disjoint unions, a
+    table on the tile is, copy by copy, that copy's own table shifted up
+    by `g * width`.
+
+    It states the root's atom masks times the repunit (one bit per copy,
+    `width` apart), and each modal node's relation as the copies' own,
+    shifted up by `g * width` and concatenated, with moves of equal
+    `(up, down)` merged, built once per node kind.  Its update is the tile
+    of the copies' updates to their parts of the mask, each the copy's own
+    memoized `updated`.  The base states the rest.
+    """
+
+    def __init__(self, copies: tuple, width: int):
+        self._copies, self._width = copies, width
+        self.carrier = sum(copy._all << g * width for g, copy in enumerate(copies))
+        repunit = sum(1 << g * width for g in range(len(copies)))
+        self._atoms = {atom: mask * repunit for atom, mask in copies[0]._atoms.items()}
+        # A tile is read as soon as it is built, so its memos are made here.
+        self._tables, self._updates, self._relations = {}, {}, {}
+
+    def _relation(self, f: Formula) -> tuple:
+        """The copies' relations of f, shifted and concatenated.  A modal
+        node's relation is fixed by its box and, for K_i, its agent."""
+        key = DUALS.get(type(f), type(f)), getattr(f, "agent", None)
+        relation = self._relations.get(key)
+        if relation is None:
+            pairs, moves = [], {}
+            for g, copy in enumerate(self._copies):
+                shift = g * self._width
+                own_pairs, own_moves = copy._relation(f)
+                pairs += ((need << shift, members << shift) for need, members in own_pairs)
+                for source, up, down in own_moves:
+                    moves[up, down] = moves.get((up, down), 0) | source << shift
+            moves = tuple((source, up, down) for (up, down), source in moves.items())
+            relation = self._relations[key] = tuple(pairs), moves
+        return relation
+
+    def updated(self, carrier: int) -> "Tile":
+        """The tile of each copy's update to its part of the carrier mask,
+        built once per mask."""
+        tile = self._updates.get(carrier)
+        if tile is None:
+            width = self._width
+            low = (1 << width) - 1
+            copies = tuple(copy.updated(carrier >> g * width & low) for g, copy in enumerate(self._copies))
+            tile = self._updates[carrier] = Tile(copies, width)
+        return tile
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,13 @@ Modal truth is invariant under disjoint unions, and the announcement update
 of a union is the union of the updates, so `check_axiom` reads both sides
 once per run of sampled models, on their disjoint union, where each model's
 loci form its block.  An update depends only on the announced mask, so on
-each union every body is read once per distinct mask of the announced
-formulas, not once per announced formula.  Only a model whose block of the
-two sides' difference is nonzero is checked again, on its own and through
-the pointwise evaluators, so a report is what checking every model by
-itself would give.
+each union the announced formulas are grouped by their mask.  The same
+invariance lets the distinct masks of a small union be read together: copies
+of the union side by side (`formula.Tile`), copy g announcing the g-th mask,
+so every body is read once per tile of masks.  Only a model whose block of
+the two sides' difference is nonzero, in some copy, is checked again, on its
+own and through the pointwise evaluators, so a report is what checking every
+model by itself would give.
 """
 
 from __future__ import annotations
@@ -319,9 +321,14 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
     one agent count for products, whose sizes sum to at most `UNION_SIZE`;
     a model larger than that is a run of its own.  Both sides depend on
     phi only through its mask, so the phis are grouped by their mask on the
-    union, and each body is read once per group, on the group's update; a
-    difference flags the instance of every phi in the group.  Only
-    a model whose block of the two sides' difference is nonzero is checked
+    union.  The distinct masks, in phi order, fill tiles of at most
+    `TILE_WIDTH` bits: `union.tile(count)` is that many copies of the union
+    side by side, `width` bits apart (`len(union._order)`), and a tile of
+    one copy is the union itself, so a union too wide to tile is read one
+    mask at a time.  Each body is read once per tile, both sides on
+    `tile.updated(the tile's masks, side by side)`; copy g's part of the
+    difference flags the instance of every phi in the g-th group.  Only
+    a model whose block of that part is nonzero is checked
     again, for that instance alone and on the model itself: the loci where
     its own two tables differ are re-verified, in `loci()` order, through the
     pointwise evaluators before being recorded, and the report keeps one
@@ -345,21 +352,27 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
         # `instances` holds the bodies once per phi, phi varying slowest.
         bodies = [body for *_, body in instances[: len(instances) // len(pools["phi"])]]
         union, blocks = type(run[0][1]).disjoint_union([model for _, model in run])
-        everything, value = union._all, union._value
         groups: dict[int, list[int]] = {}
         for index, phi in enumerate(pools["phi"]):
             groups.setdefault(union.table(phi), []).append(index)
+        masks, width = list(groups), len(union._order)
+        low, per_tile = (1 << width) - 1, max(1, TILE_WIDTH // width)
         flagged = [[] for _ in run]
-        for mask, indices in groups.items():
-            # `_announce(g, mask)` for every g, with the update read once.
-            rest, table = everything - mask, union.updated(mask).table
+        for start in range(0, len(masks), per_tile):
+            # Copy g of the tile announces the g-th mask of the slice, and
+            # `_announce(h, announced)` reads that update once for every h.
+            tiled = masks[start : start + per_tile]
+            tile = union.tile(len(tiled))
+            announced = sum(mask << g * width for g, mask in enumerate(tiled))
+            rest, table = tile._all - announced, tile.updated(announced).table
             for b, body in enumerate(bodies):
-                pushed = [rest | (mask & table(kid)) for kid in children(body)]
-                differ = (rest | (mask & table(body))) ^ _single_step(mask, body, pushed, value)
-                if differ:
+                pushed = [rest | (announced & table(kid)) for kid in children(body)]
+                differ = (rest | (announced & table(body))) ^ _single_step(announced, body, pushed, tile._value)
+                for mask in tiled if differ else ():
+                    part, differ = differ & low, differ >> width
                     for numbers, block in zip(flagged, blocks):
-                        if block & differ:
-                            numbers.extend(p * len(bodies) + b for p in indices)
+                        if block & part:
+                            numbers.extend(p * len(bodies) + b for p in groups[mask])
         for (offset, model), numbers in zip(run, flagged):
             for number in numbers:
                 counterexample = _counterexample(model, instances[number])
@@ -392,8 +405,17 @@ def _counterexample(model, instance: tuple) -> Counterexample | None:
 # The largest size (loci; on subset spaces, points plus situations) of one
 # disjoint union in `check_axiom`.  Each modal clause reads masks as wide as
 # the union, at most once per locus, so a union costs more per locus the
-# larger it grows; this bound was chosen from a sweep of sample sizes.
+# larger it grows; this bound was chosen from a sweep of sample sizes.  A
+# union is then read on tiles of its copies, one per distinct announced mask.
 UNION_SIZE = 512
+
+# The largest width (bits) of one tile in `check_axiom`: copies of a union,
+# one per announced mask, side by side (`formula.Tile`).  A tile saves the
+# per-node dispatch of reading each mask apart, but every copy adds its pairs
+# to each `preimage` loop over masks as wide as the tile, so wide tiles cost
+# more than they save; this bound was chosen from a sweep of bounds.  A union
+# wider than half of it is read one mask at a time.
+TILE_WIDTH = 128
 
 
 def _runs(models, semantics: str):

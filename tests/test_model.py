@@ -7,6 +7,7 @@ import gc
 import pickle
 import weakref
 from collections import Counter
+from functools import partial
 from itertools import count
 from random import Random
 
@@ -304,3 +305,42 @@ def test_value_reads_every_node_as_tabulate_does(kind):
             assert union._value(node, [union.table(kid) for kid in kids]) == union.table(node), str(node)
             kinds.add(type(node))
     assert kinds >= formula._LEAVES | formula._BINARY | {formula.Not, Announce}
+
+
+def _partial_product() -> ProductModel:
+    """Two product models side by side, which list part of the product of
+    their factors, so K_i's relation is pairs."""
+    return ProductModel.disjoint_union(_sample(random_product_model, 2, 2))[0]
+
+
+# Per kind: a model, the repertoire of its random formulas, a box over the
+# relation the kind states, and whether that relation is moves (else pairs).
+TILE_KINDS = {
+    "topo-pairs": (lambda: random_topomodel(3, 5, 3), {"modal": "IC"}, formula.Interior, False),
+    "ssl-effort-moves": (lambda: _nested_chain(1), {"modal": "KLED"}, formula.Effort, True),
+    "product-full-moves": (lambda: random_product_model(1), {"agents": 2}, partial(formula.KnowI, 1), True),
+    "product-partial-pairs": (_partial_product, {"agents": 2}, partial(formula.KnowI, 2), False),
+}
+
+
+@pytest.mark.parametrize("kind", TILE_KINDS)
+def test_tile_tables_are_each_copys_own_table_shifted(kind):
+    build, repertoire, box, moves = TILE_KINDS[kind]
+    model, rng = build(), Random(5)
+    assert model.tile(1) is model
+    # Copies with different carriers: empty, every locus, and random parts.
+    carriers = [0, model._all] + [rng.randrange(model._all + 1) & model._all for _ in range(4)]
+    width = len(model._order)
+    tile = model.tile(len(carriers)).updated(sum(c << g * width for g, c in enumerate(carriers)))
+    pairs, shifts = tile._relation(box(Atom("p")))
+    assert bool(shifts) == moves and bool(pairs) != moves
+    if kind == "ssl-effort-moves":
+        assert any(source >> 64 for source, _, _ in shifts)
+    # Each copy's reference is an update of a fresh equal model, which shares no memo with the tile.
+    own = [dataclasses.replace(model).updated(carrier) for carrier in carriers]
+    low = (1 << width) - 1
+    for _ in range(40):
+        f = random_formula(rng, 4, announce_depth=1, **repertoire)
+        table = tile.table(f)
+        for g, copy in enumerate(own):
+            assert table >> g * width & low == copy.table(f), (g, str(f))

@@ -5,6 +5,7 @@ import itertools
 import time
 from collections import Counter
 from functools import partial
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -346,31 +347,48 @@ def test_a_body_equal_to_a_pool_formula_is_that_formula():
 
 @pytest.mark.parametrize("axiom", ALL_SCHEMAS, ids=str)
 def test_check_axiom_builds_each_instance_once_per_agent_count(axiom, monkeypatch):
+    # Most unions of 25 models are wider than half the tile bound, so most
+    # tiles are one union, read for one mask.
+    _assert_one_step_per_tile_and_body(axiom, 25, 11, monkeypatch)
+
+
+@pytest.mark.parametrize("axiom", ALL_SCHEMAS, ids=str)
+def test_check_axiom_steps_once_per_tile_on_one_model(axiom, monkeypatch):
+    # The axiom corpus's shape: a tile holds several of one model's masks,
+    # and seed 9's model breaks ssl-5.
+    _assert_one_step_per_tile_and_body(axiom, 1, 9, monkeypatch)
+
+
+def _assert_one_step_per_tile_and_body(axiom, models, seed, monkeypatch):
+    """`check_axiom(axiom, models, seed)` lists the instances once per agent
+    count and takes one `_single_step` per (tile, body) on masks."""
     listed, steps = [], []
     instances, single_step = rewrite._instances, rewrite._single_step
     monkeypatch.setattr(rewrite, "_instances", lambda *a: listed.append(a[2]) or instances(*a))
     monkeypatch.setattr(rewrite, "_single_step", lambda *a: steps.append(a) or single_step(*a))
-    seed, models = 11, 25
     assert check_axiom(axiom, models, seed).valid_on_sample == (str(axiom) != "ssl-5")
-    counts = {1}
-    if (axiom.semantics, axiom.index) == ("product", 4):
-        counts = {rewrite._SAMPLERS["product"](seed + o).agent_count for o in range(models)}
+    per_agent = (axiom.semantics, axiom.index) == ("product", 4)
+    counts = {rewrite._SAMPLERS["product"](seed + o).agent_count for o in range(models)} if per_agent else {1}
+    if per_agent and models > 1:
         assert len(counts) > 1
     assert sorted(listed) == sorted(counts)
-    # One schema step per body, distinct phi mask on the union and run of
-    # models, each read on masks; only a flagged ssl-5 pair builds its right
-    # side as a node.
+    # One schema step per body, tile and run of models, each read on masks:
+    # a tile holds as many of the distinct phi masks on the union as fit
+    # the tile bound side by side.  Only a flagged ssl-5 pair
+    # builds its right side as a node.
     pools = schema_pool(axiom.semantics)
     sampled = ((o, rewrite._SAMPLERS[axiom.semantics](seed + o)) for o in range(models))
-    runs = list(rewrite._runs(sampled, axiom.semantics))
-    per_agent = len(counts) > 1
-    expected = 0
-    for run in runs:
+    expected = copies = 0
+    for run in rewrite._runs(sampled, axiom.semantics):
         union = type(run[0][1]).disjoint_union([model for _, model in run])[0]
         masks = {union.table(phi) for phi in pools["phi"]}
+        per_tile = max(1, rewrite.TILE_WIDTH // len(union._order))
+        tiles = -(-len(masks) // per_tile)
         agent_count = run[0][1].agent_count if per_agent else 1
         bodies = len(list(rewrite._instantiations(axiom, pools, agent_count))) // len(pools["phi"])
-        expected += len(masks) * bodies
+        expected += tiles * bodies
+        copies = max(copies, min(per_tile, len(masks)))
+    assert copies > 1 or models > 1
     on_masks = [step for step in steps if type(step[0]) is int]
     assert len(on_masks) == expected
     assert all(step[3] != rebuild for step in on_masks)
@@ -538,6 +556,23 @@ def test_check_axiom_on_one_model_equals_the_per_model_check(axiom):
         assert check_axiom(axiom, 1, seed) == _per_model_check(axiom, 1, seed), seed
     if (axiom.semantics, axiom.index) == ("product", 4):
         assert {rewrite._SAMPLERS["product"](seed).agent_count for seed in range(100)} == {2, 3}
+
+
+# (models, seed) of the pinned reports: one model at seeds 0-39, the axiom
+# corpus's shape, where masks are tiled; then 25 and 300 models, whose
+# unions are mostly read one mask at a time.
+PINNED_REPORTS = [(1, seed) for seed in range(40)] + [(25, 7), (300, 0)]
+
+
+def test_reports_equal_the_pinned_file():
+    # `render()` of every schema at each (models, seed), one report per
+    # paragraph, in that order: checked in before the masks were tiled.
+    reports = [
+        check_axiom(axiom, models, seed).render() + "\n"
+        for models, seed in PINNED_REPORTS for axiom in ALL_SCHEMAS
+    ]
+    expected = (Path(__file__).parent / "data" / "axiom_reports.txt").read_text()
+    assert "\n".join(reports) == expected
 
 
 def test_every_formula_announced_on_a_shared_mask_is_reported(monkeypatch):
