@@ -28,14 +28,14 @@ so formula-keyed memos hash one node per lookup.  Parsing, `walk`,
 only through a model's modal clauses.  `Model` is the half of the model
 protocol the three kinds share: the memoized truth table, each box and
 diamond as a preimage over the kind's relation, the read-out of a mask as
-loci, the update by a formula and the oracle's entry point; a `Tile` is
-copies of one model side by side, each with its own carrier, read by the
-same table loop.
+loci, the update by a formula and the oracle's entry point;
+`disjoint_union` places models of any kinds side by side (`Tile`), each
+with its own carrier, read by the same table loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 
@@ -489,14 +489,16 @@ class Model:
     fields, the carrier included, and `__getstate__` keeps the memos out
     of pickles and copies.
 
-    `tile(count)` is `count` copies of the model side by side (`Tile`), for
-    any kind: a table there is, copy by copy, the model's own, and the
-    tile's update gives each copy its own carrier, so one `tabulate` pass
-    reads a formula on several updates of one model at once.
+    Every relation of an update is its root's, except for the node kinds
+    in `_compiled` (E on subset spaces), which each model compiles for its
+    own carrier.  `tile(count)` is the `disjoint_union` of `count` copies:
+    its update gives each copy its own carrier, so one `tabulate` pass reads
+    a formula on several updates of one model at once.
     """
 
     fragment: str
     _shared: tuple[str, ...] = ()
+    _compiled: frozenset = frozenset()
 
     @cached_property
     def _tables(self) -> dict[Formula, int]:
@@ -512,7 +514,7 @@ class Model:
 
     def __getstate__(self) -> dict:
         """Pickles and copies carry the fields, not the memo."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     def _default_carrier(self, every: int):
         """Set an unset carrier to the mask of every locus; refuse one beyond it."""
@@ -540,9 +542,10 @@ class Model:
         model = self._updates.get(carrier)
         if model is None:
             model = self._updates[carrier] = object.__new__(type(self))
-            vars(model).update(
-                self.__getstate__(), carrier=carrier, **{name: getattr(self, name) for name in self._shared}
-            )
+            state = vars(model)
+            for name in (*self.__dataclass_fields__, *self._shared):
+                state[name] = getattr(self, name)
+            state["carrier"] = carrier
         return model
 
     def _value(self, f: Formula, kids) -> int:
@@ -635,62 +638,87 @@ class Model:
         return locus
 
     def tile(self, count: int) -> "Model":
-        """`count` copies of this model side by side (`Tile`); one copy is
-        the model itself."""
-        return self if count == 1 else Tile((self,) * count, len(self._order))
+        """`count` copies of this model side by side: their `disjoint_union`."""
+        return disjoint_union((self,) * count)[0]
+
+
+def disjoint_union(models) -> tuple[Model, tuple[int, ...]]:
+    """The models side by side (`Tile`), and each model's block: the mask
+    of its loci in the union.  The union of one model is that model."""
+    if len(models) == 1:
+        return models[0], (models[0]._all,)
+    union = Tile(tuple(models))
+    return union, tuple(model._all << offset for model, offset in zip(models, union._offsets))
 
 
 class Tile(Model):
-    """Models that share one root, side by side: copy g's bit i is the
-    tile's bit `g * width + i`, where `width` is the root's index width,
-    and each copy keeps its own carrier.  So the tile is the copies'
-    disjoint union, built by no kind's constructor and with no code per
-    kind, and since modal truth is invariant under disjoint unions, a
-    table on the tile is, copy by copy, that copy's own table shifted up
-    by `g * width`.
+    """The disjoint union of models of any kinds and roots, built with no
+    code per kind: block g's bit i is the union's bit `offset + i`, the
+    offset being the sum of the earlier blocks' widths (`len(_order)`).
+    Modal truth is invariant under disjoint unions, so a table on the union
+    is, block by block, that block's own table shifted up by its offset.
 
-    It states the root's atom masks times the repunit (one bit per copy,
-    `width` apart), and each modal node's relation as the copies' own,
-    shifted up by `g * width` and concatenated, with moves of equal
-    `(up, down)` merged, built once per node kind.  Its update is the tile
-    of the copies' updates to their parts of the mask, each the copy's own
-    memoized `updated`.  The base states the rest.
+    Its atom masks are the blocks' own, shifted and OR-ed, and each modal
+    node's relation the blocks' own, shifted and concatenated, with moves of
+    equal `(up, down)` merged, built once per node kind (and agent).  An
+    update is the root's blocks with a new carrier, handed the root's
+    offsets, atoms and relations but no reference to the root union.  It
+    rebuilds only the kinds some block compiles per update (`_compiled`),
+    from each block's update to its part of the carrier, skipping empty
+    blocks and reusing whole ones.  The base states the rest.
     """
 
-    def __init__(self, copies: tuple, width: int):
-        self._copies, self._width = copies, width
-        self.carrier = sum(copy._all << g * width for g, copy in enumerate(copies))
-        repunit = sum(1 << g * width for g in range(len(copies)))
-        self._atoms = {atom: mask * repunit for atom, mask in copies[0]._atoms.items()}
-        # A tile is read as soon as it is built, so its memos are made here.
+    def __init__(self, blocks: tuple, carrier: int | None = None, root: tuple | None = None):
+        if root is None:
+            offsets, atoms, compiled, width = [], {}, frozenset(), 0
+            for block in blocks:
+                offsets.append(width)
+                for atom, mask in block._atoms.items():
+                    atoms[atom] = atoms.get(atom, 0) | mask << width
+                compiled |= block._compiled
+                width += len(block._order)
+            root = tuple(offsets), atoms, compiled, {}
+            carrier = sum(block._all << offset for block, offset in zip(blocks, offsets))
+        self._blocks, self.carrier, self._root = blocks, carrier, root
+        self._offsets, self._atoms, self._compiled, self._fixed = root
+        # A union is read as soon as it is built, so its memos are made here.
         self._tables, self._updates, self._relations = {}, {}, {}
 
+    @cached_property
+    def _order(self) -> tuple:
+        """(g, locus) at each bit, for each locus of block g."""
+        return tuple((g, locus) for g, block in enumerate(self._blocks) for locus in block._order)
+
     def _relation(self, f: Formula) -> tuple:
-        """The copies' relations of f, shifted and concatenated.  A modal
+        """The blocks' relations of f, shifted and concatenated.  A modal
         node's relation is fixed by its box and, for K_i, its agent."""
-        key = DUALS.get(type(f), type(f)), getattr(f, "agent", None)
-        relation = self._relations.get(key)
+        kind = DUALS.get(type(f), type(f))
+        key = kind, getattr(f, "agent", None)
+        compiled = kind in self._compiled
+        relations = self._relations if compiled else self._fixed
+        relation = relations.get(key)
         if relation is None:
-            pairs, moves = [], {}
-            for g, copy in enumerate(self._copies):
-                shift = g * self._width
-                own_pairs, own_moves = copy._relation(f)
-                pairs += ((need << shift, members << shift) for need, members in own_pairs)
+            pairs, moves, carrier = [], {}, self.carrier
+            for block, offset in zip(self._blocks, self._offsets):
+                if compiled:
+                    part = carrier >> offset & block._all
+                    if not part:
+                        continue
+                    if part != block._all:
+                        block = block.updated(part)
+                own_pairs, own_moves = block._relation(f)
+                pairs += ((need << offset, members << offset) for need, members in own_pairs)
                 for source, up, down in own_moves:
-                    moves[up, down] = moves.get((up, down), 0) | source << shift
+                    moves[up, down] = moves.get((up, down), 0) | source << offset
             moves = tuple((source, up, down) for (up, down), source in moves.items())
-            relation = self._relations[key] = tuple(pairs), moves
+            relation = relations[key] = tuple(pairs), moves
         return relation
 
     def updated(self, carrier: int) -> "Tile":
-        """The tile of each copy's update to its part of the carrier mask,
-        built once per mask."""
+        """The root's blocks with the carrier mask, built once per mask."""
         tile = self._updates.get(carrier)
         if tile is None:
-            width = self._width
-            low = (1 << width) - 1
-            copies = tuple(copy.updated(carrier >> g * width & low) for g, copy in enumerate(self._copies))
-            tile = self._updates[carrier] = Tile(copies, width)
+            tile = self._updates[carrier] = Tile(self._blocks, carrier, self._root)
         return tile
 
 

@@ -73,7 +73,6 @@ from .topology import (
     parse_label,
     preimage,
     random_topology,
-    topological_sum,
 )
 
 World = tuple
@@ -120,34 +119,6 @@ class ProductModel(Model):
         worlds = frozenset(cartesian(*(f.points for f in factors)))
         val = {atom: frozenset(map(tuple, area)) for atom, area in dict(valuation).items()}
         return cls(factors, worlds, val)
-
-    @classmethod
-    def disjoint_union(cls, models: Sequence["ProductModel"]) -> tuple["ProductModel", tuple[int, ...]]:
-        """The disjoint union of models with one agent count, and each
-        model's block: the mask of its surviving worlds in the union.
-
-        Factor j of the union is the topological sum of the models' factors
-        j, point x of the i-th model's labelled (i, x), and the i-th model's
-        world (x1, ..., xn) is ((i, x1), ..., (i, xn)).  So the union lists
-        part of the product of its factors, and a world's line and its
-        coordinates' minimal opens stay within its model: a formula's table
-        on the union is, block by block, its table on each model.  The
-        union of one model is that model."""
-        if len(models) == 1:
-            return models[0], (models[0].carrier,)
-        if len({model.agent_count for model in models}) > 1:
-            raise ValueError("the models of a disjoint union need one agent count")
-        factors = tuple(topological_sum(column)[0] for column in zip(*(model.factors for model in models)))
-        worlds, valuation, surviving = [], {}, []
-        for i, model in enumerate(models):
-            tagged = {world: tuple((i, x) for x in world) for world in model.worlds}
-            worlds += tagged.values()
-            for atom, area in model.valuation.items():
-                valuation.setdefault(atom, set()).update(map(tagged.__getitem__, area))
-            surviving.append(list(map(tagged.__getitem__, model.loci())))
-        union = cls(factors, frozenset(worlds), {atom: frozenset(area) for atom, area in valuation.items()})
-        blocks = tuple(_mask(union._bit, loci) for loci in surviving)
-        return union.updated(sum(blocks)), blocks
 
     @property
     def agent_count(self) -> int:

@@ -38,11 +38,11 @@ once per run of sampled models, on their disjoint union, where each model's
 loci form its block.  An update depends only on the announced mask, so on
 each union the announced formulas are grouped by their mask.  The same
 invariance lets the distinct masks of a small union be read together: copies
-of the union side by side (`formula.Tile`), copy g announcing the g-th mask,
-so every body is read once per tile of masks.  Only a model whose block of
-the two sides' difference is nonzero, in some copy, is checked again, on its
-own and through the pointwise evaluators, so a report is what checking every
-model by itself would give.
+of the union side by side (`Model.tile`, the same `formula.disjoint_union`),
+copy g announcing the g-th mask, so every body is read once per tile of
+masks.  Only a model whose block of the two sides' difference is nonzero,
+in some copy, is checked again, on its own and through the pointwise
+evaluators, so a report is what checking every model by itself would give.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ from .formula import (
     Top,
     check_fragment,
     children,
+    disjoint_union,
     fold,
     rebuild,
 )
@@ -315,17 +316,19 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
     for a flagged (model, instance) pair.  Nothing is kept between calls.
 
     Both sides are read once per run of models, on their disjoint union
-    (`disjoint_union` of the model kind): modal truth is invariant under
-    disjoint unions, so the union's table is, in each model's block of
-    loci, that model's own.  A run is consecutive models in seed order, of
+    (`formula.disjoint_union`, one for every kind, built from the models'
+    atom masks and relations): modal truth is invariant under disjoint
+    unions, so the union's table is, in each model's block of loci, that
+    model's own.  A run is consecutive models in seed order, of
     one agent count for products, whose sizes sum to at most `UNION_SIZE`;
     a model larger than that is a run of its own.  Both sides depend on
     phi only through its mask, so the phis are grouped by their mask on the
     union.  The distinct masks, in phi order, fill tiles of at most
-    `TILE_WIDTH` bits: `union.tile(count)` is that many copies of the union
-    side by side, `width` bits apart (`len(union._order)`), and a tile of
-    one copy is the union itself, so a union too wide to tile is read one
-    mask at a time.  Each body is read once per tile, both sides on
+    `TILE_WIDTH` bits: `union.tile(count)` is the disjoint union of that
+    many copies of the union, `width` bits apart (`len(union._order)`, the
+    sum of the models' widths), and a tile of one copy is the union itself,
+    so a union too wide to tile is read one mask at a time.  Each body is
+    read once per tile, both sides on
     `tile.updated(the tile's masks, side by side)`; copy g's part of the
     difference flags the instance of every phi in the g-th group.  Only
     a model whose block of that part is nonzero is checked
@@ -351,7 +354,7 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
             instances = by_agents[agent_count] = _instances(axiom, pools, agent_count)
         # `instances` holds the bodies once per phi, phi varying slowest.
         bodies = [body for *_, body in instances[: len(instances) // len(pools["phi"])]]
-        union, blocks = type(run[0][1]).disjoint_union([model for _, model in run])
+        union, blocks = disjoint_union([model for _, model in run])
         groups: dict[int, list[int]] = {}
         for index, phi in enumerate(pools["phi"]):
             groups.setdefault(union.table(phi), []).append(index)
@@ -403,14 +406,16 @@ def _counterexample(model, instance: tuple) -> Counterexample | None:
 
 
 # The largest size (loci; on subset spaces, points plus situations) of one
-# disjoint union in `check_axiom`.  Each modal clause reads masks as wide as
-# the union, at most once per locus, so a union costs more per locus the
-# larger it grows; this bound was chosen from a sweep of sample sizes.  A
+# run of models joined by `formula.disjoint_union` in `check_axiom`.  Each
+# modal clause reads masks as wide as the union, at most once per locus, so
+# a union costs more per locus the larger it grows; this bound was chosen
+# from a sweep of sample sizes, on earlier unions of the same widths.  A
 # union is then read on tiles of its copies, one per distinct announced mask.
 UNION_SIZE = 512
 
 # The largest width (bits) of one tile in `check_axiom`: copies of a union,
-# one per announced mask, side by side (`formula.Tile`).  A tile saves the
+# one per announced mask, side by side (`Model.tile`, their disjoint union;
+# a union's width is the sum of its models' widths).  A tile saves the
 # per-node dispatch of reading each mask apart, but every copy adds its pairs
 # to each `preimage` loop over masks as wide as the tile, so wide tiles cost
 # more than they save; this bound was chosen from a sweep of bounds.  A union

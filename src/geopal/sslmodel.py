@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .formula import (
     Announce,
@@ -99,34 +99,10 @@ class SSLModel(Model):
             {atom: frozenset(area) for atom, area in dict(valuation).items()},
         )
 
-    @classmethod
-    def disjoint_union(cls, models: Sequence["SSLModel"]) -> tuple["SSLModel", tuple[int, ...]]:
-        """The disjoint union of the models, point x of the i-th labelled
-        (i, x), and each model's block: the mask of its surviving situations
-        in the union, which are its own in its own order.  No member meets
-        two models, so knowledge and effort at a situation read only its
-        model's block, and the update of the union is the union of the
-        updates: a formula's table on the union is, block by block, its
-        table on each model.  The union of one model is that model."""
-        if len(models) == 1:
-            return models[0], (models[0]._all,)
-        points, sigma, valuation, blocks = [], [], {}, []
-        start = strays = 0
-        for i, model in enumerate(models):
-            kept = model.carrier >> len(model._situations)  # 1 while its points in no set survive
-            dropped = set() if kept else set(model.points).difference(*model.sigma)
-            points += ((i, point) for point in model.points if point not in dropped)
-            sigma += (frozenset((i, point) for point in member) for member in model.sigma)
-            for atom, area in model.valuation.items():
-                valuation.setdefault(atom, set()).update((i, point) for point in area - dropped)
-            blocks.append(model._all << start)
-            start += len(model._situations)
-            strays |= kept
-        valuation = {atom: frozenset(area) for atom, area in valuation.items()}
-        return cls(tuple(points), tuple(sigma), valuation, sum(blocks) | strays << start), tuple(blocks)
-
     # Derived state, built on first use; the root's index is handed to its updates.
-    _shared = ("_situations", "_members", "_atoms", "_listed")
+    _shared = ("_situations", "_members", "_atoms", "_listed", "_point_pairs")
+    # Each update compiles its own E/D relation (`_effort`).
+    _compiled = frozenset({Effort})
 
     @cached_property
     def _situations(self) -> tuple["Situation", ...]:
@@ -168,20 +144,29 @@ class SSLModel(Model):
         return self.carrier & (1 << len(self._situations)) - 1
 
     @cached_property
+    def _point_pairs(self) -> tuple:
+        """Each ordered pair of the root's situations at one point, as
+        (bit, other bit, set, other set), by point and then by bit."""
+        rows = {}
+        for i, (point, member) in enumerate(self._situations):
+            rows.setdefault(point, []).append((i, member))
+        return tuple(
+            (at, to, smaller, larger) for row in rows.values() for at, smaller in row for to, larger in row if to != at
+        )
+
+    @cached_property
     def _effort(self) -> tuple:
         """E and D's relation, refinement, as `preimage` moves, one per signed
         distance between bits: each carries the situations (x, V) in its mask
-        to (x, U), for V's surviving points within U's."""
-        situations, shrunk = self._situations, self._shrunk
-        rows, moves = {}, {}
-        for i in bits(self._all):
-            point, member = situations[i]
-            rows.setdefault(point, []).append((i, shrunk[member]))
-        for row in rows.values():
-            for at, smaller in row:
-                for to, larger in row:
-                    if to != at and smaller <= larger:
-                        moves[to - at] = moves.get(to - at, 0) | 1 << at
+        to (x, U), for V's surviving points within U's, both surviving."""
+        pairs = self._point_pairs
+        if not pairs:  # no point lies in two sets
+            return (), ()
+        everything, shrunk = self._all, self._shrunk
+        moves = {}
+        for at, to, smaller, larger in pairs:
+            if everything >> at & everything >> to & 1 and shrunk[smaller] <= shrunk[larger]:
+                moves[to - at] = moves.get(to - at, 0) | 1 << at
         return (), tuple((mask, max(d, 0), max(-d, 0)) for d, mask in moves.items())
 
     @cached_property

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 
 class TopologyError(ValueError):
@@ -170,19 +170,6 @@ class Topology:
         points = tuple(self.points[i] for i in bits(carrier))
         minimal = tuple(compress_mask(self.minimal[i] & carrier, carrier) for i in bits(carrier))
         return Topology(points, minimal)
-
-
-def topological_sum(spaces: Sequence[Topology]) -> tuple[Topology, tuple[int, ...]]:
-    """The disjoint union of the spaces, point x of the i-th labelled (i, x),
-    and each space's offset: its bit j is bit offset + j of the sum, whose
-    minimal opens are each space's shifted up by its offset."""
-    points, minimal, offsets = [], [], []
-    for i, space in enumerate(spaces):
-        offset = len(points)
-        offsets.append(offset)
-        minimal += (nbhd << offset for nbhd in space.minimal)
-        points += ((i, point) for point in space.points)
-    return Topology(tuple(points), tuple(minimal)), tuple(offsets)
 
 
 def compress_mask(mask: int, carrier: int) -> int:

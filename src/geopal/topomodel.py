@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 from .formula import (
     Atom,
@@ -51,7 +51,6 @@ from .topology import (
     json_valuation,
     parse_label,
     random_topology,
-    topological_sum,
 )
 
 
@@ -85,25 +84,6 @@ class TopoModel(Model):
     ) -> "TopoModel":
         space = Topology.from_sets(points, opens)
         return cls(space, {atom: space.mask(area) for atom, area in valuation.items()})
-
-    @classmethod
-    def disjoint_union(cls, models: Sequence["TopoModel"]) -> tuple["TopoModel", tuple[int, ...]]:
-        """The topological sum of the models, point x of the i-th labelled
-        (i, x), and each model's block: the mask of its points in the sum.
-
-        Modal truth is invariant under sums, and the update of a sum is the
-        sum of the updates, so a formula's table on the sum is, block by
-        block, its table on each model.  The union of one model is that
-        model."""
-        if len(models) == 1:
-            return models[0], (models[0].carrier,)
-        space, offsets = topological_sum([model.space for model in models])
-        valuation = {}
-        for model, offset in zip(models, offsets):
-            for atom, mask in model.valuation.items():
-                valuation[atom] = valuation.get(atom, 0) | mask << offset
-        blocks = tuple(model.carrier << offset for model, offset in zip(models, offsets))
-        return cls(space, valuation, sum(blocks)), blocks
 
     @property
     def _order(self) -> tuple:

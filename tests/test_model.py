@@ -15,10 +15,10 @@ import pytest
 
 import geopal.formula as formula
 from geopal.dynamics import limit_model
-from geopal.formula import Announce, Atom, parse, random_formula
+from geopal.formula import Announce, Atom, UnsupportedOperator, parse, random_formula
 from geopal.product import ProductModel, random_product_model
 from geopal.sslmodel import SSLModel, random_ssl_model
-from geopal.topology import Topology, compress_mask
+from geopal.topology import Topology, bits, compress_mask
 from geopal.topomodel import TopoModel, random_topomodel
 
 
@@ -205,12 +205,12 @@ UNION_KINDS = {
 def test_disjoint_union_tables_are_each_models_table_in_its_block(kind, size):
     sample, repertoire = UNION_KINDS[kind]
     models = sample(size)
-    union, blocks = type(models[0]).disjoint_union(models)
+    union, blocks = formula.disjoint_union(models)
     if size == 1:
         assert union is models[0]
     assert len(blocks) == size and sum(blocks) == union._all
     assert all(not a & b for a, b in zip(blocks, blocks[1:]))
-    assert union.size == sum(model.size for model in models)
+    assert union._all.bit_count() == sum(model._all.bit_count() for model in models)
     rng = Random(size)
 
     def sub(depth):
@@ -226,9 +226,8 @@ def test_disjoint_union_tables_are_each_models_table_in_its_block(kind, size):
 
 
 # Per kind: a sample to join, and formulas nesting announcements under every
-# modality of the kind.  The oracle enumerates the opens of a topological
-# sum, exponential in its model count, so topo and product unions join three
-# models; the ssl union joins 25, and its masks are wider than 64 bits.
+# modality of the kind.  The oracle reads each model on its own; the ssl
+# union joins 25 models, and its masks are wider than 64 bits.
 ORACLE_UNIONS = {
     "topo": (
         lambda: _sample(lambda seed: random_topomodel(seed, 3, 2), 3),
@@ -245,20 +244,28 @@ ORACLE_UNIONS = {
 }
 
 
+def _oracle_verdicts(union, blocks, models, texts) -> set:
+    """The truth values read off each block of the union's tables, each
+    checked against its model's own oracle at each of its loci."""
+    verdicts = set()
+    for text in texts:
+        f = parse(text)
+        table = union.table(f)
+        for model, block in zip(models, blocks):
+            own = compress_mask(table & block, block)
+            for k, i in enumerate(bits(model._all)):
+                verdicts.add(bool(own >> k & 1))
+                assert model.satisfies(model._order[i], f) == bool(own >> k & 1), (text, model._order[i])
+    return verdicts
+
+
 @pytest.mark.parametrize("kind", ORACLE_UNIONS)
 def test_kernel_tables_match_the_oracle_on_disjoint_unions(kind):
     sample, texts = ORACLE_UNIONS[kind]
     models = sample()
-    union, _ = type(models[0]).disjoint_union(models)
+    union, blocks = formula.disjoint_union(models)
     assert kind != "ssl" or union._all.bit_length() > 64
-    verdicts = set()
-    for text in texts:
-        f = parse(text)
-        holds = union.truth(f)
-        for locus in union.loci():
-            verdicts.add(locus in holds)
-            assert union.satisfies(locus, f) == (locus in holds), (text, locus)
-    assert verdicts == {True, False}
+    assert _oracle_verdicts(union, blocks, models, texts) == {True, False}
 
 
 def _nested_chain(seed: int) -> SSLModel:
@@ -273,19 +280,13 @@ def test_effort_moves_above_64_bits_match_the_oracle():
     # Random subset spaces rarely nest members, so their unions carry few
     # E/D moves; this union's effort relation moves situations past bit 63.
     models = _sample(_nested_chain, 8)
-    union, _ = SSLModel.disjoint_union(models)
+    union, blocks = formula.disjoint_union(models)
     assert union._all.bit_length() > 64
-    assert any(source >> 64 for source, _, _ in union._effort[1])
-    verdicts = set()
+    assert any(source >> 64 for source, _, _ in union._relation(formula.Effort(Atom("p")))[1])
     # Truth varies within a point's row only through K and L, so E and D
     # read K and L.
-    for text in ["E K p", "D L ~q", "E (p | L q)", "[!q | K p] E K p", "[!p | L q] D (K q & E L ~p)"]:
-        f = parse(text)
-        holds = union.truth(f)
-        for locus in union.loci():
-            verdicts.add(locus in holds)
-            assert union.satisfies(locus, f) == (locus in holds), (text, locus)
-    assert verdicts == {True, False}
+    texts = ["E K p", "D L ~q", "E (p | L q)", "[!q | K p] E K p", "[!p | L q] D (K q & E L ~p)"]
+    assert _oracle_verdicts(union, blocks, models, texts) == {True, False}
 
 
 @pytest.mark.parametrize("kind", UNION_KINDS)
@@ -295,7 +296,7 @@ def test_value_reads_every_node_as_tabulate_does(kind):
     # union, the two agree given the same child masks.
     sample, repertoire = UNION_KINDS[kind]
     models = sample(25)
-    union, _ = type(models[0]).disjoint_union(models)
+    union, _ = formula.disjoint_union(models)
     rng = Random(7)
     kinds = set()
     for _ in range(40):
@@ -308,9 +309,13 @@ def test_value_reads_every_node_as_tabulate_does(kind):
 
 
 def _partial_product() -> ProductModel:
-    """Two product models side by side, which list part of the product of
-    their factors, so K_i's relation is pairs."""
-    return ProductModel.disjoint_union(_sample(random_product_model, 2, 2))[0]
+    """A two-factor model listing part of the product of its factors, so
+    K_i's relation is pairs."""
+    full, rng = next(m for m in map(random_product_model, count()) if m.agent_count == 2), Random(2)
+    worlds = frozenset(world for world in sorted(full.worlds) if rng.random() < 0.7)
+    model = ProductModel(full.factors, worlds, {atom: area & worlds for atom, area in full.valuation.items()})
+    assert model._radix is None
+    return model
 
 
 # Per kind: a model, the repertoire of its random formulas, a box over the
@@ -344,3 +349,66 @@ def test_tile_tables_are_each_copys_own_table_shifted(kind):
         table = tile.table(f)
         for g, copy in enumerate(own):
             assert table >> g * width & low == copy.table(f), (g, str(f))
+
+
+# Per kind: models to join, formulas to read first, and the repertoire of
+# random formulas.  The ssl formulas read E/D over K/L, where an update's own
+# refinement relation differs from its root's.  The mixed union joins all
+# three kinds and reads what they share: atoms, connectives, announcements.
+UPDATE_UNIONS = {
+    "ssl": (
+        lambda: [_nested_chain(seed) for seed in range(6)],
+        ["D L q", "D K q", "E K p", "[!p | K q] D K (p & q)"],
+        {"modal": "KLED"},
+    ),
+    "topo": (
+        lambda: [random_topomodel(seed, 4, 3) for seed in range(6)],
+        ["I p", "C [!q] I ~p"],
+        {"modal": "IC"},
+    ),
+    "product": (lambda: _sample(random_product_model, 6, 2), ["K1 p", "K2 [!q] K1 ~p"], {"agents": 2}),
+    "mixed": (
+        lambda: [_nested_chain(0), random_topomodel(1, 5, 3), random_product_model(2)]
+        + [_nested_chain(3), random_topomodel(4, 4, 2), random_product_model(5)],
+        ["p & ~q", "[!p | q] (q -> [!~p] p)"],
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", UPDATE_UNIONS)
+def test_union_updates_read_each_block_as_its_models_update(kind):
+    build, texts, repertoire = UPDATE_UNIONS[kind]
+    models, rng = build(), Random(13)
+    union, blocks = formula.disjoint_union(models)
+    # Parts: an empty block, a whole one, and parts of the rest, no two alike.
+    parts = [0, models[1]._all]
+    for model in models[2:]:
+        part = rng.randrange(model._all) & model._all
+        parts.append(part or model._all & model._all - 1)  # without its lowest locus
+        assert 0 < parts[-1] < model._all
+    offsets = union._offsets
+    assert blocks == tuple(model._all << offset for model, offset in zip(models, offsets))
+    update = union.updated(sum(part << offset for part, offset in zip(parts, offsets)))
+    # Each block's reference is an update of a fresh equal model, which shares no memo with the union.
+    own = [dataclasses.replace(model).updated(part) for model, part in zip(models, parts)]
+    for f in [*map(parse, texts), *(random_formula(rng, 4, announce_depth=1, **repertoire) for _ in range(40))]:
+        table = update.table(f)
+        for model, offset, reference in zip(models, offsets, own):
+            assert table >> offset & (1 << len(model._order)) - 1 == reference.table(f), (offset, str(f))
+    # The update keeps no reference to the union it came from.
+    gc.disable()
+    try:
+        ref = weakref.ref(union)
+        del union
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_know_of_a_missing_agent_on_a_union_is_refused():
+    models = _sample(random_product_model, 2, 2) + _sample(random_product_model, 2, 3)
+    union, _ = formula.disjoint_union(models)
+    union.table(parse("K2 p"))
+    with pytest.raises(UnsupportedOperator):
+        union.table(parse("K3 p"))

@@ -380,7 +380,7 @@ def _assert_one_step_per_tile_and_body(axiom, models, seed, monkeypatch):
     sampled = ((o, rewrite._SAMPLERS[axiom.semantics](seed + o)) for o in range(models))
     expected = copies = 0
     for run in rewrite._runs(sampled, axiom.semantics):
-        union = type(run[0][1]).disjoint_union([model for _, model in run])[0]
+        union = formula.disjoint_union([model for _, model in run])[0]
         masks = {union.table(phi) for phi in pools["phi"]}
         per_tile = max(1, rewrite.TILE_WIDTH // len(union._order))
         tiles = -(-len(masks) // per_tile)
@@ -401,7 +401,7 @@ def _sampled_unions(semantics, count=25):
     for n in (2, 3) if semantics == "product" else (None,):
         sampled = map(rewrite._SAMPLERS[semantics], itertools.count())
         models = list(itertools.islice((m for m in sampled if n is None or m.agent_count == n), count))
-        yield n or 1, type(models[0]).disjoint_union(models)[0]
+        yield n or 1, formula.disjoint_union(models)[0]
 
 
 @pytest.mark.parametrize("axiom", ALL_SCHEMAS, ids=str)

@@ -114,9 +114,6 @@ def test_stray_points_drop_on_any_update():
     assert updated.to_json()["points"] == ["s", "t"]
     assert updated != model and updated.size == model.size - 1
     assert limit_model(model, parse("p")).sizes == (model.size, updated.size)
-    # A disjoint union keeps the points in no set of a fresh model only.
-    union, _ = SSLModel.disjoint_union([model, updated])
-    assert union.size == model.size + updated.size
 
 
 def test_persistence_boolean_confirmed():
@@ -327,10 +324,18 @@ def test_persistence_witness_matches_the_direct_scan():
 
 def test_situations_and_refinements_keep_the_scan_order():
     # Read off each point's members; the order is still that of testing
-    # every member at every point, on models and on disjoint unions.  The
-    # compiled refinement relation is that of testing every pair of sets.
+    # every member at every point, on models and on a wide one, the first
+    # 20 side by side.  The compiled refinement relation is that of testing
+    # every pair of sets.
     samples = [random_ssl_model(seed, max_points=6, max_sets=8) for seed in range(200)]
-    samples.append(SSLModel.disjoint_union(samples[:20])[0])
+    first = list(enumerate(samples[:20]))
+    samples.append(
+        SSLModel(
+            tuple((i, point) for i, model in first for point in model.points),
+            tuple(frozenset((i, point) for point in member) for i, model in first for member in model.sigma),
+        )
+    )
+    assert len(samples[-1]._situations) > 64
     for model in samples:
         scanned = tuple(
             Situation(point, member) for point in model.points for member in model.sigma if point in member
