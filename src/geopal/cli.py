@@ -64,6 +64,8 @@ def load_model(path: str):
         raise ValueError(f"cannot read {path}: {error}") from None
     except json.JSONDecodeError as error:
         raise ValueError(f"{path}: invalid JSON: {error}") from None
+    except UnicodeDecodeError as error:
+        raise ValueError(f"{path}: not UTF-8 text: {error}") from None
     try:
         kind = json_field(data, "kind")
         if not isinstance(kind, str) or kind not in _MODEL_KINDS:

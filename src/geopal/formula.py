@@ -36,10 +36,9 @@ with its own carrier, read by the same table loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from random import Random
 
-from .topology import bits, preimage
+from .topology import _lazy, bits, preimage
 
 
 class FormulaError(Exception):
@@ -491,8 +490,9 @@ class Model:
 
     Every relation of an update is its root's, except for the node kinds
     in `_compiled` (E on subset spaces), which each model compiles for its
-    own carrier.  `tile(count)` is the `disjoint_union` of `count` copies:
-    its update gives each copy its own carrier, so one `tabulate` pass reads
+    own carrier, `_compile(f, carrier)` (a kind may skip the update).
+    `tile(count)` is the `disjoint_union` of `count` copies: its update
+    gives each copy its own carrier, so one `tabulate` pass reads
     a formula on several updates of one model at once.
     """
 
@@ -500,15 +500,15 @@ class Model:
     _shared: tuple[str, ...] = ()
     _compiled: frozenset = frozenset()
 
-    @cached_property
+    @_lazy
     def _tables(self) -> dict[Formula, int]:
         return {}
 
-    @cached_property
+    @_lazy
     def _truths(self) -> dict[Formula, frozenset]:
         return {}
 
-    @cached_property
+    @_lazy
     def _updates(self) -> dict[int, object]:
         return {}
 
@@ -547,6 +547,10 @@ class Model:
                 state[name] = getattr(self, name)
             state["carrier"] = carrier
         return model
+
+    def _compile(self, f: Formula, carrier: int) -> tuple:
+        """The relation of f, of a kind in `_compiled`, on the update to the carrier."""
+        return self.updated(carrier)._relation(f)
 
     def _value(self, f: Formula, kids) -> int:
         """The mask of a node of f's kind (and atom or agent) whose children
@@ -664,8 +668,8 @@ class Tile(Model):
     update is the root's blocks with a new carrier, handed the root's
     offsets, atoms and relations but no reference to the root union.  It
     rebuilds only the kinds some block compiles per update (`_compiled`),
-    from each block's update to its part of the carrier, skipping empty
-    blocks and reusing whole ones.  The base states the rest.
+    from each block's `_compile(f, part)` for its part of the carrier,
+    skipping empty blocks and reusing whole ones.  The base states the rest.
     """
 
     def __init__(self, blocks: tuple, carrier: int | None = None, root: tuple | None = None):
@@ -684,7 +688,7 @@ class Tile(Model):
         # A union is read as soon as it is built, so its memos are made here.
         self._tables, self._updates, self._relations = {}, {}, {}
 
-    @cached_property
+    @_lazy
     def _order(self) -> tuple:
         """(g, locus) at each bit, for each locus of block g."""
         return tuple((g, locus) for g, block in enumerate(self._blocks) for locus in block._order)
@@ -700,13 +704,12 @@ class Tile(Model):
         if relation is None:
             pairs, moves, carrier = [], {}, self.carrier
             for block, offset in zip(self._blocks, self._offsets):
+                part = block._all
                 if compiled:
-                    part = carrier >> offset & block._all
+                    part &= carrier >> offset
                     if not part:
                         continue
-                    if part != block._all:
-                        block = block.updated(part)
-                own_pairs, own_moves = block._relation(f)
+                own_pairs, own_moves = block._relation(f) if part == block._all else block._compile(f, part)
                 pairs += ((need << offset, members << offset) for need, members in own_pairs)
                 for source, up, down in own_moves:
                     moves[up, down] = moves.get((up, down), 0) | source << offset

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from math import lcm
 from random import Random
 from typing import Iterable
 
 from .dynamics import LimitTrace, _fixpoint
-from .topology import Topology, json_field, json_list
+from .topology import Topology, _lazy, json_field, json_list
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ class GameTree:
 
         return {"kind": "game", "root": node_json(self.root)}
 
-    @cached_property
+    @_lazy
     def _preorder(self) -> tuple[tuple, tuple, tuple]:
         """Nodes, parent ids and child ids, from one iterative preorder pass."""
         nodes, parents, kids = [], [], []
@@ -106,23 +105,23 @@ class GameTree:
         return tuple(nodes), tuple(parents), tuple(map(tuple, kids))
 
     # Each index is its own attribute: rational_extension reads them in its inner loops.
-    @cached_property
+    @_lazy
     def nodes(self) -> tuple[GameNode, ...]:
         return self._preorder[0]
 
-    @cached_property
+    @_lazy
     def parent(self) -> tuple[int | None, ...]:
         return self._preorder[1]
 
-    @cached_property
+    @_lazy
     def children_ids(self) -> tuple[tuple[int, ...], ...]:
         return self._preorder[2]
 
-    @cached_property
+    @_lazy
     def leaf_ids(self) -> frozenset[int]:
         return frozenset(nid for nid, node in enumerate(self.nodes) if node.is_leaf)
 
-    @cached_property
+    @_lazy
     def player_count(self) -> int:
         lengths = {len(node.payoffs) for node in self.nodes if node.is_leaf}
         if len(lengths) != 1:
@@ -133,7 +132,7 @@ class GameTree:
             raise ValueError(f"player {highest} has no payoff coordinate")
         return count
 
-    @cached_property
+    @_lazy
     def depth(self) -> int:
         depths = [0] * len(self.nodes)
         for nid, parent in enumerate(self.parent):  # preorder: each parent comes first
@@ -141,7 +140,7 @@ class GameTree:
                 depths[nid] = depths[parent] + 1
         return max(depths)
 
-    @cached_property
+    @_lazy
     def _payoff_keys(self) -> tuple[tuple[int, ...] | None, ...]:
         """Each leaf's payoffs as ints that order as the Fractions do (None at
         decision nodes): coordinate k is scaled by the lcm of its denominators."""

@@ -46,7 +46,6 @@ DEL model checking (van Benthem, van Eijck, Gattinger & Su, LORI 2015).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product as cartesian
 from math import prod
 from random import Random
@@ -64,6 +63,7 @@ from .formula import (
 )
 from .topology import (
     Topology,
+    _lazy,
     bits,
     fmt_set,
     json_field,
@@ -98,12 +98,14 @@ class ProductModel(Model):
         n = len(self.factors)
         if n < 1:
             raise ValueError("at least one factor required")
+        # The worlds in the order given (a file's list), so an error names the first offender.
         for world in self.worlds:
             if len(world) != n:
                 raise ValueError(f"world {world!r} has wrong arity")
         for factor, labels in zip(self.factors, zip(*self.worlds)):
-            for label in set(labels):
+            for label in dict.fromkeys(labels):
                 factor.index(label)
+        object.__setattr__(self, "worlds", frozenset(self.worlds))
         for atom, area in self.valuation.items():
             if not area <= self.worlds:
                 raise ValueError(f"valuation of {atom!r} mentions non-surviving worlds")
@@ -129,7 +131,7 @@ class ProductModel(Model):
     # of pickles.
     _shared = ("_order", "_bit", "_atoms", "_radix", "_knowledge")
 
-    @cached_property
+    @_lazy
     def _order(self) -> tuple[World, ...]:
         """The world at each mask bit: the listed worlds, sorted.  The whole
         product is listed in mixed-radix order (`_radix`), which is its
@@ -144,16 +146,16 @@ class ProductModel(Model):
         except TypeError:  # labels of mixed types in one factor: factor order
             return tuple(sorted(self.worlds, key=lambda w: tuple(map(Topology.index, self.factors, w))))
 
-    @cached_property
+    @_lazy
     def _bit(self) -> dict[World, int]:
         return {world: i for i, world in enumerate(self._order)}
 
-    @cached_property
+    @_lazy
     def _atoms(self) -> dict[str, int]:
         """Each atom's mask over the listed worlds."""
         return {atom: _mask(self._bit, area) for atom, area in self.valuation.items()}
 
-    @cached_property
+    @_lazy
     def _radix(self) -> tuple[tuple[Sequence, int, list[int]], ...] | None:
         """When the listed worlds are the whole product, per factor: its
         labels by rank (sorted, or in factor order for every factor when the
@@ -177,7 +179,7 @@ class ProductModel(Model):
             radix.append((labels, place, shifts))
         return tuple(radix)
 
-    @cached_property
+    @_lazy
     def _knowledge(self) -> dict[int, tuple]:
         """Per agent, K_i's relation, built on first use (`_agent_relation`)."""
         return {}
@@ -239,8 +241,8 @@ class ProductModel(Model):
 
     @classmethod
     def from_json(cls, data: dict) -> "ProductModel":
-        def worlds(value, what: str) -> frozenset:
-            return frozenset(tuple(json_labels(w, "a world")) for w in json_list(value, what))
+        def worlds(value, what: str) -> list:
+            return [tuple(json_labels(w, "a world")) for w in json_list(value, what)]
 
         factors = []
         for i, body in enumerate(json_list(json_field(data, "factors"), "factors")):
@@ -249,7 +251,7 @@ class ProductModel(Model):
             except ValueError as error:
                 raise ValueError(f"factor {i}: {error}") from None
         valuation = {
-            atom: worlds(area, f"valuation of {atom!r}") for atom, area in json_valuation(data).items()
+            atom: frozenset(worlds(area, f"valuation of {atom!r}")) for atom, area in json_valuation(data).items()
         }
         listed = json_field(data, "worlds")
         if listed == "all":

@@ -39,9 +39,10 @@ loci form its block.  An update depends only on the announced mask, so on
 each union the announced formulas are grouped by their mask.  The same
 invariance lets the distinct masks of a small union be read together: copies
 of the union side by side (`Model.tile`, the same `formula.disjoint_union`),
-copy g announcing the g-th mask, so every body is read once per tile of
-masks.  Only a model whose block of the two sides' difference is nonzero,
-in some copy, is checked again, on its own and through the pointwise
+copy g announcing the g-th mask, so every body (listed once, `_bodies`) is
+read once per tile of masks.  A body is paired with an announced formula
+only for a model whose block of the two sides' difference is nonzero, in
+some copy; that model is checked again, on its own and through the pointwise
 evaluators, so a report is what checking every model by itself would give.
 """
 
@@ -198,20 +199,25 @@ def _schema_body(axiom: AxiomId, psi, chi, agent: int) -> Formula:
     return Know(psi) if index == 4 else Effort(psi)
 
 
-def _instances(axiom: AxiomId, pools, agent_count: int) -> list[tuple]:
-    """(phi, psi, chi, agent, body) for every instantiation of the schema
-    over agents 1..agent_count, in `_instantiations` order: the left side is
-    [phi] body, and `axiom_instance` builds its two sides.  No side is built:
-    `check_axiom` reads both on masks.
-
-    Each body is resolved once per call, and a body equal to a pool formula
-    is that formula, so the memos find it by identity."""
-    pooled = {f: f for pool in pools.values() for f in pool}
+def _bodies(axiom: AxiomId, pools, agent_count: int) -> list[tuple]:
+    """(psi, chi, agent, body) for each body of the schema over agents
+    1..agent_count, in `_instantiations` order without phi.  A body is one
+    node over pool formulas: equal to the pool formula of its hash when
+    their `_fields` are, it is that formula, found with no `==` walk."""
+    pooled = {hash(f): f for pool in pools.values() for f in pool}
     bodies = []
     for psi, chi, agent in itertools.product(*_body_choices(axiom, pools, agent_count)):
         body = _schema_body(axiom, psi, chi, agent)
-        bodies.append((psi, chi, agent, pooled.get(body, body)))
-    return [(phi, *body) for phi in pools["phi"] for body in bodies]
+        same = pooled.get(hash(body))
+        if same is not None and _fields(same) == _fields(body):
+            body = same
+        bodies.append((psi, chi, agent, body))
+    return bodies
+
+
+def _fields(f: Formula) -> tuple:
+    """f's kind and fields, which compare children by identity first."""
+    return type(f), *[getattr(f, name) for name in f.__match_args__]
 
 
 def schema_pool(semantics: str) -> dict[str, list[Formula]]:
@@ -305,15 +311,16 @@ _SAMPLERS: dict[str, Callable[[int], object]] = {
 def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> ValidityReport:
     """Evaluate both sides of the axiom at every locus of random models.
 
-    The instances are listed once per call (once per agent count for the
-    per-agent product schema) as (phi, psi, chi, agent, body), and both
-    sides of each are read on masks, with no node built.  The left side
-    [phi] body is `_announce(body, table(phi))`, the step `tabulate` takes
-    at an announcement node.  The right side is `_single_step` read through
-    the model's `_value`: each pushed [phi] g is `_announce(g, table(phi))`,
-    and the body's own operator is applied to those masks, so it is the step
-    `reduce` applies.  `_counterexample` builds both sides as nodes only
-    for a flagged (model, instance) pair.  Nothing is kept between calls.
+    The bodies are listed once per call (once per agent count for the
+    per-agent product schema), and both sides of each phi p over body b,
+    instance `p * len(bodies) + b`, are read on masks, with no node built.
+    The left side [phi] body is `_announce(body, table(phi))`, the step
+    `tabulate` takes at an announcement node.  The right side is
+    `_single_step` read through the model's `_value`: each pushed [phi] g is
+    `_announce(g, table(phi))`, and the body's own operator is applied to
+    those masks, so it is the step `reduce` applies.  `_counterexample`
+    builds both sides as nodes only for a flagged (model, instance) pair.
+    Nothing is kept between calls.
 
     Both sides are read once per run of models, on their disjoint union
     (`formula.disjoint_union`, one for every kind, built from the models'
@@ -349,11 +356,9 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
     models = ((offset, sampler(seed + offset)) for offset in range(sample_size))
     for run in _runs(models, axiom.semantics):
         agent_count = run[0][1].agent_count if per_agent else 1
-        instances = by_agents.get(agent_count)
-        if instances is None:
-            instances = by_agents[agent_count] = _instances(axiom, pools, agent_count)
-        # `instances` holds the bodies once per phi, phi varying slowest.
-        bodies = [body for *_, body in instances[: len(instances) // len(pools["phi"])]]
+        bodies = by_agents.get(agent_count)
+        if bodies is None:
+            bodies = by_agents[agent_count] = _bodies(axiom, pools, agent_count)
         union, blocks = disjoint_union([model for _, model in run])
         groups: dict[int, list[int]] = {}
         for index, phi in enumerate(pools["phi"]):
@@ -368,7 +373,7 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
             tile = union.tile(len(tiled))
             announced = sum(mask << g * width for g, mask in enumerate(tiled))
             rest, table = tile._all - announced, tile.updated(announced).table
-            for b, body in enumerate(bodies):
+            for b, (*_, body) in enumerate(bodies):
                 pushed = [rest | (announced & table(kid)) for kid in children(body)]
                 differ = (rest | (announced & table(body))) ^ _single_step(announced, body, pushed, tile._value)
                 for mask in tiled if differ else ():
@@ -378,7 +383,8 @@ def check_axiom(axiom: AxiomId, sample_size: int = 300, seed: int = 0) -> Validi
                             numbers.extend(p * len(bodies) + b for p in groups[mask])
         for (offset, model), numbers in zip(run, flagged):
             for number in numbers:
-                counterexample = _counterexample(model, instances[number])
+                p, b = divmod(number, len(bodies))
+                counterexample = _counterexample(model, (pools["phi"][p], *bodies[b]))
                 if counterexample is not None:
                     found.append((offset, number, counterexample))
     # Runs of different agent counts interleave in seed order.

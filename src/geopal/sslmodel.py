@@ -17,15 +17,15 @@ surviving situations (`formula.Model.updated`): set U becomes
 atoms and K/L read the root's masks.  Two sets that shrink to the same set
 stay two bits of equal truth, read out once.  Effort is not inherited:
 (x, V) refines (x, U) when V's surviving points lie within U's, which can
-hold when V is not within U, so each model compiles its own relation, one
-shift per signed distance between bits.  The oracle `satisfies` is
+hold when V is not within U, so each carrier has its own relation, one
+shift per signed distance between bits, compiled from the root's state
+with no update built (`_compile`).  The oracle `satisfies` is
 `formula.holds` over the model's quantifier clauses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from random import Random
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
@@ -41,7 +41,7 @@ from .formula import (
     check_fragment,
     holds,
 )
-from .topology import bits, fmt_set, json_field, json_labels, json_list, json_valuation, parse_label
+from .topology import _lazy, bits, fmt_set, json_field, json_labels, json_list, json_valuation, parse_label
 
 
 class Situation(NamedTuple):
@@ -79,7 +79,7 @@ class SSLModel(Model):
             if not member:
                 raise ValueError("sigma members must be nonempty")
             if not all(p in index for p in member):
-                raise ValueError(f"sigma member {set(member)!r} not within the carrier")
+                raise ValueError(f"sigma member {fmt_set(member)} not within the carrier")
         object.__setattr__(self, "sigma", _canonical({frozenset(m) for m in self.sigma}, index))
         for atom, area in self.valuation.items():
             if not all(p in index for p in area):
@@ -100,11 +100,11 @@ class SSLModel(Model):
         )
 
     # Derived state, built on first use; the root's index is handed to its updates.
-    _shared = ("_situations", "_members", "_atoms", "_listed", "_point_pairs")
-    # Each update compiles its own E/D relation (`_effort`).
+    _shared = ("_situations", "_members", "_atoms", "_listed", "_memberships", "_point_pairs")
+    # Each update has its own E/D relation (`_effort`, from `_compile`).
     _compiled = frozenset({Effort})
 
-    @cached_property
+    @_lazy
     def _situations(self) -> tuple["Situation", ...]:
         """The root's situation at each bit: by point, then by set in sigma
         order, in one pass over the members."""
@@ -114,7 +114,7 @@ class SSLModel(Model):
                 around[point].append(member)
         return tuple(Situation(point, member) for point, members in around.items() for member in members)
 
-    @cached_property
+    @_lazy
     def _members(self) -> tuple:
         """K and L's relation: the root's situations of each sigma member, in
         sigma order, as `preimage` pairs, each member needing itself."""
@@ -123,7 +123,7 @@ class SSLModel(Model):
             masks[member] |= 1 << i
         return tuple(zip(masks.values(), masks.values())), ()
 
-    @cached_property
+    @_lazy
     def _atoms(self) -> dict[str, int]:
         """Each atom's mask over the root's situations."""
         situations = self._situations
@@ -132,44 +132,58 @@ class SSLModel(Model):
             for atom, area in self.valuation.items()
         }
 
-    @cached_property
+    @_lazy
     def _listed(self) -> int:
         """Every situation, and the bit past them if some point is in no set."""
         count = sum(map(len, self.sigma))
         return (1 << count) - 1 | (len(set().union(*self.sigma)) < len(self.points)) << count
 
-    @cached_property
+    @_lazy
     def _all(self) -> int:
         """The surviving situations: the carrier without its stray-point bit."""
         return self.carrier & (1 << len(self._situations)) - 1
 
-    @cached_property
+    @_lazy
+    def _memberships(self) -> tuple:
+        """Each root situation's set, as its sigma index, and point bit."""
+        rank = {member: k for k, member in enumerate(self.sigma)}
+        index = self._index
+        return tuple((rank[member], 1 << index[point]) for point, member in self._situations)
+
+    @_lazy
     def _point_pairs(self) -> tuple:
         """Each ordered pair of the root's situations at one point, as
-        (bit, other bit, set, other set), by point and then by bit."""
+        (bit, other bit, sigma index, other sigma index), by point, then bit."""
         rows = {}
-        for i, (point, member) in enumerate(self._situations):
+        for i, (member, point) in enumerate(self._memberships):
             rows.setdefault(point, []).append((i, member))
         return tuple(
             (at, to, smaller, larger) for row in rows.values() for at, smaller in row for to, larger in row if to != at
         )
 
-    @cached_property
+    @_lazy
     def _effort(self) -> tuple:
-        """E and D's relation, refinement, as `preimage` moves, one per signed
-        distance between bits: each carries the situations (x, V) in its mask
-        to (x, U), for V's surviving points within U's, both surviving."""
+        return self._compile(Effort, self.carrier)
+
+    def _compile(self, f: Formula, carrier: int) -> tuple:
+        """E and D's relation on the update to the carrier mask, refinement,
+        as `preimage` moves, one per signed distance between bits: each
+        carries the situations (x, V) in its mask to (x, U), for V's
+        surviving points (a point mask) within U's, both surviving."""
         pairs = self._point_pairs
         if not pairs:  # no point lies in two sets
             return (), ()
-        everything, shrunk = self._all, self._shrunk
+        shrunk = [0] * len(self.sigma)
+        for i, (member, point) in enumerate(self._memberships):
+            if carrier >> i & 1:
+                shrunk[member] |= point
         moves = {}
         for at, to, smaller, larger in pairs:
-            if everything >> at & everything >> to & 1 and shrunk[smaller] <= shrunk[larger]:
+            if carrier >> at & carrier >> to & 1 and not shrunk[smaller] & ~shrunk[larger]:
                 moves[to - at] = moves.get(to - at, 0) | 1 << at
         return (), tuple((mask, max(d, 0), max(-d, 0)) for d, mask in moves.items())
 
-    @cached_property
+    @_lazy
     def _shrunk(self) -> dict[frozenset, frozenset]:
         """Each sigma member's surviving points."""
         situations, everything = self._situations, self._all
@@ -178,7 +192,7 @@ class SSLModel(Model):
             for member, (mask, _) in zip(self.sigma, self._members[0])
         }
 
-    @cached_property
+    @_lazy
     def _contents(self) -> tuple[tuple, tuple[frozenset, ...], dict[str, frozenset]]:
         """The points, sets and valuation as a fresh model of this one lists
         them: the sets shrunk to their surviving points, equal sets once, and
@@ -192,11 +206,11 @@ class SSLModel(Model):
         sigma = _canonical({member for member in self._shrunk.values() if member}, self._index)
         return points, sigma, {atom: area & surviving for atom, area in self.valuation.items()}
 
-    @cached_property
+    @_lazy
     def _index(self) -> dict[Hashable, int]:
         return {label: i for i, label in enumerate(self.points)}
 
-    @cached_property
+    @_lazy
     def _order(self) -> tuple["Situation", ...]:
         """The situation at each bit: its point and its set's surviving points."""
         if self.carrier == self._listed:
@@ -246,7 +260,7 @@ class SSLModel(Model):
         point, nbhd = situation
         nbhd = frozenset(nbhd)
         if nbhd not in self._contents[1] or point not in nbhd:
-            raise ValueError(f"({point!r}, {set(nbhd)!r}) is not a neighbourhood situation of this model")
+            raise ValueError(f"({point!r}, {fmt_set(nbhd)}) is not a neighbourhood situation of this model")
         return Situation(point, nbhd)
 
     def track(self, situation: "Situation", holds: frozenset) -> "Situation":

@@ -12,9 +12,23 @@ can be exponential in the number of points, so nothing else reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from random import Random
 from typing import Hashable, Iterable
+
+
+class _lazy:
+    """`functools.cached_property` as Python 3.12 has it, for a method of
+    the same name: computed on first access into the instance's `__dict__`,
+    with no lock (3.11 takes one)."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class TopologyError(ValueError):
@@ -101,11 +115,11 @@ class Topology:
             raise TopologyError(f"not a topology: {problems[0]}")
         return space
 
-    @cached_property
+    @_lazy
     def full_mask(self) -> int:
         return (1 << len(self.points)) - 1
 
-    @cached_property
+    @_lazy
     def opens(self) -> tuple[int, ...]:
         """Every open, ascending: the unions of minimal opens, and the empty set."""
         opens = {0}
@@ -113,7 +127,7 @@ class Topology:
             opens |= {open_ | nbhd for open_ in opens}
         return tuple(sorted(opens))
 
-    @cached_property
+    @_lazy
     def _index(self) -> dict:
         return {label: i for i, label in enumerate(self.points)}
 
@@ -132,7 +146,7 @@ class Topology:
     def labels(self, mask: int) -> frozenset:
         return frozenset(self.points[i] for i in bits(mask))
 
-    @cached_property
+    @_lazy
     def relation(self) -> tuple:
         """Each minimal open with the points it is minimal for, as `preimage`
         pairs: the interior is the box over this relation, the closure its diamond."""

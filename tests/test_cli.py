@@ -228,11 +228,45 @@ def test_missing_file_exits_2():
     assert "cannot read" in text
 
 
-def _run_module(argv):
+def test_a_model_file_that_is_not_utf8_is_named(tmp_path):
+    target = tmp_path / "utf16.json"
+    target.write_bytes(b"\xff\xfe{}")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["check", "--model", str(target), "--at", "0", "--formula", "p"], out=out, err=err)
+    assert code == 2 and not out.getvalue()
+    assert err.getvalue().startswith(f"error: {target}:")
+
+
+def _run_module(argv, **env):
     # The module run as a program, through `main` and `sys.exit`.
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "geopal.cli", *argv], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+                          env={**os.environ, "PYTHONPATH": path, **env}, timeout=120)
+
+
+# Inputs whose error names a set or a label: a situation with three labels,
+# a set with points outside the model, and a product world list with three
+# unknown labels.
+_HASH_ORDER_INPUTS = {
+    "ssl-locus": (None, "s@s,,t"),
+    "ssl-sigma-member": ({"kind": "ssl", "points": ["s"], "sets": [["s", "t", "u", "v", "w"]]}, "s@s"),
+    "product-labels": ({"kind": "product", "factors": [{"points": [0, 1], "opens": [[], [0], [0, 1]]}],
+                        "worlds": [["x"], ["y"], ["z"]]}, "x"),
+}
+
+
+@pytest.mark.parametrize("case", _HASH_ORDER_INPUTS)
+def test_error_text_is_independent_of_the_hash_seed(case, tmp_path):
+    body, locus = _HASH_ORDER_INPUTS[case]
+    path = DATA / "pair.ssl.json"
+    if body is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(body))
+    argv = ["check", "--model", str(path), "--at", locus, "--formula", "p"]
+    first, second = (_run_module(argv, PYTHONHASHSEED=seed) for seed in ("1", "3"))
+    assert first.returncode == second.returncode == 2
+    assert first.stderr.startswith(b"error: ")
+    assert first.stderr == second.stderr
 
 
 @pytest.mark.parametrize("argv, expected_code", [

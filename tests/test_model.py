@@ -2,6 +2,7 @@
 memos, what pickles and copies carry, tables computed once, updates built
 once per truth mask, and tables on disjoint unions."""
 
+import copy
 import dataclasses
 import gc
 import pickle
@@ -18,7 +19,7 @@ from geopal.dynamics import limit_model
 from geopal.formula import Announce, Atom, UnsupportedOperator, parse, random_formula
 from geopal.product import ProductModel, random_product_model
 from geopal.sslmodel import SSLModel, random_ssl_model
-from geopal.topology import Topology, bits, compress_mask
+from geopal.topology import Topology, _lazy, bits, compress_mask, preimage
 from geopal.topomodel import TopoModel, random_topomodel
 
 
@@ -74,6 +75,21 @@ def test_pickles_and_copies_carry_the_fields_not_the_memo(build, text):
         assert copy == model and not MEMO & set(vars(copy))
         assert copy.truth(f) == model.truth(f)
         assert copy.update(parse("p")) == model.update(parse("p"))
+
+
+@each_kind
+def test_lazy_values_stay_out_of_state_pickles_and_copies(build, text):
+    model = build()
+    lazy = {name for kind in type(model).__mro__ for name, value in vars(kind).items() if isinstance(value, _lazy)}
+    # What the constructor computes, and what a used model has computed.
+    built = lazy & set(vars(dataclasses.replace(model)))
+    model.truth(parse(text))
+    model.update(parse("p"))
+    assert MEMO <= lazy & set(vars(model)) and built < lazy & set(vars(model))
+    assert not lazy & set(model.__getstate__())
+    for other in (pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model)):
+        assert other == model and not lazy & set(vars(other))
+    assert lazy & set(vars(dataclasses.replace(model))) == built
 
 
 # Per kind whose update is its root plus a carrier: a model whose update by p
@@ -404,6 +420,67 @@ def test_union_updates_read_each_block_as_its_models_update(kind):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _side_by_side(models) -> SSLModel:
+    """One subset space holding the models' points and sets, labelled (g, x)."""
+    return SSLModel(
+        tuple((g, point) for g, model in enumerate(models) for point in model.points),
+        tuple(frozenset((g, point) for point in member) for g, model in enumerate(models) for member in model.sigma),
+    )
+
+
+# Subset spaces whose E/D relation is compiled for parts of their situations:
+# the first 200 random draws, nested chains (most situations have
+# refinements), and the chains as one model of more than 64 situations.
+COMPILE_SAMPLES = {
+    "random": lambda: [random_ssl_model(seed) for seed in range(200)],
+    "nested": lambda: [_nested_chain(seed) for seed in range(6)],
+    "wide": lambda: [_side_by_side([_nested_chain(seed) for seed in range(6)])],
+}
+
+
+def _parts(models, rng, turn: int) -> list[int]:
+    """A carrier per model, over its situations: empty, whole and random in
+    turn, model g taking the (g + turn)-th."""
+    return [
+        (0, model._all, rng.randrange(model._all + 1) & model._all)[(g + turn) % 3]
+        for g, model in enumerate(models)
+    ]
+
+
+@pytest.mark.parametrize("sample", COMPILE_SAMPLES)
+def test_compiled_effort_is_refinement_of_the_shrunk_sets(sample):
+    models, rng = COMPILE_SAMPLES[sample](), Random(17)
+    assert sample != "wide" or models[0]._all.bit_length() > 64
+    for turn in range(3):
+        for model, part in zip(models, _parts(models, rng, turn)):
+            relation = model._compile(formula.Effort, part)
+            update = model.updated(part)
+            # Each bit's point and its set's surviving points, as a fresh model lists them.
+            order = update._order
+            for i in bits(model._all):
+                expected = 1 << i
+                if part >> i & 1:
+                    point, nbhd = order[i]
+                    assert nbhd in update._contents[1]
+                    expected = sum(1 << j for j in bits(part) if order[j].point == point and nbhd <= order[j].nbhd)
+                assert preimage(relation, 1 << i) == expected, (sample, part, order[i])
+
+
+@pytest.mark.parametrize("sample", ["random", "nested"])
+def test_union_updates_compile_each_blocks_effort_as_a_fresh_models_update(sample):
+    models, rng = COMPILE_SAMPLES[sample](), Random(19)
+    union, _ = formula.disjoint_union(models)
+    assert union._all.bit_length() > 64
+    for turn in range(3):
+        parts = _parts(models, rng, turn)
+        update = union.updated(sum(part << offset for part, offset in zip(parts, union._offsets)))
+        for f in map(parse, ["E p", "D q", "E K p", "D L ~q", "[!p | K q] D K (p & q)"]):
+            table = update.table(f)
+            for model, offset, part in zip(models, union._offsets, parts):
+                own = dataclasses.replace(model).updated(part).table(f)
+                assert table >> offset & (1 << len(model._order)) - 1 == own, (sample, offset, part, str(f))
 
 
 def test_know_of_a_missing_agent_on_a_union_is_refused():

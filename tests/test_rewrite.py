@@ -318,12 +318,19 @@ def _agent_counts(axiom):
     return [2, 3] if (axiom.semantics, axiom.index) == ("product", 4) else [1]
 
 
+def _instances(axiom, pools, agent_count):
+    """(phi, psi, chi, agent, body) for every instance, numbered as
+    `check_axiom` numbers them: phi p over body b is `p * len(bodies) + b`."""
+    bodies = rewrite._bodies(axiom, pools, agent_count)
+    return [(phi, *body) for phi in pools["phi"] for body in bodies]
+
+
 @pytest.mark.parametrize("axiom", ALL_SCHEMAS, ids=str)
 def test_shared_instances_equal_axiom_instance(axiom):
     pools = schema_pool(axiom.semantics)
     pooled = {id(f) for pool in pools.values() for f in pool}
     for n in _agent_counts(axiom):
-        instances = rewrite._instances(axiom, pools, n)
+        instances = _instances(axiom, pools, n)
         assert [i[:4] for i in instances] == list(rewrite._instantiations(axiom, pools, n))
         bodies = {}
         for phi, psi, chi, agent, body in instances:
@@ -337,10 +344,22 @@ def test_shared_instances_equal_axiom_instance(axiom):
         assert any(objects <= pooled for objects in bodies.values())
 
 
+def test_bodies_are_listed_with_no_structural_walk(monkeypatch):
+    walks, same_structure = [], formula._same_structure
+    monkeypatch.setattr(formula, "_same_structure", lambda *a: walks.append(a) or same_structure(*a))
+    pooled = 0
+    for axiom in ALL_SCHEMAS:
+        pools = schema_pool(axiom.semantics)
+        for n in _agent_counts(axiom):
+            bodies = rewrite._bodies(axiom, pools, n)
+            pooled += sum(any(body is f for f in pools["phi"]) for *_, body in bodies)
+    assert pooled and not walks
+
+
 def test_a_body_equal_to_a_pool_formula_is_that_formula():
     pools = schema_pool("ssl")
     know_p = next(f for f in pools["psi"] if f == Know(Atom("p")))
-    phi, *_, body = rewrite._instances(AxiomId("ssl", 4), pools, 1)[0]
+    phi, *_, body = _instances(AxiomId("ssl", 4), pools, 1)[0]
     assert Announce(phi, body) == Announce(Atom("p"), Know(Atom("p")))
     assert body is know_p
 
@@ -360,11 +379,11 @@ def test_check_axiom_steps_once_per_tile_on_one_model(axiom, monkeypatch):
 
 
 def _assert_one_step_per_tile_and_body(axiom, models, seed, monkeypatch):
-    """`check_axiom(axiom, models, seed)` lists the instances once per agent
+    """`check_axiom(axiom, models, seed)` lists the bodies once per agent
     count and takes one `_single_step` per (tile, body) on masks."""
     listed, steps = [], []
-    instances, single_step = rewrite._instances, rewrite._single_step
-    monkeypatch.setattr(rewrite, "_instances", lambda *a: listed.append(a[2]) or instances(*a))
+    bodies, single_step = rewrite._bodies, rewrite._single_step
+    monkeypatch.setattr(rewrite, "_bodies", lambda *a: listed.append(a[2]) or bodies(*a))
     monkeypatch.setattr(rewrite, "_single_step", lambda *a: steps.append(a) or single_step(*a))
     assert check_axiom(axiom, models, seed).valid_on_sample == (str(axiom) != "ssl-5")
     per_agent = (axiom.semantics, axiom.index) == ("product", 4)
@@ -409,7 +428,7 @@ def test_left_sides_read_through_announce_equal_their_nodes(axiom):
     per_agent = (axiom.semantics, axiom.index) == ("product", 4)
     pools = schema_pool(axiom.semantics)
     for n, union in _sampled_unions(axiom.semantics):
-        for phi, *_, body in rewrite._instances(axiom, pools, n if per_agent else 1):
+        for phi, *_, body in _instances(axiom, pools, n if per_agent else 1):
             assert union._announce(body, union.table(phi)) == union.table(Announce(phi, body))
 
 
@@ -421,7 +440,7 @@ def _mask_read_mismatches(axiom):
     pools = schema_pool(axiom.semantics)
     mismatches = []
     for n, union in _sampled_unions(axiom.semantics):
-        for instance in rewrite._instances(axiom, pools, n if per_agent else 1):
+        for instance in _instances(axiom, pools, n if per_agent else 1):
             phi, *_, body = instance
             mask = union.table(phi)
             pushed = [union._announce(kid, mask) for kid in children(body)]
@@ -592,7 +611,7 @@ def test_every_formula_announced_on_a_shared_mask_is_reported(monkeypatch):
     report = check_axiom(axiom, 1, seed)
     reported = [c.phi for c in report.counterexamples]
     assert all(phi in reported for phi in group)
-    assert len(reported) == len(rewrite._instances(axiom, schema_pool("ssl"), 1))
+    assert len(reported) == len(_instances(axiom, schema_pool("ssl"), 1))
     assert report == _per_model_check(axiom, 1, seed)
 
 
@@ -610,14 +629,13 @@ def test_check_axiom_runs_respect_the_size_bound_and_agent_counts():
 @pytest.mark.parametrize("axiom", [AxiomId("ssl", 3), AxiomId("product", 4)], ids=str)
 def test_check_axiom_calls_share_no_node(axiom, monkeypatch):
     calls = [[], []]
-    original = rewrite._instances
+    original = rewrite._bodies
     for record in calls:
-        monkeypatch.setattr(rewrite, "_instances", lambda *a: record.append(original(*a)) or record[-1])
+        monkeypatch.setattr(rewrite, "_bodies", lambda *a: record.append(original(*a)) or record[-1])
         check_axiom(axiom, 10, 4)
-    # Both calls' instances stay alive in `calls`, so equal ids are one object.
+    # Both calls' bodies stay alive in `calls`, so equal ids are one object.
     first, second = (
-        {id(node) for instances in record for instance in instances
-         for side in instance[4:] for node in walk(side)}
+        {id(node) for bodies in record for *_, body in bodies for node in walk(body)}
         for record in calls
     )
     assert first and second

@@ -1,5 +1,6 @@
 """Finite topology construction, axioms and operators."""
 
+from dataclasses import dataclass
 from random import Random
 
 import pytest
@@ -7,12 +8,34 @@ import pytest
 from geopal.topology import (
     Topology,
     TopologyError,
+    _lazy,
     bits,
     compress_mask,
     generate_from_subbasis,
     random_topology,
     verify_topology,
 )
+
+
+def test_lazy_computes_once_per_instance_and_is_itself_on_the_class():
+    calls = []
+
+    @dataclass(frozen=True)
+    class Holder:
+        label: str
+
+        @_lazy
+        def value(self):
+            """The number of values computed so far, this one included."""
+            calls.append(self.label)
+            return len(calls)
+
+    first, second = Holder("first"), Holder("second")
+    assert isinstance(Holder.value, _lazy)
+    assert Holder.value.__doc__.startswith("The number of values")
+    assert (first.value, first.value, second.value, second.value) == (1, 1, 2, 2)
+    assert calls == ["first", "second"]
+    assert vars(first) == {"label": "first", "value": 1}
 
 
 def opens_as_sets(space):
